@@ -24,6 +24,7 @@ from .oscillator import InverterParams, sym_lambda_max
 from .phasor import Phasor
 
 BOUND_SLACK = 1e-9
+ENVELOPE_FLOOR = 1e-12      # pu; round-off floor of envelope_check
 
 
 class NotContractingError(ValueError):
@@ -96,11 +97,18 @@ def error_ball_radius(d_bar: float, c: float) -> float:
 def envelope_check(t_i: np.ndarray, x_i: np.ndarray,
                    t_j: np.ndarray, x_j: np.ndarray,
                    c: float, slack: float = 0.05) -> EnvelopeResult:
-    """Check |x_i(t) - x_j(t)| <= exp(-c*t)*|x_i(0) - x_j(0)|*(1 + slack).
+    """Check |x_i(t) - x_j(t)| <= exp(-c*t)*|x_i(0) - x_j(0)|*(1 + slack),
+    or at most ``ENVELOPE_FLOOR``.
 
     The two series must share one uniform time grid; the states are complex
     alpha + j*beta samples.  Reports the first grid time that exceeds the
     envelope.
+
+    Once two trajectories have synchronized, round-off leaves them ~1e-16 pu
+    apart while the envelope keeps decaying below that, so without a floor
+    every long enough run would "violate" it.  States are O(1..10) pu, and
+    the 1e-12 pu floor is ~4500 ulp of a unit amplitude: far above that
+    round-off and far below any separation the certificate bounds.
     """
     t_i = np.asarray(t_i, dtype=float)
     t_j = np.asarray(t_j, dtype=float)
@@ -117,7 +125,7 @@ def envelope_check(t_i: np.ndarray, x_i: np.ndarray,
             raise ValueError("time grid is not uniform")
     dist = np.abs(np.asarray(x_i) - np.asarray(x_j))
     envelope = dist[0] * np.exp(-c * (t_i - t_i[0])) * (1.0 + slack)
-    bad = np.nonzero(dist > envelope)[0]
+    bad = np.nonzero(dist > np.maximum(envelope, ENVELOPE_FLOOR))[0]
     if bad.size == 0:
         return EnvelopeResult(ok=True)
     return EnvelopeResult(ok=False, first_violation_time=float(t_i[bad[0]]))

@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -59,11 +59,15 @@ def _check_keys(d: dict, allowed: Sequence[str], where: str) -> None:
             raise ScenarioError(f"unknown key '{key}' in {where}")
 
 
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _as_complex(v: Any, where: str) -> complex:
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         return complex(v)
     if (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(isinstance(c, (int, float)) for c in v)):
+            and all(_is_number(c) for c in v)):
         return complex(v[0], v[1])
     raise ScenarioError(f"'{where}' must be a number or [re, im] pair")
 
@@ -72,7 +76,7 @@ def _num(d: dict, key: str, where: str, default=None) -> Any:
     v = d.get(key, default)
     if v is None:
         raise ScenarioError(f"missing required key '{key}' in {where}")
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    if not _is_number(v):
         raise ScenarioError(f"'{key}' in {where} must be a number")
     return v
 
@@ -90,7 +94,7 @@ def _parse_init(d: dict, seed: int, n: int) -> InitSpec:
         if not 1 <= idx <= n:
             raise ScenarioError(f"init override inverter {idx} out of "
                                 f"range 1..{n}")
-        if not isinstance(val, (int, float)):
+        if not _is_number(val):
             raise ScenarioError(f"init override for inverter {idx} must "
                                 "be a number")
         overrides.append((idx - 1, float(val)))
@@ -225,13 +229,34 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return d
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Parse a scenario JSON file (strict: unknown keys are errors)."""
+def _reject_constant(name: str) -> NoReturn:
+    raise ScenarioError(f"{name} is not a finite number; scenario values "
+                        "must be finite")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        _reject_constant(text)
+    return value
+
+
+def _strict_json(text: str) -> Any:
+    """JSON without NaN, +/-Infinity or literals that overflow to infinity."""
+    return json.loads(text, parse_constant=_reject_constant,
+                      parse_float=_finite_float)
+
+
+def _read_scenario_json(path: str | Path) -> Any:
     try:
-        raw = json.loads(Path(path).read_text())
+        return _strict_json(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise ScenarioError(f"{path} is not valid JSON: {err}") from err
-    return scenario_from_dict(raw)
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    """Parse a scenario JSON file (strict: unknown keys are errors)."""
+    return scenario_from_dict(_read_scenario_json(path))
 
 
 def apply_overrides(raw: dict, sets: Sequence[str]) -> dict:
@@ -242,7 +267,7 @@ def apply_overrides(raw: dict, sets: Sequence[str]) -> dict:
             raise ScenarioError(f"--set needs key=value, got {item!r}")
         key, _, text = item.partition("=")
         try:
-            value = json.loads(text)
+            value = _strict_json(text)
         except json.JSONDecodeError:
             value = text                   # bare strings allowed
         node = out
@@ -259,6 +284,10 @@ def apply_overrides(raw: dict, sets: Sequence[str]) -> dict:
 # outputs
 
 
+# rows per block of the time-series writer; bounds its memory, not its output
+_CSV_BLOCK_ROWS = 64
+
+
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
@@ -266,6 +295,9 @@ def _fmt(v: float) -> str:
 def write_timeseries(traj: Trajectory, path: str | Path) -> None:
     """CSV time series: states (pu), bus voltage (V), currents (A, alpha/beta
     and three-phase via the inverse Clarke transform), 17 significant digits.
+
+    Rows are built and written a block at a time, so memory is
+    O(block * columns) whatever the number of steps.
     """
     n = traj.n
     header = ["t"]
@@ -273,21 +305,29 @@ def write_timeseries(traj: Trajectory, path: str | Path) -> None:
     header += ["v_o_alpha", "v_o_beta"]
     header += [f"i_{ax}_{k}" for k in range(1, n + 1) for ax in ("alpha", "beta")]
     header += [f"i_{ph}_{k}" for k in range(1, n + 1) for ph in ("a", "b", "c")]
-
-    cols: list[np.ndarray] = [traj.t]
-    for k in range(n):
-        cols += [traj.x[:, k].real, traj.x[:, k].imag]
-    cols += [traj.v_o.real, traj.v_o.imag]
-    for k in range(n):
-        cols += [traj.currents[:, k].real, traj.currents[:, k].imag]
-    for k in range(n):
-        re, im = traj.currents[:, k].real, traj.currents[:, k].imag
-        cols += [re, -0.5 * re + SQRT3_OVER_2 * im, -0.5 * re - SQRT3_OVER_2 * im]
+    # "%.17g" % v gives the same bytes as _fmt(v)
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
 
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, len(traj.t), _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            x, v_o = traj.x[rows], traj.v_o[rows]
+            re, im = traj.currents[rows].real, traj.currents[rows].imag
+            block = np.empty((len(x), len(header)))
+            block[:, 0] = traj.t[rows]
+            block[:, 1:2 * n + 1:2] = x.real
+            block[:, 2:2 * n + 1:2] = x.imag
+            block[:, 2 * n + 1] = v_o.real
+            block[:, 2 * n + 2] = v_o.imag
+            i = 2 * n + 3
+            block[:, i:i + 2 * n:2] = re
+            block[:, i + 1:i + 2 * n:2] = im
+            i += 2 * n
+            block[:, i:i + 3 * n:3] = re
+            block[:, i + 1:i + 3 * n:3] = -0.5 * re + SQRT3_OVER_2 * im
+            block[:, i + 2:i + 3 * n:3] = -0.5 * re - SQRT3_OVER_2 * im
+            fh.write("".join(row_fmt % tuple(row) for row in block.tolist()))
 
 
 def certificate_to_dict(report: CertificateReport) -> dict:
@@ -334,7 +374,7 @@ def build_report(scenario: Scenario, cert: CertificateReport,
                 "amplitude": m.amplitude,
                 "fitted_rate": m.fitted_rate,
                 "window": m.window,
-                "sync_error_series": [float(v) for v in m.sync_error_series],
+                "sync_error_series": m.sync_error_series.tolist(),
             }
     if diverged is not None:
         report["diverged"] = {"t": diverged.t,
@@ -365,7 +405,7 @@ def _scenario_for(config: RunConfig, case: Optional[str]) -> Scenario:
         raw: dict[str, Any] = {"case": case, "n": config.n,
                                "seed": config.seed if config.seed is not None else 0}
     elif config.scenario_path is not None:
-        raw = json.loads(Path(config.scenario_path).read_text())
+        raw = _read_scenario_json(config.scenario_path)
         if config.seed is not None:
             raw["seed"] = config.seed
     else:

@@ -150,11 +150,29 @@ def build_case(case_id: str, n: int, seed: int, *,
 
 
 def sync_error(traj: Trajectory) -> np.ndarray:
-    """Max pairwise |x_i - x_j| at each time step."""
+    """Max pairwise |x_i - x_j| at each time step.
+
+    Memory is O(S*N) for S steps and N inverters: each inverter is compared
+    with the higher-numbered ones only, and the per-step maximum is kept
+    running.  The result equals the maximum over all ordered pairs exactly,
+    since |a - b| == |b - a| and the zero diagonal cannot raise a maximum of
+    non-negative values.
+    """
     if traj.n < 2:
         raise ValueError("synchronization error needs at least 2 inverters")
-    diff = np.abs(traj.x[:, :, None] - traj.x[:, None, :])
-    return diff.max(axis=(1, 2))
+    x = traj.x
+    out = np.zeros(len(x))
+    for i in range(traj.n - 1):
+        np.maximum(out, np.abs(x[:, i:i + 1] - x[:, i + 1:]).max(axis=1),
+                   out=out)
+    return out
+
+
+def _sync_series(traj: Trajectory) -> np.ndarray:
+    """sync_error, or zeros for a single inverter."""
+    if traj.n >= 2:
+        return sync_error(traj)
+    return np.zeros(len(traj.t))
 
 
 def sync_time(t: np.ndarray, series: np.ndarray,
@@ -187,12 +205,16 @@ def sharing_ratio_report(traj: Trajectory,
                          window: float = DEFAULT_WINDOW,
                          threshold: float = SYNC_THRESHOLD) -> SharingReport:
     """Trailing-window RMS current amplitudes against the admittance ratios."""
+    return _sharing_report(traj, _sync_series(traj), window, threshold)
+
+
+def _sharing_report(traj: Trajectory, series: np.ndarray, window: float,
+                    threshold: float) -> SharingReport:
     if traj.t[-1] - traj.t[0] <= window:
         raise ValueError("trajectory is shorter than the averaging window")
     sel = traj.t >= traj.t[-1] - window
     amps = np.sqrt((np.abs(traj.currents[sel]) ** 2).mean(axis=0))
-    synchronized = traj.n < 2 or bool(
-        (sync_error(traj)[sel] < threshold).all())
+    synchronized = traj.n < 2 or bool((series[sel] < threshold).all())
     y = np.abs(traj.scenario.network.admittances(math.inf))
     predicted = y / y[0]
     ratios = amps / amps[0] if amps[0] > 0 else np.full_like(amps, np.nan)
@@ -230,12 +252,9 @@ def build_metrics(traj: Trajectory, *,
                   window: float = DEFAULT_WINDOW,
                   threshold: float = SYNC_THRESHOLD) -> MetricsReport:
     """Standard post-processing bundle for a simulation run."""
-    if traj.n >= 2:
-        series = sync_error(traj)
-    else:
-        series = np.zeros(len(traj.t))
+    series = _sync_series(traj)
     t_sync = sync_time(traj.t, series, threshold)
-    sharing = sharing_ratio_report(traj, window, threshold)
+    sharing = _sharing_report(traj, series, window, threshold)
     amplitude = amplitude_estimate(traj, 0, window)
 
     # fit the decay where the series is still well above the roundoff floor

@@ -110,6 +110,19 @@ class TestEnvelope:
         assert not out.ok
         assert out.first_violation_time == pytest.approx(self.t[1])
 
+    def test_round_off_floor(self):
+        # synchronized states keep a ~1e-16 pu round-off distance while the
+        # envelope decays below it; only a real separation violates
+        x_i = np.exp(-50.0 * self.t) + 0j
+        x_j = np.zeros_like(x_i)
+        x_i[80:] = 0.25 + 1.1e-16        # envelope at t = 0.8 is ~4e-18
+        x_j[80:] = 0.25
+        assert envelope_check(self.t, x_i, self.t, x_j, c=50.0).ok
+        x_i[90] += 1e-9
+        out = envelope_check(self.t, x_i, self.t, x_j, c=50.0)
+        assert not out.ok
+        assert out.first_violation_time == pytest.approx(self.t[90])
+
     def test_mismatched_grids(self):
         x = np.exp(-self.t) + 0j
         with pytest.raises(ValueError, match="grid"):

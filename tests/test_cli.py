@@ -11,7 +11,7 @@ from dvocsim.cli import (RunConfig, ScenarioError, apply_overrides,
                          write_timeseries)
 from dvocsim.certificates import certificate_margin
 from dvocsim.engine import DisturbanceSpec, simulate
-from dvocsim.phasor import Phasor, inv_clarke
+from dvocsim.phasor import SQRT3_OVER_2, Phasor, inv_clarke
 from dvocsim.scenarios import build_case
 
 
@@ -102,6 +102,33 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="JSON"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("constant",
+                             ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_constant(self, tmp_path, constant):
+        path = tmp_path / "nan.json"
+        path.write_text('{"case": "I", "n": 2, "seed": 0, '
+                        f'"oscillator": {{"xi": {constant}}}}}')
+        with pytest.raises(ScenarioError, match=constant):
+            load_scenario(path)
+
+    def test_boolean_override_norm(self, tmp_path):
+        raw = {"case": "I", "n": 2, "seed": 0,
+               "init": {"overrides": {"1": True}}}
+        with pytest.raises(ScenarioError, match="override for inverter 1"):
+            load_scenario(write(tmp_path, raw))
+
+    @pytest.mark.parametrize("z_net, z_extra, field", [
+        (True, [0.0, 0.0], "network.z_net"),
+        ([100.0, False], [0.0, 0.0], "network.z_net"),
+        ([100.0, 0.0], [True, 0.0], r"branches\[1\].z_extra"),
+    ])
+    def test_boolean_complex(self, tmp_path, z_net, z_extra, field):
+        raw = {"n": 1, "seed": 0, "branches": [{"r_v": 1.0,
+                                                "z_extra": z_extra}],
+               "network": {"z_net": z_net}}
+        with pytest.raises(ScenarioError, match=field):
+            load_scenario(write(tmp_path, raw))
+
 
 class TestRoundTrip:
     def test_resolved_scenario_round_trips(self):
@@ -133,6 +160,11 @@ class TestOverrides:
         with pytest.raises(ScenarioError, match="key=value"):
             apply_overrides({}, ["nonsense"])
 
+    @pytest.mark.parametrize("text", ["NaN", "-Infinity", "1e400"])
+    def test_non_finite_value(self, text):
+        with pytest.raises(ScenarioError, match=text):
+            apply_overrides({}, [f"oscillator.xi={text}"])
+
     def test_unknown_key_caught_at_parse(self):
         out = apply_overrides({"case": "I", "n": 4, "seed": 0},
                               ["oscillator.bogus=1"])
@@ -161,6 +193,37 @@ class TestWriteTimeseries:
         assert np.array_equal(data[:, 4], traj.x[:, 1].imag)
         assert np.array_equal(data[:, 5], traj.v_o.real)
         assert np.array_equal(data[:, 7], traj.currents[:, 0].real)
+
+    def test_bytes_match_per_value_writer(self, tmp_path):
+        # spans several row blocks and ends on a partial one
+        traj = simulate(build_case("II", 4, seed=7, t_end=0.2))
+        path = tmp_path / "ts.csv"
+        write_timeseries(traj, path)
+
+        def fmt(v):
+            return format(float(v), ".17g")
+        n = traj.n
+        header = ["t"]
+        header += [f"x_{ax}_{k}" for k in range(1, n + 1)
+                   for ax in ("alpha", "beta")]
+        header += ["v_o_alpha", "v_o_beta"]
+        header += [f"i_{ax}_{k}" for k in range(1, n + 1)
+                   for ax in ("alpha", "beta")]
+        header += [f"i_{ph}_{k}" for k in range(1, n + 1)
+                   for ph in ("a", "b", "c")]
+        cols = [traj.t]
+        for k in range(n):
+            cols += [traj.x[:, k].real, traj.x[:, k].imag]
+        cols += [traj.v_o.real, traj.v_o.imag]
+        for k in range(n):
+            cols += [traj.currents[:, k].real, traj.currents[:, k].imag]
+        for k in range(n):
+            re, im = traj.currents[:, k].real, traj.currents[:, k].imag
+            cols += [re, -0.5 * re + SQRT3_OVER_2 * im,
+                     -0.5 * re - SQRT3_OVER_2 * im]
+        want = ",".join(header) + "\n" + "".join(
+            ",".join(fmt(v) for v in row) + "\n" for row in zip(*cols))
+        assert path.read_bytes() == want.encode()
 
     def test_phase_columns_match_inv_clarke(self, tmp_path):
         sc = build_case("I", 2, seed=4, t_end=3e-4, dt=1e-4)
@@ -248,6 +311,14 @@ class TestCommands:
         assert main(["simulate", "--scenario", str(path),
                      "--out", str(tmp_path / "x")]) == 1
         assert "bogus" in capsys.readouterr().err
+
+    def test_non_finite_scenario_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"case": "I", "n": 2, "seed": 0, "t_end": 0.01, '
+                        '"oscillator": {"xi": NaN}}')
+        assert main(["simulate", "--scenario", str(path),
+                     "--out", str(tmp_path / "x")]) == 1
+        assert "NaN" in capsys.readouterr().err
 
     def test_missing_scenario_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

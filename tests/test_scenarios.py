@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dvocsim import scenarios
 from dvocsim.engine import InitSpec, Trajectory, build_network, simulate
 from dvocsim.network import OscillatorDeath, k_sh
 from dvocsim.oscillator import InverterParams
@@ -116,6 +118,36 @@ class TestSyncError:
         t = np.array([0.0])
         x = np.array([[0j, 1.0 + 0j, 3.0 + 0j]])
         assert sync_error(fake_traj(t, x))[0] == 3.0
+
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    def test_equals_loop_over_pairs(self, n):
+        rng = np.random.default_rng(n)
+        s = 40
+        x = rng.standard_normal((s, n)) + 1j * rng.standard_normal((s, n))
+        x[::3, 0] = x[::3, -1]                   # a tied pair
+        x[5] = 0.25 - 0.5j                       # all states equal
+        x[7] = np.where(np.arange(n) % 2, 1.0, -1.0)   # many pairs tie at 2
+        want = np.zeros(s)
+        for k in range(s):
+            for i in range(n):
+                for j in range(n):
+                    want[k] = max(want[k], np.abs(x[k, i] - x[k, j]))
+        assert np.array_equal(sync_error(fake_traj(np.arange(s) * 1e-4, x)),
+                              want)
+
+    def test_memory_linear_in_inverters(self):
+        # the pairwise (S, N, N) tensor would take ~86 MB here
+        s, n = 1001, 60
+        rng = np.random.default_rng(0)
+        traj = fake_traj(np.arange(s) * 1e-4,
+                         rng.standard_normal((s, n)) + 0j)
+        tracemalloc.start()
+        try:
+            sync_error(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestSyncTime:
@@ -247,6 +279,17 @@ class TestCaseIIDeskRun:
         r_star = predicted_r_star(traj.scenario)
         assert not isinstance(r_star, OscillatorDeath)
         assert amplitude_estimate(traj, 0) == pytest.approx(r_star, rel=1e-3)
+
+    def test_metrics_compute_sync_error_once(self, traj, monkeypatch):
+        calls = []
+
+        def counting(tr):
+            calls.append(tr)
+            return sync_error(tr)
+        monkeypatch.setattr(scenarios, "sync_error", counting)
+        m = build_metrics(traj)
+        assert len(calls) == 1
+        assert m.synchronized == sharing_ratio_report(traj).synchronized
 
     def test_metrics_bundle(self, traj):
         m = build_metrics(traj)
