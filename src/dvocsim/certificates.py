@@ -15,13 +15,13 @@ parameters plus sampled verification of the eigenvalue bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .oscillator import InverterParams, sym_lambda_max
-from .phasor import Phasor
 
 BOUND_SLACK = 1e-9
 ENVELOPE_FLOOR = 1e-12      # pu; round-off floor of envelope_check
@@ -66,19 +66,20 @@ def sampled_lambda_check(params: InverterParams, radius: float,
     """Verify the eigenvalue bound on sampled states of norm <= radius.
 
     The origin (the analytic maximizer of the symmetric part's top eigenvalue)
-    is always included ahead of the ``n_samples`` random states.
+    is always included ahead of the ``n_samples`` random states, and all of
+    them go through ``sym_lambda_max`` as one complex array.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be > 0, got {radius}")
+    if not math.isfinite(radius) or radius <= 0:
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, n_samples)
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, n_samples))
-    states = [Phasor(0.0, 0.0)]
-    states += [Phasor(ri * np.cos(ti), ri * np.sin(ti))
-               for ri, ti in zip(r, theta)]
-    max_found = max(sym_lambda_max(x, params) for x in states)
+    states = np.zeros(n_samples + 1, dtype=complex)
+    states.real[1:] = r * np.cos(theta)
+    states.imag[1:] = r * np.sin(theta)
+    max_found = float(sym_lambda_max(states, params).max())
     bound = params.xi * params.x_nom_sq2 - params.kappa_beta
     return SampledLambdaResult(max_found=max_found, bound=bound,
                                ok=max_found <= bound + BOUND_SLACK)

@@ -406,6 +406,8 @@ def _scenario_for(config: RunConfig, case: Optional[str]) -> Scenario:
                                "seed": config.seed if config.seed is not None else 0}
     elif config.scenario_path is not None:
         raw = _read_scenario_json(config.scenario_path)
+        if not isinstance(raw, dict):
+            raise ScenarioError("scenario must be a JSON object")
         if config.seed is not None:
             raw["seed"] = config.seed
     else:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .network import BranchParams, NetworkConfig
-from .oscillator import InverterParams
+from .oscillator import InverterParams, chi
 
 DIVERGENCE_NORM = 100.0     # pu, far outside any modeled regime
 MAX_DT_OMEGA = 0.2          # resolution guard: > ~31 steps per cycle
@@ -220,8 +220,7 @@ def _field(t: float, x: np.ndarray, scenario: Scenario,
            y: np.ndarray, y_sigma: complex) -> np.ndarray:
     """Coupled derivative h(x_k) + kappa*v_o (+ disturbance on one inverter)."""
     p = scenario.params[0]
-    chi_v = p.xi * (p.x_nom_sq2 - (x.real ** 2 + x.imag ** 2))
-    h = (chi_v - p.kappa_beta + 1j * p.omega0) * x
+    h = (chi(x, p) - p.kappa_beta + 1j * p.omega0) * x
     v_o = p.beta * np.dot(y, x) / y_sigma
     dx = h + p.kappa * v_o
     if scenario.disturbance is not None:

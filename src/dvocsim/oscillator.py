@@ -16,7 +16,7 @@ network boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +52,10 @@ class InverterParams:
     x_v: float = 0.0                # ohm, virtual reactance
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("xi", "x_nom_sq2", "omega0", "beta"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -66,14 +70,19 @@ class InverterParams:
         return self.kappa * self.beta
 
 
-def chi(x: Phasor, params: InverterParams) -> float:
-    """Amplitude-regulating scalar xi*(2*Xnom^2 - |x|^2)."""
-    return params.xi * (params.x_nom_sq2 - (x.alpha ** 2 + x.beta ** 2))
+def chi(x: complex | np.ndarray,
+        params: InverterParams) -> float | np.ndarray:
+    """Amplitude-regulating scalar xi*(2*Xnom^2 - |x|^2).
+
+    ``x`` is a complex state alpha + j*beta, scalar or array; the result has
+    its shape.
+    """
+    return params.xi * (params.x_nom_sq2 - (x.real ** 2 + x.imag ** 2))
 
 
 def open_loop_deriv(x: Phasor, params: InverterParams) -> Phasor:
     """Free-running oscillator field chi(x)*x + omega0*J*x."""
-    c = chi(x, params)
+    c = chi(x.as_complex, params)
     return Phasor(c * x.alpha - params.omega0 * x.beta,
                   c * x.beta + params.omega0 * x.alpha)
 
@@ -86,31 +95,41 @@ def closed_loop_deriv(x: Phasor, v_o: Phasor, params: InverterParams) -> Phasor:
                   d.beta - k * (params.beta * x.beta - v_o.beta))
 
 
-def jacobian_h(x: Phasor, params: InverterParams) -> np.ndarray:
+def jacobian_h(x: complex | np.ndarray, params: InverterParams) -> np.ndarray:
     """Analytic Jacobian of the local map h(x) = (chi*I + omega0*J - kappa*beta*I)x.
 
     Equals (chi - kappa*beta)*I + omega0*J - 2*xi*x*x^T; the rotation omega0*J
-    is its exact skew part for every x.
+    is its exact skew part for every x.  ``x`` is a complex state, scalar or
+    array; the result has shape ``x.shape + (2, 2)``.
     """
+    x = np.asarray(x, dtype=complex)
+    a = x.real
+    b = x.imag
     c = chi(x, params) - params.kappa_beta
     w = params.omega0
     xi2 = 2.0 * params.xi
-    return np.array([
-        [c - xi2 * x.alpha * x.alpha, -w - xi2 * x.alpha * x.beta],
-        [w - xi2 * x.alpha * x.beta, c - xi2 * x.beta * x.beta],
-    ])
+    j = np.empty(x.shape + (2, 2))
+    j[..., 0, 0] = c - xi2 * a * a
+    j[..., 0, 1] = -w - xi2 * a * b
+    j[..., 1, 0] = w - xi2 * a * b
+    j[..., 1, 1] = c - xi2 * b * b
+    return j
 
 
-def sym_lambda_max(x: Phasor, params: InverterParams) -> float:
+def sym_lambda_max(x: complex | np.ndarray,
+                   params: InverterParams) -> float | np.ndarray:
     """Largest eigenvalue of the symmetric Jacobian part (chi-kappa*beta)I - 2xi*x*x^T.
 
     Closed form for the symmetric 2x2 matrix [[p, q], [q, r]]:
-    (p+r)/2 + sqrt(((p-r)/2)^2 + q^2).  Bounded above by
-    xi*2*Xnom^2 - kappa*beta for all x.
+    (p+r)/2 + sqrt(((p-r)/2)^2 + q^2), taken from ``jacobian_h``'s entries.
+    Bounded above by xi*2*Xnom^2 - kappa*beta for all x.  ``x`` is a complex
+    state, scalar or array; an array gives an array of its shape, a scalar a
+    float.
     """
     j = jacobian_h(x, params)
-    p = j[0, 0]
-    r = j[1, 1]
-    q = 0.5 * (j[0, 1] + j[1, 0])
+    p = j[..., 0, 0]
+    r = j[..., 1, 1]
+    q = 0.5 * (j[..., 0, 1] + j[..., 1, 0])
     half_diff = 0.5 * (p - r)
-    return 0.5 * (p + r) + math.hypot(half_diff, q)
+    lam = 0.5 * (p + r) + np.hypot(half_diff, q)
+    return lam if lam.ndim else float(lam)

@@ -201,7 +201,7 @@ def test_criterion_8_numerics(acceptance_log):
             return np.array([d.alpha, d.beta])
 
         fd = central_difference_jacobian(field, x, h=1e-6)
-        worst = max(worst, float(np.abs(jacobian_h(Phasor(*x), P) - fd).max()))
+        worst = max(worst, float(np.abs(jacobian_h(complex(*x), P) - fd).max()))
     jac_ok = worst <= 1e-5
     log(acceptance_log, 8, order_ok and jac_ok,
         f"dt-halving error ratios {ratios[0]:.2f}, {ratios[1]:.2f} "

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dvocsim import certificates
 from dvocsim.certificates import (NotContractingError, certificate_margin,
                                   envelope_check, error_ball_radius,
                                   sampled_lambda_check)
@@ -67,6 +70,28 @@ class TestSampledLambda:
             sampled_lambda_check(P, 0.0, 10, 0)
         with pytest.raises(ValueError, match="n_samples"):
             sampled_lambda_check(P, 1.0, 0, 0)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            sampled_lambda_check(P, radius, 10, 0)
+
+    def test_max_is_written_out_bound(self):
+        out = sampled_lambda_check(P, 2.0, 5000, seed=1)
+        assert out.max_found == P.xi * P.x_nom_sq2 - P.kappa_beta
+
+    def test_one_array_pass(self, monkeypatch):
+        calls = []
+        original = certificates.sym_lambda_max
+
+        def counting(x, params):
+            calls.append(x)
+            return original(x, params)
+        monkeypatch.setattr(certificates, "sym_lambda_max", counting)
+        sampled_lambda_check(P, 2.0, 300, seed=4)
+        assert len(calls) == 1
+        assert calls[0].shape == (301,)
+        assert calls[0][0] == 0
 
 
 class TestErrorBall:

@@ -320,6 +320,20 @@ class TestCommands:
                      "--out", str(tmp_path / "x")]) == 1
         assert "NaN" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius", ["nan", "inf", "1e400"])
+    def test_certify_non_finite_radius(self, radius, capsys):
+        assert main(["certify", "--samples", "10", "--radius", radius]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "radius" in err
+
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--set", "t_end=0.1"]])
+    def test_non_object_scenario_file_exit_code(self, flag, tmp_path, capsys):
+        path = write(tmp_path, [1, 2])
+        assert main(["simulate", "--scenario", str(path),
+                     "--out", str(tmp_path / "x")] + flag) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "JSON object" in err
+
     def test_missing_scenario_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["simulate", "--scenario", str(missing),

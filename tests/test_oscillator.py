@@ -13,7 +13,7 @@ P = InverterParams()        # xi=10, 2Xnom^2=1, kappa=1, beta=690*sqrt2/sqrt3
 BETA = P.beta
 W0 = P.omega0
 
-states = st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(lambda t: Phasor(*t))
+states = st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(lambda t: complex(*t))
 
 
 class TestParams:
@@ -35,16 +35,23 @@ class TestParams:
         with pytest.raises(ValueError, match="branch"):
             InverterParams(r_f=0, l_f=0, r_v=0, x_v=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["xi", "x_nom_sq2", "omega0", "kappa",
+                                       "beta", "r_f", "l_f", "r_v", "x_v"])
+    def test_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            InverterParams(**{field: value})
+
 
 class TestChi:
     def test_limit_cycle_boundary(self):
-        assert chi(Phasor(1, 0), P) == 0.0
+        assert chi(1 + 0j, P) == 0.0
 
     def test_origin(self):
-        assert chi(Phasor(0, 0), P) == 10.0
+        assert chi(0j, P) == 10.0
 
     def test_outside(self):
-        assert chi(Phasor(1, 1), P) == -10.0
+        assert chi(1 + 1j, P) == -10.0
 
 
 class TestOpenLoop:
@@ -83,32 +90,33 @@ class TestClosedLoop:
     @given(states, states, st.floats(0, 2 * math.pi))
     def test_rotation_equivariance(self, x, v, theta):
         rot = complex(math.cos(theta), math.sin(theta))
-        x_r = Phasor.from_complex(x.as_complex * rot)
-        v_r = Phasor.from_complex(v.as_complex * rot)
+        x_r = Phasor.from_complex(x * rot)
+        v_r = Phasor.from_complex(v * rot)
         lhs = closed_loop_deriv(x_r, v_r, P).as_complex
-        rhs = closed_loop_deriv(x, v, P).as_complex * rot
+        rhs = closed_loop_deriv(Phasor.from_complex(x), Phasor.from_complex(v),
+                                P).as_complex * rot
         assert lhs == pytest.approx(rhs, abs=1e-9 * (1 + abs(rhs)))
 
     @given(states, st.floats(0.0, 1.0))
     def test_radial_decoupling(self, x, k_sh):
         # with v_o = K*beta*x the radius obeys
         # dr/dt = (xi*(2Xnom^2 - r^2) - kappa*beta*(1-K)) * r
-        r = x.norm()
-        v = Phasor(k_sh * BETA * x.alpha, k_sh * BETA * x.beta)
-        d = closed_loop_deriv(x, v, P)
-        got = x.alpha * d.alpha + x.beta * d.beta    # r * dr/dt
+        r = abs(x)
+        v = Phasor(k_sh * BETA * x.real, k_sh * BETA * x.imag)
+        d = closed_loop_deriv(Phasor.from_complex(x), v, P)
+        got = x.real * d.alpha + x.imag * d.beta     # r * dr/dt
         want = (chi(x, P) - P.kappa_beta * (1 - k_sh)) * r * r
         assert got == pytest.approx(want, abs=1e-9 * (1 + abs(want)))
 
 
 class TestJacobian:
     def test_origin(self):
-        j = jacobian_h(Phasor(0, 0), P)
+        j = jacobian_h(0j, P)
         c = 10.0 - BETA
         assert np.allclose(j, [[c, -W0], [W0, c]], rtol=0, atol=1e-12)
 
     def test_on_cycle(self):
-        j = jacobian_h(Phasor(1, 0), P)
+        j = jacobian_h(1 + 0j, P)
         want = np.array([[-BETA - 20.0, -W0], [W0, -BETA]])
         assert np.allclose(j, want, rtol=1e-14)
 
@@ -120,7 +128,7 @@ class TestJacobian:
             return np.array([d.alpha, d.beta])
 
         fd = central_difference_jacobian(as_vec, x, h=1e-6)
-        assert np.abs(jacobian_h(Phasor(*x), P) - fd).max() < 1e-5
+        assert np.abs(jacobian_h(complex(*x), P) - fd).max() < 1e-5
 
     def test_finite_difference_sampled(self):
         rng = np.random.default_rng(2024)
@@ -133,7 +141,15 @@ class TestJacobian:
             x = rng.uniform(-1, 1, 2)
             x *= rng.uniform(0, 2) / max(np.hypot(*x), 1e-9)
             fd = central_difference_jacobian(as_vec, x, h=1e-6)
-            assert np.abs(jacobian_h(Phasor(*x), P) - fd).max() < 1e-5
+            assert np.abs(jacobian_h(complex(*x), P) - fd).max() < 1e-5
+
+    def test_array_equals_stacked_scalars(self):
+        rng = np.random.default_rng(11)
+        x = (rng.uniform(-2, 2, 12) + 1j * rng.uniform(-2, 2, 12)).reshape(3, 4)
+        stacked = np.array([[jacobian_h(complex(z), P) for z in row] for row in x])
+        j = jacobian_h(x, P)
+        assert j.shape == (3, 4, 2, 2)
+        assert np.array_equal(j, stacked)
 
     @given(states)
     def test_skew_part_is_rotation(self, x):
@@ -146,19 +162,40 @@ class TestJacobian:
 
 class TestSymLambdaMax:
     def test_origin_equality_case(self):
-        assert sym_lambda_max(Phasor(0, 0), P) == pytest.approx(10.0 - BETA)
+        assert sym_lambda_max(0j, P) == pytest.approx(10.0 - BETA)
 
     def test_on_cycle(self):
         # eigenvalues {chi - kb - 2 xi, chi - kb} with chi = 0
-        assert sym_lambda_max(Phasor(1, 0), P) == pytest.approx(-BETA, rel=1e-12)
+        assert sym_lambda_max(1 + 0j, P) == pytest.approx(-BETA, rel=1e-12)
 
     def test_against_eigvalsh(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            x = Phasor(*rng.uniform(-2, 2, 2))
+            x = complex(*rng.uniform(-2, 2, 2))
             j = jacobian_h(x, P)
             want = np.linalg.eigvalsh(0.5 * (j + j.T)).max()
             assert sym_lambda_max(x, P) == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("shape", [(200,), (20, 15)])
+    def test_array_against_eigvalsh(self, shape):
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-2, 2, shape) + 1j * rng.uniform(-2, 2, shape)
+        j = jacobian_h(x, P)
+        want = np.linalg.eigvalsh(0.5 * (j + np.swapaxes(j, -1, -2)))[..., -1]
+        got = sym_lambda_max(x, P)
+        assert got.shape == shape
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+    def test_scalar_gives_float(self):
+        assert type(sym_lambda_max(0.3 - 0.4j, P)) is float
+
+    def test_origin_is_exact_maximizer(self):
+        rng = np.random.default_rng(5)
+        x = np.concatenate([[0j], rng.uniform(-2, 2, 500)
+                            + 1j * rng.uniform(-2, 2, 500)])
+        lam = sym_lambda_max(x, P)
+        assert lam.max() == P.xi * P.x_nom_sq2 - P.kappa_beta
+        assert np.argmax(lam) == 0
 
     def test_uniform_bound(self):
         rng = np.random.default_rng(99)
@@ -166,5 +203,5 @@ class TestSymLambdaMax:
         for _ in range(1000):
             theta = rng.uniform(0, 2 * math.pi)
             r = 2.0 * math.sqrt(rng.uniform())
-            lam = sym_lambda_max(Phasor(r * math.cos(theta), r * math.sin(theta)), P)
+            lam = sym_lambda_max(complex(r * math.cos(theta), r * math.sin(theta)), P)
             assert lam <= bound + 1e-9
