@@ -10,18 +10,14 @@ from .certificates import (CertificateReport, EnvelopeResult,
                            NotContractingError, SampledLambdaResult,
                            certificate_margin, envelope_check,
                            error_ball_radius, sampled_lambda_check)
-from .engine import (DisturbanceSpec, InitSpec, PlantState, Scenario,
-                     SimulationDiverged, Trajectory, build_network,
-                     deriv_coupled, init_random, rk4_increment, rk4_step,
-                     simulate)
-from .network import (BranchParams, NetworkConfig, NetworkSolution,
-                      OscillatorDeath, SynchronizedSteady, branch_currents,
-                      k_sh, particular_radius, pcc_voltage, solve_network,
+from .engine import (DisturbanceSpec, InitSpec, Scenario, SimulationDiverged,
+                     Trajectory, init_random, rk4_increment, simulate)
+from .network import (BranchParams, NetworkConfig, OscillatorDeath,
+                      SynchronizedSteady, ZeroImpedanceError, branch_currents,
+                      k_sh, particular_radius, pcc_voltage,
                       synchronized_steady, total_admittance)
-from .oscillator import (InverterParams, chi, closed_loop_deriv, jacobian_h,
-                         open_loop_deriv, sym_lambda_max)
-from .phasor import (Phasor, ThreePhase, ZeroImpedanceError, admittance,
-                     branch_impedance_at, complex_mul, inv_clarke)
+from .oscillator import (InverterParams, chi, jacobian_h, local_map,
+                         sym_lambda_max)
 from .scenarios import (MetricsReport, SharingReport, amplitude_estimate,
                         build_case, build_metrics, fit_decay_rate,
                         sharing_ratio_report, steady_separation, sync_error,
@@ -32,16 +28,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchParams", "CertificateReport", "DisturbanceSpec", "EnvelopeResult",
     "InitSpec", "InverterParams", "MetricsReport", "NetworkConfig",
-    "NetworkSolution", "NotContractingError", "OscillatorDeath", "Phasor",
-    "PlantState", "SampledLambdaResult", "Scenario", "SharingReport",
-    "SimulationDiverged", "SynchronizedSteady", "ThreePhase", "Trajectory",
-    "ZeroImpedanceError", "admittance", "amplitude_estimate",
-    "branch_currents", "branch_impedance_at", "build_case", "build_metrics",
-    "build_network", "certificate_margin", "chi", "closed_loop_deriv",
-    "complex_mul", "deriv_coupled", "envelope_check", "error_ball_radius",
-    "fit_decay_rate", "init_random", "inv_clarke", "jacobian_h", "k_sh",
-    "open_loop_deriv", "particular_radius", "pcc_voltage", "rk4_increment",
-    "rk4_step", "sampled_lambda_check", "sharing_ratio_report", "simulate",
-    "solve_network", "steady_separation", "sym_lambda_max", "sync_error",
-    "sync_time", "synchronized_steady", "total_admittance",
+    "NotContractingError", "OscillatorDeath", "SampledLambdaResult",
+    "Scenario", "SharingReport", "SimulationDiverged", "SynchronizedSteady",
+    "Trajectory", "ZeroImpedanceError", "amplitude_estimate",
+    "branch_currents", "build_case", "build_metrics", "certificate_margin",
+    "chi", "envelope_check", "error_ball_radius", "fit_decay_rate",
+    "init_random", "jacobian_h", "k_sh", "local_map", "particular_radius",
+    "pcc_voltage", "rk4_increment", "sampled_lambda_check",
+    "sharing_ratio_report", "simulate", "steady_separation",
+    "sym_lambda_max", "sync_error", "sync_time", "synchronized_steady",
+    "total_admittance",
 ]

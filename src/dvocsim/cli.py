@@ -33,14 +33,13 @@ import numpy as np
 from .certificates import (CertificateReport, certificate_margin,
                            error_ball_radius, sampled_lambda_check)
 from .engine import (DisturbanceSpec, InitSpec, Scenario, SimulationDiverged,
-                     Trajectory, build_network, simulate)
-from .network import OscillatorDeath, k_sh
+                     Trajectory, simulate)
+from .network import BranchParams, NetworkConfig, OscillatorDeath, k_sh
 from .oscillator import InverterParams
-from .phasor import SQRT3_OVER_2
 from .scenarios import build_case, build_metrics, predicted_r_star
 
-OSCILLATOR_FIELDS = ("xi", "x_nom_sq2", "omega0", "kappa", "beta")
-BRANCH_FIELDS = ("r_f", "l_f", "r_v", "x_v")
+OSCILLATOR_FIELDS = tuple(f.name for f in dataclasses.fields(InverterParams))
+BRANCH_FIELDS = tuple(f.name for f in dataclasses.fields(BranchParams))
 CASE_NETWORK_KEYS = ("t_z", "load_pu", "load_angle", "domination_ratio",
                      "zt_multiplier", "zt_jitter")
 
@@ -129,6 +128,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     _check_keys(osc, OSCILLATOR_FIELDS, "oscillator")
     for key in osc:
         _num(osc, key, "oscillator")
+    params = InverterParams(**{k: float(osc[k]) for k in osc})
 
     if "case" in raw:
         if "branches" in raw:
@@ -140,12 +140,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
         if not isinstance(jitter, bool):
             raise ScenarioError("'zt_jitter' in network must be a boolean")
         knobs = {k: float(_num(net, k, "network")) for k in net}
-        base = InverterParams(**{k: float(osc[k]) for k in osc})
         scenario = build_case(
             str(raw["case"]), n, seed,
             t_end=float(_num(raw, "t_end", "scenario", 2.0)),
             dt=float(_num(raw, "dt", "scenario", 1e-4)),
-            zt_jitter=jitter, base=base, **knobs)
+            zt_jitter=jitter, base=params, **knobs)
         init = scenario.init
         if "init" in raw:
             init = _parse_init(raw["init"], seed, n)
@@ -164,18 +163,17 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if len(branches_raw) != n:
         raise ScenarioError(f"'n' is {n} but {len(branches_raw)} branches "
                             "are given")
-    shared = {k: float(osc[k]) for k in osc}
-    params = []
-    z_extras = []
+    branches = []
     for i, b in enumerate(branches_raw, start=1):
         where = f"branches[{i}]"
         if not isinstance(b, dict):
             raise ScenarioError(f"{where} must be an object")
-        _check_keys(b, BRANCH_FIELDS + ("z_extra",), where)
-        parts = {k: float(_num(b, k, where, 0.0)) for k in BRANCH_FIELDS}
-        params.append(InverterParams(**shared, **parts))
-        z_extras.append(_as_complex(b.get("z_extra", [0.0, 0.0]),
-                                    f"{where}.z_extra"))
+        _check_keys(b, BRANCH_FIELDS, where)
+        parts = {k: float(_num(b, k, where, 0.0))
+                 for k in BRANCH_FIELDS if k != "z_extra"}
+        branches.append(BranchParams(
+            **parts, z_extra=_as_complex(b.get("z_extra", [0.0, 0.0]),
+                                         f"{where}.z_extra")))
     net = raw.get("network")
     if not isinstance(net, dict):
         raise ScenarioError("explicit scenarios need a 'network' object")
@@ -184,11 +182,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ScenarioError("missing required key 'z_net' in network")
     z_net = _as_complex(net["z_net"], "network.z_net")
     t_z = float(_num(net, "t_z", "network", 0.0))
-    network = build_network(params, z_net, t_z=t_z, z_extras=z_extras)
+    network = NetworkConfig(branches=tuple(branches), z_net=z_net,
+                            omega_eval=params.omega0, t_z=t_z)
 
     init = _parse_init(dict(raw.get("init", {})), seed, n)
     return Scenario(
-        params=tuple(params), network=network,
+        params=(params,) * n, network=network,
         t_end=float(_num(raw, "t_end", "scenario", 2.0)),
         dt=float(_num(raw, "dt", "scenario", 1e-4)),
         init=init, disturbance=_parse_disturbance(raw.get("disturbance"), n))
@@ -197,12 +196,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Fully-resolved, round-trippable scenario dict (explicit form)."""
     p0 = scenario.params[0]
-    branches = []
-    for p, b in zip(scenario.params, scenario.network.branches):
-        branches.append({
-            "r_f": p.r_f, "l_f": p.l_f, "r_v": p.r_v, "x_v": p.x_v,
-            "z_extra": [b.z_extra.real, b.z_extra.imag],
-        })
+    branches = [{"r_f": b.r_f, "l_f": b.l_f, "r_v": b.r_v, "x_v": b.x_v,
+                 "z_extra": [b.z_extra.real, b.z_extra.imag]}
+                for b in scenario.network.branches]
     d: dict[str, Any] = {
         "n": scenario.n,
         "seed": scenario.init.seed,
@@ -287,6 +283,8 @@ def apply_overrides(raw: dict, sets: Sequence[str]) -> dict:
 # rows per block of the time-series writer; bounds its memory, not its output
 _CSV_BLOCK_ROWS = 64
 
+SQRT3_OVER_2 = math.sqrt(3.0) / 2.0     # inverse Clarke transform
+
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
@@ -337,7 +335,7 @@ def certificate_to_dict(report: CertificateReport) -> dict:
         "passed": report.passed,
         "lambda_max_sampled": report.lambda_max_sampled,
         "error_ball_radius": report.error_ball_radius,
-        "params": {k: getattr(p, k) for k in OSCILLATOR_FIELDS + BRANCH_FIELDS},
+        "params": {k: getattr(p, k) for k in OSCILLATOR_FIELDS},
     }
 
 
@@ -426,7 +424,7 @@ def _cmd_certify(config: RunConfig) -> int:
     else:
         fields = {}
         raw = apply_overrides({}, config.overrides)
-        _check_keys(raw, OSCILLATOR_FIELDS + BRANCH_FIELDS, "--set")
+        _check_keys(raw, OSCILLATOR_FIELDS, "--set")
         for key, val in raw.items():
             fields[key] = float(val)
         params = InverterParams(**fields)

@@ -15,18 +15,20 @@ scenarios share no mutable state and can be simulated concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+import math
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 
-from .network import BranchParams, NetworkConfig
-from .oscillator import InverterParams, chi
+from .network import (NetworkConfig, branch_currents, pcc_voltage,
+                      total_admittance)
+from .oscillator import InverterParams, local_map
 
 DIVERGENCE_NORM = 100.0     # pu, far outside any modeled regime
 MAX_DT_OMEGA = 0.2          # resolution guard: > ~31 steps per cycle
+STEP_TOL = 1e-9             # relative tolerance of t_end/dt to a whole number
 
-SHARED_FIELDS = ("xi", "x_nom_sq2", "omega0", "kappa", "beta")
 WAVEFORMS = ("constant", "rotating")
 
 
@@ -40,26 +42,6 @@ class SimulationDiverged(RuntimeError):
         self.t = t
         self.inverter = inverter
         self.trajectory = trajectory
-
-
-@dataclass(frozen=True, eq=False)
-class PlantState:
-    """Stacked complex alpha/beta states of all inverters at one time."""
-
-    t: float
-    x: np.ndarray   # shape (N,), complex128, pu
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=complex)
-        object.__setattr__(self, "x", x)
-        if x.ndim != 1 or x.size == 0:
-            raise ValueError("state must be a non-empty 1-d complex array")
-        if not np.all(np.isfinite(x.view(float))):
-            raise ValueError("state contains non-finite components")
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
 
 
 @dataclass(frozen=True)
@@ -116,21 +98,25 @@ class Scenario:
                 f"{len(self.params)} inverters but {self.network.n} branches")
         ref = self.params[0]
         for k, p in enumerate(self.params[1:], start=2):
-            for name in SHARED_FIELDS:
-                if getattr(p, name) != getattr(ref, name):
+            for f in fields(InverterParams):
+                if getattr(p, f.name) != getattr(ref, f.name):
                     raise ValueError(
-                        f"inverter {k} differs in {name}: the local map must "
-                        "be identical across inverters")
-        for k, (p, b) in enumerate(zip(self.params, self.network.branches),
-                                   start=1):
-            if (p.r_f, p.l_f, p.r_v, p.x_v) != (b.r_f, b.l_f, b.r_v, b.x_v):
-                raise ValueError(
-                    f"branch {k} impedance parts disagree between params "
-                    "and network config")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.t_end < self.dt:
-            raise ValueError(f"t_end must be >= dt, got {self.t_end}")
+                        f"inverter {k} differs in {f.name}: the local map "
+                        "must be identical across inverters")
+        if self.network.omega_eval != ref.omega0:
+            raise ValueError(
+                f"network.omega_eval = {self.network.omega_eval} differs from "
+                f"omega0 = {ref.omega0}: branch impedances must be evaluated "
+                "at the oscillator frequency")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if not self.dt <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and >= dt, got {self.t_end}")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > STEP_TOL * steps:
+            raise ValueError(
+                f"t_end = {self.t_end} is not a whole multiple of "
+                f"dt = {self.dt}")
         if not 0.0 < self.dt * ref.omega0 < MAX_DT_OMEGA:
             raise ValueError(
                 f"dt*omega0 = {self.dt * ref.omega0:.3g} outside (0, "
@@ -152,7 +138,7 @@ class Scenario:
 
     @property
     def n_steps(self) -> int:
-        return max(1, round(self.t_end / self.dt))
+        return round(self.t_end / self.dt)
 
 
 @dataclass(eq=False)
@@ -169,27 +155,8 @@ class Trajectory:
     def n(self) -> int:
         return self.x.shape[1]
 
-    def state(self, i: int) -> PlantState:
-        return PlantState(float(self.t[i]), self.x[i])
 
-    @property
-    def final_state(self) -> PlantState:
-        return self.state(len(self.t) - 1)
-
-
-def build_network(params: Sequence[InverterParams], z_net: complex,
-                  t_z: float = 0.0,
-                  z_extras: Optional[Sequence[complex]] = None) -> NetworkConfig:
-    """Assemble the star network from the per-inverter branch parts."""
-    if z_extras is None:
-        z_extras = [0j] * len(params)
-    branches = tuple(BranchParams.from_inverter(p, z)
-                     for p, z in zip(params, z_extras))
-    return NetworkConfig(branches=branches, z_net=z_net,
-                         omega_eval=params[0].omega0, t_z=t_z)
-
-
-def init_random(scenario: Scenario) -> PlantState:
+def init_random(scenario: Scenario) -> np.ndarray:
     """Seeded initial state: uniform angles, uniform norms, forced overrides."""
     rng = np.random.default_rng(scenario.init.seed)
     n = scenario.n
@@ -197,14 +164,13 @@ def init_random(scenario: Scenario) -> PlantState:
     norm = rng.uniform(0.0, scenario.init.norm_bound, n)
     for k, forced in scenario.init.overrides:
         norm[k] = forced
-    return PlantState(0.0, norm * np.exp(1j * theta))
+    return norm * np.exp(1j * theta)
 
 
 def _schedule(scenario: Scenario, t: float) -> tuple[np.ndarray, complex]:
     """Branch admittances and total admittance for the step starting at t."""
     net = scenario.network
-    y = net.admittances(t)
-    return y, complex(y.sum()) + net.y_net
+    return net.admittances(t), total_admittance(net, t)
 
 
 def _disturbance_at(scenario: Scenario, t: float) -> complex:
@@ -220,9 +186,7 @@ def _field(t: float, x: np.ndarray, scenario: Scenario,
            y: np.ndarray, y_sigma: complex) -> np.ndarray:
     """Coupled derivative h(x_k) + kappa*v_o (+ disturbance on one inverter)."""
     p = scenario.params[0]
-    h = (chi(x, p) - p.kappa_beta + 1j * p.omega0) * x
-    v_o = p.beta * np.dot(y, x) / y_sigma
-    dx = h + p.kappa * v_o
+    dx = local_map(x, p) + p.kappa * pcc_voltage(x, y, y_sigma, p.beta)
     if scenario.disturbance is not None:
         dx[scenario.disturbance.inverter] += _disturbance_at(scenario, t)
     return dx
@@ -254,21 +218,6 @@ def _check_finite(x: np.ndarray, t: float) -> None:
         raise SimulationDiverged(t, int(np.argmax(bad)))
 
 
-def deriv_coupled(state: PlantState, scenario: Scenario) -> np.ndarray:
-    """Coupled derivative of all inverters at the state's time."""
-    y, y_sigma = _schedule(scenario, state.t)
-    return _field(state.t, state.x, scenario, y, y_sigma)
-
-
-def rk4_step(state: PlantState, scenario: Scenario) -> PlantState:
-    """One classical RK4 step; the impedance schedule is frozen at state.t."""
-    y, y_sigma = _schedule(scenario, state.t)
-    x_next = _rk4(state.t, state.x, scenario.dt, scenario, y, y_sigma)
-    t_next = state.t + scenario.dt
-    _check_finite(x_next, t_next)
-    return PlantState(t_next, x_next)
-
-
 def simulate(scenario: Scenario,
              x0: Optional[np.ndarray] = None) -> Trajectory:
     """Run the scenario on the uniform grid t_i = i*dt.
@@ -284,9 +233,13 @@ def simulate(scenario: Scenario,
     p = scenario.params[0]
 
     if x0 is None:
-        x = init_random(scenario).x
+        x = init_random(scenario)
     else:
-        x = PlantState(0.0, x0).x.copy()
+        x = np.array(x0, dtype=complex)
+        if x.ndim != 1 or x.size == 0:
+            raise ValueError("x0 must be a non-empty 1-d complex array")
+        if not np.isfinite(x).all():
+            raise ValueError("x0 contains non-finite components")
         if len(x) != n:
             raise ValueError(f"x0 has {len(x)} states, scenario has {n}")
 
@@ -302,10 +255,10 @@ def simulate(scenario: Scenario,
 
     def record(i: int, xi: np.ndarray) -> None:
         y, ysum = (y_pre, ysum_pre) if t_grid[i] < t_z else (y_post, ysum_post)
-        v = p.beta * np.dot(y, xi) / ysum
+        v = pcc_voltage(xi, y, ysum, p.beta)
         xs[i] = xi
         vs[i] = v
-        cs[i] = (p.beta * xi - v) * y
+        cs[i] = branch_currents(xi, v, y, p.beta)
 
     record(0, x)
     for s in range(steps):

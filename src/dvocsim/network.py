@@ -16,15 +16,18 @@ active while t < t_z and dropped afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import dataclass, fields
+from typing import Union
 
 import numpy as np
 
-from .oscillator import InverterParams
-from .phasor import Phasor, ZeroImpedanceError, branch_impedance_at
+from .oscillator import InverterParams, check_finite
 
 _ZERO_TOL = 0.0  # impedances must be exactly representable as nonzero
+
+
+class ZeroImpedanceError(ValueError):
+    """Raised when a zero impedance would have to be inverted."""
 
 
 @dataclass(frozen=True)
@@ -37,14 +40,19 @@ class BranchParams:
     x_v: float = 0.0
     z_extra: complex = 0j   # additional series impedance active for t < t_z
 
-    @classmethod
-    def from_inverter(cls, params: InverterParams,
-                      z_extra: complex = 0j) -> "BranchParams":
-        return cls(params.r_f, params.l_f, params.r_v, params.x_v, z_extra)
+    def __post_init__(self) -> None:
+        check_finite(self, [f.name for f in fields(self)])
 
     def impedance_at(self, omega: float, t: float = math.inf,
                      t_z: float = 0.0) -> complex:
-        z = branch_impedance_at(self.r_f, self.l_f, self.r_v, self.x_v, omega)
+        """Quasi-static series impedance (line + virtual) at frequency omega.
+
+        Z = (r_f + r_v) + j*(omega*l_f + x_v), with r in ohm, l_f in H and the
+        virtual reactance x_v already in ohm; z_extra is added while t < t_z.
+        """
+        if omega <= 0:
+            raise ValueError(f"omega must be > 0, got {omega}")
+        z = complex(self.r_f + self.r_v, omega * self.l_f + self.x_v)
         if t < t_z:
             z += self.z_extra
         return z
@@ -63,6 +71,7 @@ class NetworkConfig:
         object.__setattr__(self, "branches", tuple(self.branches))
         if not self.branches:
             raise ValueError("network needs at least one branch")
+        check_finite(self, ("z_net", "omega_eval", "t_z"))
         if abs(self.z_net) <= _ZERO_TOL:
             raise ValueError("z_net must be nonzero")
         if self.omega_eval <= 0:
@@ -91,15 +100,6 @@ class NetworkConfig:
 
 
 @dataclass(frozen=True)
-class NetworkSolution:
-    """Bus voltage, branch currents and the synchronized voltage ratio."""
-
-    v_pcc: Phasor
-    currents: tuple[Phasor, ...]
-    k_sh: complex
-
-
-@dataclass(frozen=True)
 class OscillatorDeath:
     """Marker for a negative amplitude radicand: the only steady amplitude is 0."""
 
@@ -123,33 +123,20 @@ def total_admittance(cfg: NetworkConfig, t: float) -> complex:
     return complex(cfg.admittances(t).sum()) + cfg.y_net
 
 
-def pcc_voltage(internal: Sequence[Phasor], cfg: NetworkConfig,
-                t: float) -> Phasor:
-    """Bus voltage: admittance-weighted average of the internal voltages."""
-    if len(internal) != cfg.n:
-        raise ValueError(f"expected {cfg.n} internal voltages, got {len(internal)}")
-    e = np.array([p.as_complex for p in internal])
-    y = cfg.admittances(t)
-    v = np.dot(y, e) / total_admittance(cfg, t)
-    return Phasor.from_complex(v)
+def pcc_voltage(x: np.ndarray, y: np.ndarray, y_sigma: complex,
+                scale: float) -> complex:
+    """Bus voltage sum_i(Y_i * E_i) / Y_sigma for internal voltages E = scale*x.
+
+    ``x`` holds the complex states of all inverters, ``y`` their branch
+    admittances and ``y_sigma`` the total admittance (``total_admittance``).
+    """
+    return scale * np.dot(y, x) / y_sigma
 
 
-def branch_currents(internal: Sequence[Phasor], v_pcc: Phasor,
-                    cfg: NetworkConfig, t: float) -> list[Phasor]:
-    """Per-branch currents (E_i - V) * Y_i flowing into the bus."""
-    if len(internal) != cfg.n:
-        raise ValueError(f"expected {cfg.n} internal voltages, got {len(internal)}")
-    e = np.array([p.as_complex for p in internal])
-    i = (e - v_pcc.as_complex) * cfg.admittances(t)
-    return [Phasor.from_complex(c) for c in i]
-
-
-def solve_network(internal: Sequence[Phasor], cfg: NetworkConfig,
-                  t: float) -> NetworkSolution:
-    """Solve the star network for one set of internal voltages."""
-    v = pcc_voltage(internal, cfg, t)
-    currents = branch_currents(internal, v, cfg, t)
-    return NetworkSolution(v, tuple(currents), k_sh(cfg, t))
+def branch_currents(x: np.ndarray, v: complex, y: np.ndarray,
+                    scale: float) -> np.ndarray:
+    """Per-branch currents (scale*x_i - V) * Y_i flowing into the bus."""
+    return (scale * x - v) * y
 
 
 def k_sh(cfg: NetworkConfig, t: float) -> complex:
@@ -159,10 +146,8 @@ def k_sh(cfg: NetworkConfig, t: float) -> complex:
     admittance.  The imaginary part is a model-validity diagnostic; the
     synchronized amplitude depends only on the real part.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    y_branch = complex(cfg.admittances(t).sum())
-    return y_branch / (y_branch + cfg.y_net)
+    y_sigma = total_admittance(cfg, t)
+    return complex(cfg.admittances(t).sum()) / y_sigma
 
 
 def particular_radius(k_sh_real: float, params: InverterParams
@@ -194,7 +179,7 @@ def synchronized_steady(params: InverterParams, cfg: NetworkConfig,
     if isinstance(r, OscillatorDeath):
         return r
     y = cfg.admittances(t)
-    y_sigma = complex(y.sum()) + cfg.y_net
+    y_sigma = total_admittance(cfg, t)
     scale = params.beta * r
     currents = np.abs(y * cfg.y_net / y_sigma) * scale
     return SynchronizedSteady(

@@ -8,19 +8,18 @@ cycle oscillator in the stationary frame,
 which spirals onto the circle of radius sqrt(2)*Xnom at angular frequency
 omega0.  The output-feedback term -kappa*(beta*x - v_o) pulls the state toward
 the (scaled) bus voltage v_o; the local part h(x) = (chi - kappa*beta)*I*x +
-omega0*J*x is what the contraction certificates in :mod:`dvocsim.certificates`
-analyze.  States are in per-unit; beta (V/pu) scales them to volts at the
-network boundary.
+omega0*J*x (``local_map``) is what the contraction certificates in
+:mod:`dvocsim.certificates` analyze.  States are complex alpha + j*beta values
+in per-unit; beta (V/pu) scales them to volts at the network boundary.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-
-from .phasor import Phasor
 
 # Section IV plant constants: xi=10, 2*Xnom^2=1, beta = 690*sqrt(2)/sqrt(3) V
 # (phase amplitude of a 690 V line-to-line system), 50 Hz grid, kappa=1 chosen
@@ -28,17 +27,23 @@ from .phasor import Phasor
 DEFAULT_BETA = 690.0 * math.sqrt(2.0) / math.sqrt(3.0)
 DEFAULT_OMEGA0 = 2.0 * math.pi * 50.0
 
-# Collector line, 0.75 km at 0.1153 ohm/km and 1.05 mH/km.
-DEFAULT_R_F = 0.75 * 0.1153
-DEFAULT_L_F = 0.75 * 1.05e-3
+
+def check_finite(obj, names) -> None:
+    """Raise ValueError naming the first of ``names`` whose value on ``obj``
+    is NaN or infinite (either part of a complex value)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
 class InverterParams:
-    """Oscillator constants, controller gains and series branch parts.
+    """Oscillator constants and controller gains, identical for every inverter.
 
     kappa is a bare gain; only the product kappa*beta (1/s) enters the
-    dynamics and the contraction margin.
+    dynamics and the contraction margin.  The series branch parts live in
+    :class:`dvocsim.network.BranchParams`.
     """
 
     xi: float = 10.0
@@ -46,24 +51,14 @@ class InverterParams:
     omega0: float = DEFAULT_OMEGA0
     kappa: float = 1.0
     beta: float = DEFAULT_BETA
-    r_f: float = DEFAULT_R_F        # ohm
-    l_f: float = DEFAULT_L_F        # H
-    r_v: float = 0.0                # ohm, virtual resistance
-    x_v: float = 0.0                # ohm, virtual reactance
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        check_finite(self, [f.name for f in fields(self)])
         for name in ("xi", "x_nom_sq2", "omega0", "beta"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.kappa < 0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if self.r_f + self.r_v <= 0 and self.omega0 * self.l_f + self.x_v == 0:
-            raise ValueError("branch impedance is zero: need r_f + r_v > 0 "
-                             "or omega0*l_f + x_v != 0")
 
     @property
     def kappa_beta(self) -> float:
@@ -80,19 +75,15 @@ def chi(x: complex | np.ndarray,
     return params.xi * (params.x_nom_sq2 - (x.real ** 2 + x.imag ** 2))
 
 
-def open_loop_deriv(x: Phasor, params: InverterParams) -> Phasor:
-    """Free-running oscillator field chi(x)*x + omega0*J*x."""
-    c = chi(x.as_complex, params)
-    return Phasor(c * x.alpha - params.omega0 * x.beta,
-                  c * x.beta + params.omega0 * x.alpha)
+def local_map(x: complex | np.ndarray,
+              params: InverterParams) -> complex | np.ndarray:
+    """Local map h(x) = (chi(x) - kappa*beta + j*omega0)*x of one inverter.
 
-
-def closed_loop_deriv(x: Phasor, v_o: Phasor, params: InverterParams) -> Phasor:
-    """Oscillator field with output feedback -kappa*(beta*x - v_o)."""
-    d = open_loop_deriv(x, params)
-    k = params.kappa
-    return Phasor(d.alpha - k * (params.beta * x.alpha - v_o.alpha),
-                  d.beta - k * (params.beta * x.beta - v_o.beta))
+    The coupled field of every inverter is h(x_k) plus the common bus term
+    kappa*v_o.  ``x`` is a complex state, scalar or array; the result has its
+    shape.
+    """
+    return (chi(x, params) - params.kappa_beta + 1j * params.omega0) * x
 
 
 def jacobian_h(x: complex | np.ndarray, params: InverterParams) -> np.ndarray:

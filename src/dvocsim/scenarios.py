@@ -23,14 +23,14 @@ decay rate of the synchronization error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .engine import (DisturbanceSpec, InitSpec, Scenario, Trajectory,
-                     build_network)
-from .network import OscillatorDeath, particular_radius
+from .engine import DisturbanceSpec, InitSpec, Scenario, Trajectory
+from .network import (BranchParams, NetworkConfig, OscillatorDeath,
+                      particular_radius)
 from .oscillator import InverterParams
 
 # per-km collector line constants, ohm/km and H/km
@@ -122,12 +122,6 @@ def build_case(case_id: str, n: int, seed: int, *,
         low = case2_low_indices(n)
         mults = [CASE2_LOW_MULT if k in low else CASE2_HIGH_MULT
                  for k in range(n)]
-    # physical line plus virtual impedance scaling the branch to mult x line
-    params = tuple(
-        replace(base, r_f=r_line, l_f=LINE_KM * LINE_L_PER_KM,
-                r_v=(m - 1.0) * r_line, x_v=(m - 1.0) * x_line)
-        for m in mults)
-
     z_branch = np.array([complex(m * r_line, m * x_line) for m in mults])
     if case == "II" and zt_multiplier > 1:
         factors = np.ones(n)
@@ -139,13 +133,20 @@ def build_case(case_id: str, n: int, seed: int, *,
         z_extras = [0j] * n
         t_z = 0.0
 
+    # physical line plus virtual impedance scaling the branch to mult x line
+    branches = tuple(
+        BranchParams(r_f=r_line, l_f=LINE_KM * LINE_L_PER_KM,
+                     r_v=(m - 1.0) * r_line, x_v=(m - 1.0) * x_line,
+                     z_extra=z_extra)
+        for m, z_extra in zip(mults, z_extras))
     y_sum = np.sum(1.0 / z_branch)
     z_net = (load_pu * domination_ratio / abs(y_sum)) * np.exp(1j * load_angle)
-    network = build_network(params, complex(z_net), t_z=t_z, z_extras=z_extras)
+    network = NetworkConfig(branches=branches, z_net=complex(z_net),
+                            omega_eval=base.omega0, t_z=t_z)
 
     if init is None:
         init = InitSpec(seed=seed, norm_bound=1.0, overrides=((0, 10.0),))
-    return Scenario(params=params, network=network, t_end=t_end, dt=dt,
+    return Scenario(params=(base,) * n, network=network, t_end=t_end, dt=dt,
                     init=init, disturbance=disturbance)
 
 

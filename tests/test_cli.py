@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from dvocsim.cli import (RunConfig, ScenarioError, apply_overrides,
-                         build_report, main, load_scenario, run,
-                         scenario_from_dict, scenario_to_dict,
+from dvocsim.cli import (SQRT3_OVER_2, RunConfig, ScenarioError,
+                         apply_overrides, build_report, main, load_scenario,
+                         run, scenario_from_dict, scenario_to_dict,
                          write_timeseries)
 from dvocsim.certificates import certificate_margin
 from dvocsim.engine import DisturbanceSpec, simulate
-from dvocsim.phasor import SQRT3_OVER_2, Phasor, inv_clarke
 from dvocsim.scenarios import build_case
 
 
@@ -145,6 +144,13 @@ class TestRoundTrip:
         sc = load_scenario(write(tmp_path, raw))
         assert scenario_from_dict(scenario_to_dict(sc)) == sc
 
+    def test_explicit_omega0_sets_network_frequency(self, tmp_path):
+        raw = {"n": 1, "seed": 0, "oscillator": {"omega0": 100.0},
+               "branches": [{"l_f": 1e-3}], "network": {"z_net": [50.0, 0.0]}}
+        sc = load_scenario(write(tmp_path, raw))
+        assert sc.network.omega_eval == 100.0
+        assert sc.network.impedances()[0] == 0.1j
+
 
 class TestOverrides:
     def test_dotted_paths(self):
@@ -235,9 +241,12 @@ class TestWriteTimeseries:
         for k in range(2):
             i = header.index(f"i_a_{k + 1}")
             got = tuple(float(v) for v in rows[1][i:i + 3])
-            cur = traj.currents[0, k]
-            want = inv_clarke(Phasor(cur.real, cur.imag))
-            assert got == pytest.approx(tuple(want), rel=1e-15)
+            alpha, beta = traj.currents[0, k].real, traj.currents[0, k].imag
+            # amplitude-invariant inverse Clarke transform
+            want = (alpha,
+                    -0.5 * alpha + math.sqrt(3) / 2 * beta,
+                    -0.5 * alpha - math.sqrt(3) / 2 * beta)
+            assert got == pytest.approx(want, rel=1e-15)
             assert sum(got) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -260,6 +269,15 @@ class TestCommands:
         assert report["lambda_max_sampled"] == pytest.approx(
             10.0 - report["params"]["beta"])
         assert report["error_ball_radius"] == pytest.approx(0.009036, rel=1e-3)
+
+    def test_certify_params_are_oscillator_constants(self, capsys):
+        assert main(["certify"]) == 0
+        params = json.loads(capsys.readouterr().out)["params"]
+        assert list(params) == ["xi", "x_nom_sq2", "omega0", "kappa", "beta"]
+
+    def test_certify_rejects_branch_keys(self, capsys):
+        assert main(["certify", "--set", "r_f=0.1"]) == 1
+        assert "'r_f'" in capsys.readouterr().err
 
     def test_certify_from_scenario(self, tmp_path, capsys):
         path = write(tmp_path, {"case": "I", "n": 2, "seed": 0,
@@ -333,6 +351,12 @@ class TestCommands:
                      "--out", str(tmp_path / "x")] + flag) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "JSON object" in err
+
+    def test_t_end_not_whole_steps_exit_code(self, tmp_path, capsys):
+        assert main(["case2", "--set", "t_end=1.5e-4",
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "t_end" in err and "dt" in err
 
     def test_missing_scenario_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -1,28 +1,41 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import flat_two_inverter_field, logistic_radius
-from dvocsim.engine import (DisturbanceSpec, InitSpec, PlantState, Scenario,
-                            SimulationDiverged, build_network, deriv_coupled,
-                            init_random, rk4_increment, rk4_step, simulate)
+from dvocsim import engine
+from dvocsim.engine import (DisturbanceSpec, InitSpec, Scenario,
+                            SimulationDiverged, init_random, rk4_increment,
+                            simulate)
 from dvocsim.network import BranchParams, NetworkConfig
 from dvocsim.oscillator import InverterParams
 
 P = InverterParams()
 W0 = P.omega0
+LINE = BranchParams(r_f=0.75 * 0.1153, l_f=0.75 * 1.05e-3)   # 0.75 km line
 
 
 def make_scenario(n=2, z_net=50.0 + 0j, t_end=0.2, dt=1e-4, seed=1,
                   overrides=(), t_z=0.0, z_extras=None, params=None,
-                  disturbance=None, norm_bound=1.0):
+                  branches=None, disturbance=None, norm_bound=1.0):
     params = params if params is not None else tuple([P] * n)
-    network = build_network(params, z_net, t_z=t_z, z_extras=z_extras)
+    if branches is None:
+        branches = [replace(LINE, z_extra=z)
+                    for z in (z_extras or [0j] * len(params))]
+    network = NetworkConfig(tuple(branches), z_net,
+                            omega_eval=params[0].omega0, t_z=t_z)
     return Scenario(params=params, network=network, t_end=t_end, dt=dt,
                     init=InitSpec(seed=seed, norm_bound=norm_bound,
                                   overrides=tuple(overrides)),
                     disturbance=disturbance)
+
+
+def field_at(sc, x, t=0.0):
+    """The engine's coupled field at time t, with that step's admittances."""
+    y, y_sigma = engine._schedule(sc, t)
+    return engine._field(t, x, sc, y, y_sigma)
 
 
 class TestValidation:
@@ -31,15 +44,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="kappa"):
             make_scenario(params=params)
 
-    def test_branch_mismatch_rejected(self):
-        network = NetworkConfig((BranchParams(r_v=1.0), BranchParams(r_v=1.0)),
-                                z_net=50 + 0j, omega_eval=W0)
-        with pytest.raises(ValueError, match="branch 1"):
+    def test_omega_eval_mismatch_rejected(self):
+        network = NetworkConfig((LINE, LINE), z_net=50 + 0j, omega_eval=100.0)
+        with pytest.raises(ValueError, match="omega_eval = 100.0 differs "
+                           "from omega0 = 314.159"):
             Scenario(params=(P, P), network=network, t_end=0.1, dt=1e-4,
                      init=InitSpec(seed=0))
 
     def test_count_mismatch_rejected(self):
-        network = build_network((P, P), 50 + 0j)
+        network = NetworkConfig((LINE, LINE), 50 + 0j, omega_eval=W0)
         with pytest.raises(ValueError, match="branches"):
             Scenario(params=(P,), network=network, t_end=0.1, dt=1e-4,
                      init=InitSpec(seed=0))
@@ -52,6 +65,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="t_end"):
             make_scenario(t_end=1e-5)
 
+    @pytest.mark.parametrize("t_end", [1.5e-4, 0.20005, math.inf, math.nan])
+    def test_t_end_whole_steps(self, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            make_scenario(t_end=t_end, dt=1e-4)
+
+    def test_t_end_within_rounding_of_whole_steps(self):
+        # 0.3 / 1e-4 = 2999.9999999999995 in binary floating point
+        assert make_scenario(t_end=0.3, dt=1e-4).n_steps == 3000
+
     def test_override_out_of_range(self):
         with pytest.raises(ValueError, match="override"):
             make_scenario(overrides=((5, 1.0),))
@@ -62,32 +84,32 @@ class TestValidation:
 
     def test_plant_state_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
-            PlantState(0.0, np.array([1.0 + 0j, np.nan + 0j]))
+            simulate(make_scenario(), x0=np.array([1.0 + 0j, np.nan + 0j]))
 
 
 class TestInitRandom:
     def test_within_bound(self):
         sc = make_scenario(n=6, seed=3)
-        state = init_random(sc)
-        assert np.all(np.abs(state.x) <= 1.0)
-        assert state.t == 0.0
+        x = init_random(sc)
+        assert x.shape == (6,) and x.dtype == complex
+        assert np.all(np.abs(x) <= 1.0)
 
     def test_override_norm(self):
         sc = make_scenario(n=3, seed=3, overrides=((0, 10.0),))
-        state = init_random(sc)
-        assert abs(np.abs(state.x[0]) - 10.0) < 1e-13
-        assert np.all(np.abs(state.x[1:]) <= 1.0)
+        x = init_random(sc)
+        assert abs(np.abs(x[0]) - 10.0) < 1e-13
+        assert np.all(np.abs(x[1:]) <= 1.0)
 
     def test_seed_determinism(self):
         sc = make_scenario(n=4, seed=12)
         a = init_random(sc)
         b = init_random(sc)
-        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a, b)
 
     def test_seeds_differ(self):
         a = init_random(make_scenario(n=4, seed=1))
         b = init_random(make_scenario(n=4, seed=2))
-        assert not np.array_equal(a.x, b.x)
+        assert not np.array_equal(a, b)
 
 
 class TestDerivCoupled:
@@ -95,7 +117,7 @@ class TestDerivCoupled:
         # K_sh -> 1 and v_o -> beta*x, so the feedback vanishes
         sc = make_scenario(n=1, z_net=1e15 + 0j)
         x = np.array([0.6 - 0.3j])
-        d = deriv_coupled(PlantState(0.0, x), sc)
+        d = field_at(sc, x)
         c = P.xi * (P.x_nom_sq2 - abs(x[0]) ** 2)
         open_loop = (c + 1j * W0) * x[0]
         assert abs(d[0] - open_loop) < 1e-9
@@ -103,17 +125,16 @@ class TestDerivCoupled:
     def test_symmetry_preservation(self):
         sc = make_scenario(n=5)
         x = np.full(5, 0.4 + 0.2j)
-        d = deriv_coupled(PlantState(0.0, x), sc)
+        d = field_at(sc, x)
         assert np.all(d == d[0])
 
     def test_matches_flat_oracle(self):
         z1, z2 = 0.5 + 1.2j, 1.1 + 0.3j
         z_net = 40.0 + 10.0j
-        params = (InverterParams(r_v=z1.real, x_v=z1.imag, l_f=0, r_f=0),
-                  InverterParams(r_v=z2.real, x_v=z2.imag, l_f=0, r_f=0))
-        sc = make_scenario(params=params, z_net=z_net)
+        branches = [BranchParams(r_v=z.real, x_v=z.imag) for z in (z1, z2)]
+        sc = make_scenario(branches=branches, z_net=z_net)
         x = np.array([0.8 + 0.1j, -0.2 + 0.9j])
-        got = deriv_coupled(PlantState(0.0, x), sc)
+        got = field_at(sc, x)
         want = flat_two_inverter_field(
             [x[0].real, x[0].imag, x[1].real, x[1].imag],
             P.xi, P.x_nom_sq2, W0, P.kappa, P.beta,
@@ -126,7 +147,7 @@ class TestDerivCoupled:
         sc = make_scenario(n=6, seed=9)
         rng = np.random.default_rng(0)
         x = rng.normal(0, 1, 6) + 1j * rng.normal(0, 1, 6)
-        d = deriv_coupled(PlantState(0.0, x), sc)
+        d = field_at(sc, x)
         c = P.xi * (P.x_nom_sq2 - np.abs(x) ** 2)
         h = (c - P.kappa_beta + 1j * W0) * x
         residual = d - h
@@ -161,17 +182,15 @@ class TestRk4Kernel:
 
 class TestRk4Step:
     def test_advances_time(self):
-        sc = make_scenario()
-        state = init_random(sc)
-        nxt = rk4_step(state, sc)
-        assert nxt.t == pytest.approx(sc.dt)
-        assert nxt.n == state.n
+        sc = make_scenario(t_end=1e-4)
+        traj = simulate(sc)
+        assert traj.t[-1] == pytest.approx(sc.dt)
+        assert traj.x.shape == (2, sc.n)
 
     def test_divergence_raises(self):
         sc = make_scenario(n=1, seed=0)
-        state = PlantState(0.0, np.array([150.0 + 0j]))
         with pytest.raises(SimulationDiverged, match="inverter index 0"):
-            rk4_step(state, sc)
+            simulate(sc, x0=np.array([150.0 + 0j]))
 
 
 class TestSimulate:
@@ -272,8 +291,8 @@ class TestSimulate:
     def test_trajectory_state_accessors(self):
         sc = make_scenario(n=2, seed=1, t_end=0.01)
         traj = simulate(sc)
-        assert traj.final_state.t == pytest.approx(sc.n_steps * sc.dt)
-        assert np.array_equal(traj.state(0).x, traj.x[0])
+        assert traj.t[-1] == pytest.approx(sc.n_steps * sc.dt)
+        assert len(traj.t) == sc.n_steps + 1
         assert traj.n == 2
 
     def test_disturbance_bounded_offset(self):

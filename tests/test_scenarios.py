@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from dvocsim import scenarios
-from dvocsim.engine import InitSpec, Trajectory, build_network, simulate
-from dvocsim.network import OscillatorDeath, k_sh
+from dvocsim.engine import InitSpec, Scenario, Trajectory, simulate
+from dvocsim.network import BranchParams, NetworkConfig, OscillatorDeath, k_sh
 from dvocsim.oscillator import InverterParams
 from dvocsim.scenarios import (amplitude_estimate, build_case, build_metrics,
                                case2_low_indices, fit_decay_rate,
@@ -28,8 +28,8 @@ def fake_traj(t, x):
 class TestBuildCase:
     def test_case1_branches_uniform(self):
         sc = build_case("I", 33, seed=0)
-        for p, b in zip(sc.params, sc.network.branches):
-            z = complex(p.r_f + p.r_v, W0 * p.l_f + p.x_v)
+        for b in sc.network.branches:
+            z = complex(b.r_f + b.r_v, W0 * b.l_f + b.x_v)
             assert z == pytest.approx(Z_LINE, rel=1e-12)
             assert b.z_extra == 0j
         assert sc.network.t_z == 0.0
@@ -37,8 +37,8 @@ class TestBuildCase:
     def test_case2_full_scale_groups(self):
         sc = build_case("II", 33, seed=0)
         mults = []
-        for p in sc.params:
-            z = complex(p.r_f + p.r_v, W0 * p.l_f + p.x_v)
+        for b in sc.network.branches:
+            z = complex(b.r_f + b.r_v, W0 * b.l_f + b.x_v)
             mults.append(z.real / Z_LINE.real)
         low = [k for k, m in enumerate(mults) if abs(m - 10.5) < 1e-9]
         high = [k for k, m in enumerate(mults) if abs(m - 20.0) < 1e-9]
@@ -48,7 +48,7 @@ class TestBuildCase:
     def test_case2_desk_groups(self):
         sc = build_case("II", 4, seed=0)
         assert case2_low_indices(4) == (1, 2)
-        mults = [(p.r_f + p.r_v) / Z_LINE.real for p in sc.params]
+        mults = [(b.r_f + b.r_v) / Z_LINE.real for b in sc.network.branches]
         assert mults[1] == pytest.approx(10.5, rel=1e-12)
         assert mults[2] == pytest.approx(10.5, rel=1e-12)
         assert mults[0] == pytest.approx(20.0, rel=1e-12)
@@ -57,8 +57,8 @@ class TestBuildCase:
     def test_case2_startup_impedance(self):
         sc = build_case("II", 4, seed=0, zt_multiplier=200.0)
         assert sc.network.t_z == 0.4
-        for p, b in zip(sc.params, sc.network.branches):
-            z = complex(p.r_f + p.r_v, W0 * p.l_f + p.x_v)
+        for b in sc.network.branches:
+            z = complex(b.r_f + b.r_v, W0 * b.l_f + b.x_v)
             assert b.z_extra == pytest.approx(199.0 * z, rel=1e-12)
 
     def test_case2_jitter_seeded(self):
@@ -68,8 +68,8 @@ class TestBuildCase:
         za = [br.z_extra for br in a.network.branches]
         assert za == [br.z_extra for br in b.network.branches]
         assert za != [br.z_extra for br in c.network.branches]
-        for p, br in zip(a.params, a.network.branches):
-            z = complex(p.r_f + p.r_v, W0 * p.l_f + p.x_v)
+        for br in a.network.branches:
+            z = complex(br.r_f + br.r_v, W0 * br.l_f + br.x_v)
             factor = (br.z_extra / z).real + 1.0
             assert 0.8 * 200 <= factor <= 1.2 * 200
 
@@ -207,8 +207,9 @@ class TestAmplitude:
 
     def test_open_loop_limit_cycle(self):
         params = (InverterParams(kappa=0.0),)
-        network = build_network(params, 1e6 + 0j)
-        from dvocsim.engine import Scenario
+        network = NetworkConfig((BranchParams(r_f=0.75 * 0.1153,
+                                              l_f=0.75 * 1.05e-3),),
+                                1e6 + 0j, omega_eval=W0)
         sc = Scenario(params=params, network=network, t_end=2.0, dt=2e-4,
                       init=InitSpec(seed=0, norm_bound=0.1))
         traj = simulate(sc)
@@ -235,11 +236,10 @@ class TestSharingReport:
 
     def test_admittance_ratio_two_branches(self):
         # branch 2 has twice the impedance, so half the current
-        p1 = InverterParams(r_f=0, l_f=0, r_v=1.0, x_v=0.5)
-        p2 = InverterParams(r_f=0, l_f=0, r_v=2.0, x_v=1.0)
-        network = build_network((p1, p2), 300.0 + 0j)
-        from dvocsim.engine import Scenario
-        sc = Scenario(params=(p1, p2), network=network, t_end=0.5, dt=1e-4,
+        network = NetworkConfig((BranchParams(r_v=1.0, x_v=0.5),
+                                 BranchParams(r_v=2.0, x_v=1.0)),
+                                300.0 + 0j, omega_eval=W0)
+        sc = Scenario(params=(P, P), network=network, t_end=0.5, dt=1e-4,
                       init=InitSpec(seed=6))
         rep = sharing_ratio_report(simulate(sc))
         assert rep.synchronized
