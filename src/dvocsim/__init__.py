@@ -18,10 +18,8 @@ from .network import (BranchParams, NetworkConfig, OscillatorDeath,
                       synchronized_steady, total_admittance)
 from .oscillator import (InverterParams, chi, jacobian_h, local_map,
                          sym_lambda_max)
-from .scenarios import (MetricsReport, SharingReport, amplitude_estimate,
-                        build_case, build_metrics, fit_decay_rate,
-                        sharing_ratio_report, steady_separation, sync_error,
-                        sync_time)
+from .scenarios import (MetricsReport, build_case, build_metrics,
+                        fit_decay_rate, sync_error, sync_time)
 
 __version__ = "0.1.0"
 
@@ -29,13 +27,11 @@ __all__ = [
     "BranchParams", "CertificateReport", "DisturbanceSpec", "EnvelopeResult",
     "InitSpec", "InverterParams", "MetricsReport", "NetworkConfig",
     "NotContractingError", "OscillatorDeath", "SampledLambdaResult",
-    "Scenario", "SharingReport", "SimulationDiverged", "SynchronizedSteady",
-    "Trajectory", "ZeroImpedanceError", "amplitude_estimate",
-    "branch_currents", "build_case", "build_metrics", "certificate_margin",
-    "chi", "envelope_check", "error_ball_radius", "fit_decay_rate",
-    "init_random", "jacobian_h", "k_sh", "local_map", "particular_radius",
-    "pcc_voltage", "rk4_increment", "sampled_lambda_check",
-    "sharing_ratio_report", "simulate", "steady_separation",
-    "sym_lambda_max", "sync_error", "sync_time", "synchronized_steady",
-    "total_admittance",
+    "Scenario", "SimulationDiverged", "SynchronizedSteady", "Trajectory",
+    "ZeroImpedanceError", "branch_currents", "build_case", "build_metrics",
+    "certificate_margin", "chi", "envelope_check", "error_ball_radius",
+    "fit_decay_rate", "init_random", "jacobian_h", "k_sh", "local_map",
+    "particular_radius", "pcc_voltage", "rk4_increment",
+    "sampled_lambda_check", "simulate", "sym_lambda_max", "sync_error",
+    "sync_time", "synchronized_steady", "total_admittance",
 ]

@@ -24,7 +24,6 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, NoReturn, Optional, Sequence
 
@@ -58,6 +57,12 @@ def _check_keys(d: dict, allowed: Sequence[str], where: str) -> None:
             raise ScenarioError(f"unknown key '{key}' in {where}")
 
 
+def _object(v: Any, where: str) -> dict:
+    if not isinstance(v, dict):
+        raise ScenarioError(f"{where} must be a JSON object")
+    return v
+
+
 def _is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -80,11 +85,24 @@ def _num(d: dict, key: str, where: str, default=None) -> Any:
     return v
 
 
-def _parse_init(d: dict, seed: int, n: int) -> InitSpec:
-    _check_keys(d, ("norm_bound", "overrides"), "init")
+def _whole(d: dict, key: str, where: str) -> int:
+    v = _num(d, key, where)
+    if v != int(v):
+        raise ScenarioError(f"'{key}' in {where} must be a whole number, "
+                            f"got {v}")
+    return int(v)
+
+
+def _parse_oscillator(d: Any, where: str) -> InverterParams:
+    _check_keys(_object(d, where), OSCILLATOR_FIELDS, where)
+    return InverterParams(**{k: float(_num(d, k, where)) for k in d})
+
+
+def _parse_init(d: Any, seed: int, n: int) -> InitSpec:
+    _check_keys(_object(d, "init"), ("norm_bound", "overrides"), "init")
     norm_bound = _num(d, "norm_bound", "init", 1.0)
     overrides = []
-    for key, val in d.get("overrides", {}).items():
+    for key, val in _object(d.get("overrides", {}), "init.overrides").items():
         try:
             idx = int(key)
         except ValueError:
@@ -101,11 +119,12 @@ def _parse_init(d: dict, seed: int, n: int) -> InitSpec:
                     overrides=tuple(sorted(overrides)))
 
 
-def _parse_disturbance(d: Optional[dict], n: int) -> Optional[DisturbanceSpec]:
+def _parse_disturbance(d: Any, n: int) -> Optional[DisturbanceSpec]:
     if d is None:
         return None
-    _check_keys(d, ("inverter", "amplitude", "waveform"), "disturbance")
-    idx = int(_num(d, "inverter", "disturbance"))
+    _check_keys(_object(d, "disturbance"),
+                ("inverter", "amplitude", "waveform"), "disturbance")
+    idx = _whole(d, "inverter", "disturbance")
     if not 1 <= idx <= n:
         raise ScenarioError(f"disturbance inverter {idx} out of range 1..{n}")
     return DisturbanceSpec(inverter=idx - 1,
@@ -113,46 +132,34 @@ def _parse_disturbance(d: Optional[dict], n: int) -> Optional[DisturbanceSpec]:
                            waveform=d.get("waveform", "rotating"))
 
 
-def scenario_from_dict(raw: dict) -> Scenario:
+def scenario_from_dict(raw: Any) -> Scenario:
     """Strictly parse a scenario dict (case form or explicit form)."""
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a JSON object")
     top = ("case", "n", "seed", "t_end", "dt", "oscillator", "branches",
            "network", "init", "disturbance")
-    _check_keys(raw, top, "scenario")
+    _check_keys(_object(raw, "scenario"), top, "scenario")
     if "seed" not in raw:
         raise ScenarioError("missing required key 'seed' in scenario")
-    seed = int(_num(raw, "seed", "scenario"))
-    n = int(_num(raw, "n", "scenario"))
-    osc = dict(raw.get("oscillator", {}))
-    _check_keys(osc, OSCILLATOR_FIELDS, "oscillator")
-    for key in osc:
-        _num(osc, key, "oscillator")
-    params = InverterParams(**{k: float(osc[k]) for k in osc})
+    seed = _whole(raw, "seed", "scenario")
+    n = _whole(raw, "n", "scenario")
+    params = _parse_oscillator(raw.get("oscillator", {}), "oscillator")
+    t_end = float(_num(raw, "t_end", "scenario", 2.0))
+    dt = float(_num(raw, "dt", "scenario", 1e-4))
+    init = _parse_init(raw["init"], seed, n) if "init" in raw else None
+    disturbance = _parse_disturbance(raw.get("disturbance"), n)
 
     if "case" in raw:
         if "branches" in raw:
             raise ScenarioError("'branches' is not allowed together with "
                                 "'case' (the case defines the branches)")
-        net = dict(raw.get("network", {}))
+        net = dict(_object(raw.get("network", {}), "network"))
         _check_keys(net, CASE_NETWORK_KEYS, "network")
         jitter = net.pop("zt_jitter", False)
         if not isinstance(jitter, bool):
             raise ScenarioError("'zt_jitter' in network must be a boolean")
         knobs = {k: float(_num(net, k, "network")) for k in net}
-        scenario = build_case(
-            str(raw["case"]), n, seed,
-            t_end=float(_num(raw, "t_end", "scenario", 2.0)),
-            dt=float(_num(raw, "dt", "scenario", 1e-4)),
-            zt_jitter=jitter, base=params, **knobs)
-        init = scenario.init
-        if "init" in raw:
-            init = _parse_init(raw["init"], seed, n)
-        disturbance = _parse_disturbance(raw.get("disturbance"), n)
-        if "init" in raw or disturbance is not None:
-            scenario = dataclasses.replace(scenario, init=init,
-                                           disturbance=disturbance)
-        return scenario
+        return build_case(str(raw["case"]), n, seed, t_end=t_end, dt=dt,
+                          zt_jitter=jitter, base=params, init=init,
+                          disturbance=disturbance, **knobs)
 
     # explicit form
     if "branches" not in raw:
@@ -166,17 +173,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
     branches = []
     for i, b in enumerate(branches_raw, start=1):
         where = f"branches[{i}]"
-        if not isinstance(b, dict):
-            raise ScenarioError(f"{where} must be an object")
-        _check_keys(b, BRANCH_FIELDS, where)
+        _check_keys(_object(b, where), BRANCH_FIELDS, where)
         parts = {k: float(_num(b, k, where, 0.0))
                  for k in BRANCH_FIELDS if k != "z_extra"}
         branches.append(BranchParams(
             **parts, z_extra=_as_complex(b.get("z_extra", [0.0, 0.0]),
                                          f"{where}.z_extra")))
-    net = raw.get("network")
-    if not isinstance(net, dict):
-        raise ScenarioError("explicit scenarios need a 'network' object")
+    net = _object(raw.get("network"), "network")
     _check_keys(net, ("z_net", "t_z"), "network")
     if "z_net" not in net:
         raise ScenarioError("missing required key 'z_net' in network")
@@ -184,13 +187,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
     t_z = float(_num(net, "t_z", "network", 0.0))
     network = NetworkConfig(branches=tuple(branches), z_net=z_net,
                             omega_eval=params.omega0, t_z=t_z)
-
-    init = _parse_init(dict(raw.get("init", {})), seed, n)
-    return Scenario(
-        params=(params,) * n, network=network,
-        t_end=float(_num(raw, "t_end", "scenario", 2.0)),
-        dt=float(_num(raw, "dt", "scenario", 1e-4)),
-        init=init, disturbance=_parse_disturbance(raw.get("disturbance"), n))
+    if init is None:
+        init = InitSpec(seed=seed)
+    return Scenario(params=(params,) * n, network=network, t_end=t_end,
+                    dt=dt, init=init, disturbance=disturbance)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -384,28 +384,13 @@ def build_report(scenario: Scenario, cert: CertificateReport,
 # commands
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    scenario_path: Optional[str] = None
-    out_dir: Optional[str] = None
-    seed: Optional[int] = None
-    overrides: tuple[str, ...] = ()
-    n: int = 4
-    samples: int = 0
-    sample_radius: float = 2.0
-    d_bar: Optional[float] = None
-    kappas: Optional[str] = None
-
-
-def _scenario_for(config: RunConfig, case: Optional[str]) -> Scenario:
+def _scenario_for(config: argparse.Namespace,
+                  case: Optional[str]) -> Scenario:
     if case is not None:
         raw: dict[str, Any] = {"case": case, "n": config.n,
                                "seed": config.seed if config.seed is not None else 0}
     elif config.scenario_path is not None:
-        raw = _read_scenario_json(config.scenario_path)
-        if not isinstance(raw, dict):
-            raise ScenarioError("scenario must be a JSON object")
+        raw = _object(_read_scenario_json(config.scenario_path), "scenario")
         if config.seed is not None:
             raw["seed"] = config.seed
     else:
@@ -414,20 +399,19 @@ def _scenario_for(config: RunConfig, case: Optional[str]) -> Scenario:
     return scenario_from_dict(raw)
 
 
+def _oscillator_for(config: argparse.Namespace) -> InverterParams:
+    """Oscillator constants of --scenario, or the defaults plus --set."""
+    if config.scenario_path is not None:
+        return _scenario_for(config, None).params[0]
+    return _parse_oscillator(apply_overrides({}, config.overrides), "--set")
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _cmd_certify(config: RunConfig) -> int:
-    if config.scenario_path is not None:
-        params = _scenario_for(config, None).params[0]
-    else:
-        fields = {}
-        raw = apply_overrides({}, config.overrides)
-        _check_keys(raw, OSCILLATOR_FIELDS, "--set")
-        for key, val in raw.items():
-            fields[key] = float(val)
-        params = InverterParams(**fields)
+def _cmd_certify(config: argparse.Namespace) -> int:
+    params = _oscillator_for(config)
     report = certificate_margin(params)
     if config.samples > 0:
         sampled = sampled_lambda_check(params, config.sample_radius,
@@ -445,7 +429,7 @@ def _cmd_certify(config: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_simulate(config: RunConfig, case: Optional[str]) -> int:
+def _cmd_simulate(config: argparse.Namespace, case: Optional[str]) -> int:
     scenario = _scenario_for(config, case)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -468,11 +452,8 @@ def _cmd_simulate(config: RunConfig, case: Optional[str]) -> int:
     return 0
 
 
-def _cmd_sweep(config: RunConfig) -> int:
-    if config.scenario_path is not None:
-        base = _scenario_for(config, None).params[0]
-    else:
-        base = InverterParams()
+def _cmd_sweep(config: argparse.Namespace) -> int:
+    base = _oscillator_for(config)
     text = config.kappas or "0,0.25,0.5,0.75,1,1.25,1.5,1.75,2"
     try:
         kappas = [float(v) for v in text.split(",") if v.strip()]
@@ -534,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Dispatch one parsed command; returns the process exit code."""
     try:
         if config.command == "certify":
@@ -554,11 +535,7 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    config = RunConfig(**{k: (tuple(v) if k == "overrides" else v)
-                          for k, v in vars(args).items() if k in fields})
-    return run(config)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import numpy as np
 
 from .network import (NetworkConfig, branch_currents, pcc_voltage,
                       total_admittance)
-from .oscillator import InverterParams, local_map
+from .oscillator import InverterParams, check_finite, local_map
 
 DIVERGENCE_NORM = 100.0     # pu, far outside any modeled regime
 MAX_DT_OMEGA = 0.2          # resolution guard: > ~31 steps per cycle
@@ -55,11 +55,13 @@ class InitSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "overrides", tuple(
             (int(k), float(v)) for k, v in self.overrides))
+        check_finite(self, ("norm_bound",))
         if self.norm_bound < 0:
             raise ValueError(f"norm_bound must be >= 0, got {self.norm_bound}")
         for k, v in self.overrides:
-            if v < 0:
-                raise ValueError(f"override norm must be >= 0, got {v}")
+            if not 0 <= v < math.inf:
+                raise ValueError(
+                    f"override norm must be finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,7 @@ class DisturbanceSpec:
     waveform: str = "rotating"
 
     def __post_init__(self) -> None:
+        check_finite(self, ("amplitude",))
         if self.amplitude < 0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.waveform not in WAVEFORMS:
@@ -205,12 +208,6 @@ def rk4_increment(f, t: float, y, dt: float):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4(t: float, x: np.ndarray, dt: float, scenario: Scenario,
-         y: np.ndarray, y_sigma: complex) -> np.ndarray:
-    return rk4_increment(
-        lambda ts, xs: _field(ts, xs, scenario, y, y_sigma), t, x, dt)
-
-
 def _check_finite(x: np.ndarray, t: float) -> None:
     bad = ~np.isfinite(x.view(float).reshape(len(x), 2)).all(axis=1)
     bad |= np.abs(x) > DIVERGENCE_NORM
@@ -264,7 +261,8 @@ def simulate(scenario: Scenario,
     for s in range(steps):
         t_s = t_grid[s]
         y, ysum = (y_pre, ysum_pre) if t_s < t_z else (y_post, ysum_post)
-        x = _rk4(t_s, x, dt, scenario, y, ysum)
+        x = rk4_increment(
+            lambda ts, xs: _field(ts, xs, scenario, y, ysum), t_s, x, dt)
         try:
             _check_finite(x, t_grid[s + 1])
         except SimulationDiverged as err:

@@ -14,10 +14,11 @@ A large default ratio keeps the branch admittances dominant even while the
 start-up impedances are in circuit, which the reduced algebraic model needs to
 stay out of the oscillator-death regime during the soft start.
 
-Metrics quantify what the runs are meant to show: worst pairwise state
-distance (synchronization), trailing-window current amplitudes and their
-ratios (proportional sharing), steady amplitude, and the fitted exponential
-decay rate of the synchronization error.
+``build_metrics`` computes what the runs are meant to show: worst pairwise
+state distance (synchronization) and its trailing-window mean (separation),
+trailing-window current amplitudes and their ratios (proportional sharing),
+steady amplitude, and the fitted exponential decay rate of the
+synchronization error.
 """
 
 from __future__ import annotations
@@ -46,27 +47,17 @@ DEFAULT_WINDOW = 0.04       # s; two cycles at 50 Hz
 
 
 @dataclass(frozen=True)
-class SharingReport:
-    """Trailing-window RMS current amplitudes and their sharing ratios."""
-
-    amplitudes: tuple[float, ...]       # A
-    ratios: tuple[float, ...]           # normalized to branch 1
-    predicted: tuple[float, ...]        # |Y_i|/|Y_1| from the impedances
-    error: float                        # max relative deviation from predicted
-    synchronized: bool
-    window: float
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     """Quantities reported for one simulation run."""
 
     sync_error_series: np.ndarray       # max pairwise |x_i - x_j| per step, pu
     sync_time: Optional[float]          # s; None if never achieved
     sync_threshold: float
-    sharing_ratios: tuple[float, ...]
-    sharing_ratio_error: float
-    synchronized: bool
+    current_amplitudes: tuple[float, ...]   # A, trailing-window RMS
+    sharing_ratios: tuple[float, ...]   # current amplitudes over branch 1's
+    sharing_ratio_error: float          # max rel. deviation from |Y_i|/|Y_1|
+    synchronized: bool                  # series below threshold in the window
+    separation: float                   # pu, trailing-window mean of series
     amplitude: float                    # pu, trailing-window mean of |x_1|
     fitted_rate: Optional[float]        # 1/s; None if the fit is degenerate
     window: float
@@ -169,13 +160,6 @@ def sync_error(traj: Trajectory) -> np.ndarray:
     return out
 
 
-def _sync_series(traj: Trajectory) -> np.ndarray:
-    """sync_error, or zeros for a single inverter."""
-    if traj.n >= 2:
-        return sync_error(traj)
-    return np.zeros(len(traj.t))
-
-
 def sync_time(t: np.ndarray, series: np.ndarray,
               threshold: float = SYNC_THRESHOLD) -> Optional[float]:
     """First time from which the series stays below threshold, or None."""
@@ -187,44 +171,6 @@ def sync_time(t: np.ndarray, series: np.ndarray,
     if len(above) == 0:
         return float(t[0])
     return float(t[above[-1] + 1])
-
-
-def amplitude_estimate(traj: Trajectory, inverter: int,
-                       window: float = DEFAULT_WINDOW) -> float:
-    """Mean of |x_k| over the trailing window."""
-    sel = traj.t >= traj.t[-1] - window
-    return float(np.abs(traj.x[sel, inverter]).mean())
-
-
-def steady_separation(traj: Trajectory, window: float = DEFAULT_WINDOW) -> float:
-    """Mean of the max pairwise distance over the trailing window."""
-    sel = traj.t >= traj.t[-1] - window
-    return float(sync_error(traj)[sel].mean())
-
-
-def sharing_ratio_report(traj: Trajectory,
-                         window: float = DEFAULT_WINDOW,
-                         threshold: float = SYNC_THRESHOLD) -> SharingReport:
-    """Trailing-window RMS current amplitudes against the admittance ratios."""
-    return _sharing_report(traj, _sync_series(traj), window, threshold)
-
-
-def _sharing_report(traj: Trajectory, series: np.ndarray, window: float,
-                    threshold: float) -> SharingReport:
-    if traj.t[-1] - traj.t[0] <= window:
-        raise ValueError("trajectory is shorter than the averaging window")
-    sel = traj.t >= traj.t[-1] - window
-    amps = np.sqrt((np.abs(traj.currents[sel]) ** 2).mean(axis=0))
-    synchronized = traj.n < 2 or bool((series[sel] < threshold).all())
-    y = np.abs(traj.scenario.network.admittances(math.inf))
-    predicted = y / y[0]
-    ratios = amps / amps[0] if amps[0] > 0 else np.full_like(amps, np.nan)
-    error = float(np.abs(ratios / predicted - 1.0).max())
-    return SharingReport(
-        amplitudes=tuple(float(a) for a in amps),
-        ratios=tuple(float(r) for r in ratios),
-        predicted=tuple(float(p) for p in predicted),
-        error=error, synchronized=synchronized, window=window)
 
 
 def fit_decay_rate(t: np.ndarray, series: np.ndarray,
@@ -252,11 +198,17 @@ def fit_decay_rate(t: np.ndarray, series: np.ndarray,
 def build_metrics(traj: Trajectory, *,
                   window: float = DEFAULT_WINDOW,
                   threshold: float = SYNC_THRESHOLD) -> MetricsReport:
-    """Standard post-processing bundle for a simulation run."""
-    series = _sync_series(traj)
-    t_sync = sync_time(traj.t, series, threshold)
-    sharing = _sharing_report(traj, series, window, threshold)
-    amplitude = amplitude_estimate(traj, 0, window)
+    """Post-processing of one run; window quantities average the trailing
+    ``window`` seconds."""
+    if traj.t[-1] - traj.t[0] <= window:
+        raise ValueError("trajectory is shorter than the averaging window")
+    series = sync_error(traj) if traj.n >= 2 else np.zeros(len(traj.t))
+    sel = traj.t >= traj.t[-1] - window
+
+    amps = np.sqrt((np.abs(traj.currents[sel]) ** 2).mean(axis=0))
+    y = np.abs(traj.scenario.network.admittances(math.inf))
+    ratios = amps / amps[0] if amps[0] > 0 else np.full_like(amps, np.nan)
+    error = float(np.abs(ratios / (y / y[0]) - 1.0).max())
 
     # fit the decay where the series is still well above the roundoff floor
     floor = max(1e-12, 1e-12 * float(series[0]))
@@ -270,9 +222,15 @@ def build_metrics(traj: Trajectory, *,
         except ValueError:
             rate = None
     return MetricsReport(
-        sync_error_series=series, sync_time=t_sync, sync_threshold=threshold,
-        sharing_ratios=sharing.ratios, sharing_ratio_error=sharing.error,
-        synchronized=sharing.synchronized, amplitude=amplitude,
+        sync_error_series=series,
+        sync_time=sync_time(traj.t, series, threshold),
+        sync_threshold=threshold,
+        current_amplitudes=tuple(float(a) for a in amps),
+        sharing_ratios=tuple(float(r) for r in ratios),
+        sharing_ratio_error=error,
+        synchronized=traj.n < 2 or bool((series[sel] < threshold).all()),
+        separation=float(series[sel].mean()),
+        amplitude=float(np.abs(traj.x[sel, 0]).mean()),
         fitted_rate=rate, window=window)
 
 
@@ -285,8 +243,7 @@ def predicted_r_star(scenario: Scenario):
 
 __all__ = [
     "CASE2_HIGH_MULT", "CASE2_LOW_MULT", "DEFAULT_WINDOW", "SYNC_THRESHOLD",
-    "MetricsReport", "SharingReport", "OscillatorDeath",
-    "amplitude_estimate", "build_case", "build_metrics", "case2_low_indices",
-    "fit_decay_rate", "predicted_r_star", "sharing_ratio_report",
-    "steady_separation", "sync_error", "sync_time",
+    "MetricsReport", "OscillatorDeath", "build_case", "build_metrics",
+    "case2_low_indices", "fit_decay_rate", "predicted_r_star", "sync_error",
+    "sync_time",
 ]

@@ -21,9 +21,7 @@ from dvocsim.network import (BranchParams, NetworkConfig, OscillatorDeath,
                              branch_currents, k_sh, particular_radius,
                              pcc_voltage, total_admittance)
 from dvocsim.oscillator import InverterParams, jacobian_h, local_map
-from dvocsim.scenarios import (amplitude_estimate, build_case,
-                               sharing_ratio_report, steady_separation,
-                               sync_error, sync_time)
+from dvocsim.scenarios import build_case, build_metrics, sync_error, sync_time
 
 P = InverterParams()
 
@@ -57,8 +55,8 @@ def test_criterion_1_certificate(acceptance_log):
 
 def test_criterion_2_sharing_ratio(acceptance_log, case2_run):
     scenario, trajectory, elapsed = case2_run
-    report = sharing_ratio_report(trajectory)
-    amps = np.array(report.amplitudes)
+    report = build_metrics(trajectory)
+    amps = np.array(report.current_amplitudes)
     low = [1, 2]
     high = [0, 3, 4, 5]
     ratio = amps[low].mean() / amps[high].mean()
@@ -110,7 +108,7 @@ def test_criterion_5_particular_solution(acceptance_log):
     scenario = _two_branch_scenario(z1, z2, complex(200.0 / abs(y_sum)))
     r_star = particular_radius(k_sh(scenario.network, math.inf).real, P)
     assert not isinstance(r_star, OscillatorDeath)
-    amplitude = amplitude_estimate(simulate(scenario), 0)
+    amplitude = build_metrics(simulate(scenario)).amplitude
     rel = abs(amplitude / r_star - 1.0)
     ok = rel <= 1e-3
 
@@ -160,7 +158,7 @@ def test_criterion_7_error_ball_linearity(acceptance_log):
             init=InitSpec(seed=17, norm_bound=1.0),
             disturbance=DisturbanceSpec(inverter=0, amplitude=amplitude,
                                         waveform="rotating"))
-        separations.append(steady_separation(simulate(scenario)))
+        separations.append(build_metrics(simulate(scenario)).separation)
     ratio = separations[1] / separations[0]
     c = certificate_margin(P).margin_c
     within_ball = all(

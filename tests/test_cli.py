@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -5,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from dvocsim.cli import (SQRT3_OVER_2, RunConfig, ScenarioError,
+from dvocsim.cli import (SQRT3_OVER_2, ScenarioError,
                          apply_overrides, build_report, main, load_scenario,
                          run, scenario_from_dict, scenario_to_dict,
                          write_timeseries)
 from dvocsim.certificates import certificate_margin
-from dvocsim.engine import DisturbanceSpec, simulate
+from dvocsim.engine import DisturbanceSpec, InitSpec, simulate
 from dvocsim.scenarios import build_case
 
 
@@ -127,6 +128,44 @@ class TestLoadScenario:
                "network": {"z_net": z_net}}
         with pytest.raises(ScenarioError, match=field):
             load_scenario(write(tmp_path, raw))
+
+    @pytest.mark.parametrize("section, value, where", [
+        ("init", 5, "init"),
+        ("oscillator", [1], "oscillator"),
+        ("network", 3, "network"),
+        ("init", {"overrides": [1]}, "init.overrides"),
+        ("disturbance", [1], "disturbance"),
+    ], ids=["init", "oscillator", "network", "init.overrides", "disturbance"])
+    def test_section_not_object(self, tmp_path, capsys, section, value,
+                                where):
+        path = write(tmp_path, {"case": "I", "n": 2, "seed": 0,
+                                section: value})
+        with pytest.raises(ScenarioError, match=f"{where} must be a JSON "
+                           "object"):
+            load_scenario(path)
+        assert main(["simulate", "--scenario", str(path),
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{where} must be" in err
+
+    @pytest.mark.parametrize("changes, key", [
+        ({"n": 4.7}, "'n'"),
+        ({"seed": 1.9}, "'seed'"),
+        ({"disturbance": {"inverter": 1.5, "amplitude": 1.0}}, "'inverter'"),
+    ], ids=["n", "seed", "disturbance.inverter"])
+    def test_not_whole_number(self, tmp_path, changes, key):
+        raw = {"case": "I", "n": 4, "seed": 0, **changes}
+        with pytest.raises(ScenarioError, match=f"{key} .* whole number"):
+            load_scenario(write(tmp_path, raw))
+
+    def test_whole_float_accepted(self, tmp_path):
+        raw = {"case": "I", "n": 4.0, "seed": 3.0,
+               "disturbance": {"inverter": 2.0, "amplitude": 1.0}}
+        sc = load_scenario(write(tmp_path, raw))
+        assert sc == build_case("I", 4, seed=3,
+                                disturbance=DisturbanceSpec(1, 1.0))
+        assert sc.init == InitSpec(seed=3, norm_bound=1.0,
+                                   overrides=((0, 10.0),))
 
 
 class TestRoundTrip:
@@ -352,6 +391,12 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "JSON object" in err
 
+    def test_set_n_not_whole_exit_code(self, tmp_path, capsys):
+        assert main(["case2", "--set", "n=4.7",
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'n'" in err
+
     def test_t_end_not_whole_steps_exit_code(self, tmp_path, capsys):
         assert main(["case2", "--set", "t_end=1.5e-4",
                      "--out", str(tmp_path / "x")]) == 1
@@ -374,13 +419,60 @@ class TestCommands:
         assert margin == pytest.approx(553.3826, abs=1e-3)
 
 
-class TestRunConfig:
+def sweep_margins(tmp_path, args):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--out", str(out)] + args) == 0
+    rows = list(csv.reader((out / "sweep.csv").open()))
+    return [float(r[1]) for r in rows[1:]]
+
+
+class TestOscillatorResolver:
+    """certify and sweep take the oscillator constants from one place."""
+
+    def test_sweep_honours_set(self, tmp_path, capsys):
+        margins = sweep_margins(tmp_path, ["--set", "xi=500", "--kappas", "1"])
+        assert margins == [pytest.approx(63.38, abs=0.01)]
+        capsys.readouterr()                   # the sweep's table
+        assert main(["certify", "--set", "xi=500"]) == 0
+        assert json.loads(capsys.readouterr().out)["margin_c"] == margins[0]
+
+    def test_sweep_honours_scenario(self, tmp_path):
+        path = write(tmp_path, {"case": "I", "n": 2, "seed": 0,
+                                "oscillator": {"xi": 500.0}})
+        margins = sweep_margins(tmp_path, ["--scenario", str(path),
+                                           "--kappas", "1"])
+        assert margins == [pytest.approx(63.38, abs=0.01)]
+
+    @pytest.mark.parametrize("command", ["certify", "sweep"])
+    @pytest.mark.parametrize("item, message", [
+        ("bogus=1", "'bogus'"), ("xi=1e400", "1e400"), ("xi=true", "'xi'"),
+    ])
+    def test_bad_set_exit_code(self, tmp_path, capsys, command, item,
+                               message):
+        args = [command, "--set", item]
+        if command == "sweep":
+            args += ["--out", str(tmp_path / "sweep")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+
+def certify_namespace(**changes):
+    """The namespace build_parser gives for a bare ``certify``."""
+    fields = dict(command="certify", scenario_path=None, seed=None,
+                  overrides=[], samples=0, sample_radius=2.0, d_bar=None)
+    return argparse.Namespace(**{**fields, **changes})
+
+
+class TestRun:
     def test_direct_dispatch(self, capsys):
-        assert run(RunConfig(command="certify")) == 0
-        assert run(RunConfig(command="certify", overrides=("kappa=0",))) == 1
+        assert run(certify_namespace()) == 0
+        assert run(certify_namespace(overrides=["kappa=0"])) == 1
+        assert main(["certify"]) == 0
+        assert main(["certify", "--set", "kappa=0"]) == 1
 
     def test_unknown_command(self, capsys):
-        assert run(RunConfig(command="frobnicate")) == 1
+        assert run(argparse.Namespace(command="frobnicate")) == 1
         assert "frobnicate" in capsys.readouterr().err
 
 

@@ -82,6 +82,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="disturbance"):
             make_scenario(disturbance=DisturbanceSpec(inverter=7, amplitude=1.0))
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: InitSpec(seed=0, norm_bound=math.nan), "norm_bound"),
+        (lambda: InitSpec(seed=0, norm_bound=math.inf), "norm_bound"),
+        (lambda: InitSpec(seed=0, overrides=((0, math.inf),)), "override"),
+        (lambda: InitSpec(seed=0, overrides=((0, math.nan),)), "override"),
+        (lambda: DisturbanceSpec(0, math.inf, "constant"), "amplitude"),
+        (lambda: DisturbanceSpec(0, math.nan, "constant"), "amplitude"),
+    ], ids=["norm_bound-nan", "norm_bound-inf", "override-inf",
+            "override-nan", "amplitude-inf", "amplitude-nan"])
+    def test_spec_non_finite(self, make, field):
+        with pytest.raises(ValueError, match=f"{field}.* finite"):
+            make()
+
     def test_plant_state_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             simulate(make_scenario(), x0=np.array([1.0 + 0j, np.nan + 0j]))

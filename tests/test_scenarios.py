@@ -8,10 +8,9 @@ from dvocsim import scenarios
 from dvocsim.engine import InitSpec, Scenario, Trajectory, simulate
 from dvocsim.network import BranchParams, NetworkConfig, OscillatorDeath, k_sh
 from dvocsim.oscillator import InverterParams
-from dvocsim.scenarios import (amplitude_estimate, build_case, build_metrics,
-                               case2_low_indices, fit_decay_rate,
-                               predicted_r_star, sharing_ratio_report,
-                               steady_separation, sync_error, sync_time)
+from dvocsim.scenarios import (build_case, build_metrics, case2_low_indices,
+                               fit_decay_rate, predicted_r_star, sync_error,
+                               sync_time)
 
 P = InverterParams()
 W0 = P.omega0
@@ -203,7 +202,7 @@ class TestAmplitude:
     def test_zero_trajectory(self):
         sc = build_case("I", 2, seed=0, t_end=0.01)
         traj = simulate(sc, x0=np.zeros(2, complex))
-        assert amplitude_estimate(traj, 0, window=0.005) == 0.0
+        assert build_metrics(traj, window=0.005).amplitude == 0.0
 
     def test_open_loop_limit_cycle(self):
         params = (InverterParams(kappa=0.0),)
@@ -213,26 +212,28 @@ class TestAmplitude:
         sc = Scenario(params=params, network=network, t_end=2.0, dt=2e-4,
                       init=InitSpec(seed=0, norm_bound=0.1))
         traj = simulate(sc)
-        assert amplitude_estimate(traj, 0) == pytest.approx(1.0, abs=1e-6)
+        assert build_metrics(traj).amplitude == pytest.approx(1.0, abs=1e-6)
 
     def test_rotation_invariance(self):
         t = np.arange(6) * 1e-4
         x = (0.5 + 0.1j) * np.exp(1j * W0 * t)[:, None] * np.ones((6, 2))
         traj = fake_traj(t, x)
         rotated = fake_traj(t, x * np.exp(1j * 1.1))
-        assert amplitude_estimate(traj, 0, 1.0) == pytest.approx(
-            amplitude_estimate(rotated, 0, 1.0), rel=1e-14)
+        # the window must be shorter than the 5e-4 s trajectory
+        assert build_metrics(traj, window=4e-4).amplitude == pytest.approx(
+            build_metrics(rotated, window=4e-4).amplitude, rel=1e-14)
 
 
 class TestSharingReport:
     def test_identical_branches_unit_ratios(self):
         sc = build_case("I", 4, seed=2, t_end=0.5)
-        rep = sharing_ratio_report(simulate(sc))
+        rep = build_metrics(simulate(sc))
         assert rep.synchronized
-        for r, p in zip(rep.ratios, rep.predicted):
-            assert p == pytest.approx(1.0, rel=1e-12)
+        y = np.abs(sc.network.admittances(math.inf))
+        assert y / y[0] == pytest.approx(np.ones(4), rel=1e-12)
+        for r in rep.sharing_ratios:
             assert r == pytest.approx(1.0, rel=1e-9)
-        assert rep.error < 1e-9
+        assert rep.sharing_ratio_error < 1e-9
 
     def test_admittance_ratio_two_branches(self):
         # branch 2 has twice the impedance, so half the current
@@ -241,20 +242,21 @@ class TestSharingReport:
                                 300.0 + 0j, omega_eval=W0)
         sc = Scenario(params=(P, P), network=network, t_end=0.5, dt=1e-4,
                       init=InitSpec(seed=6))
-        rep = sharing_ratio_report(simulate(sc))
+        rep = build_metrics(simulate(sc))
         assert rep.synchronized
-        assert rep.amplitudes[0] / rep.amplitudes[1] == pytest.approx(2.0, rel=1e-6)
-        assert rep.ratios[1] == pytest.approx(0.5, rel=1e-6)
+        assert rep.current_amplitudes[0] / rep.current_amplitudes[1] == \
+            pytest.approx(2.0, rel=1e-6)
+        assert rep.sharing_ratios[1] == pytest.approx(0.5, rel=1e-6)
 
     def test_not_synchronized_flag(self):
         sc = build_case("I", 3, seed=1, t_end=0.01)
-        rep = sharing_ratio_report(simulate(sc), window=0.005)
+        rep = build_metrics(simulate(sc), window=0.005)
         assert not rep.synchronized
 
     def test_window_too_long(self):
         sc = build_case("I", 3, seed=1, t_end=0.01)
         with pytest.raises(ValueError, match="window"):
-            sharing_ratio_report(simulate(sc), window=0.02)
+            build_metrics(simulate(sc), window=0.02)
 
 
 @pytest.fixture(scope="module")
@@ -270,15 +272,15 @@ class TestCaseIIDeskRun:
         assert series[traj.t >= t_sync].max() < 1e-3
 
     def test_sharing_matches_groups(self, traj):
-        rep = sharing_ratio_report(traj)
+        rep = build_metrics(traj)
         assert rep.synchronized
-        assert rep.error < 1e-6
-        assert rep.ratios[1] == pytest.approx(20.0 / 10.5, rel=1e-6)
+        assert rep.sharing_ratio_error < 1e-6
+        assert rep.sharing_ratios[1] == pytest.approx(20.0 / 10.5, rel=1e-6)
 
     def test_amplitude_matches_particular_solution(self, traj):
         r_star = predicted_r_star(traj.scenario)
         assert not isinstance(r_star, OscillatorDeath)
-        assert amplitude_estimate(traj, 0) == pytest.approx(r_star, rel=1e-3)
+        assert build_metrics(traj).amplitude == pytest.approx(r_star, rel=1e-3)
 
     def test_metrics_compute_sync_error_once(self, traj, monkeypatch):
         calls = []
@@ -289,7 +291,9 @@ class TestCaseIIDeskRun:
         monkeypatch.setattr(scenarios, "sync_error", counting)
         m = build_metrics(traj)
         assert len(calls) == 1
-        assert m.synchronized == sharing_ratio_report(traj).synchronized
+        tail = m.sync_error_series[traj.t >= traj.t[-1] - m.window]
+        assert m.synchronized == bool((tail < m.sync_threshold).all())
+        assert m.separation == float(tail.mean())
 
     def test_metrics_bundle(self, traj):
         m = build_metrics(traj)
@@ -301,12 +305,12 @@ class TestCaseIIDeskRun:
 
     def test_amplitude_seed_independent(self, traj):
         other = simulate(build_case("II", 4, seed=8, t_end=1.0))
-        a = amplitude_estimate(traj, 0)
-        b = amplitude_estimate(other, 0)
+        a = build_metrics(traj).amplitude
+        b = build_metrics(other).amplitude
         assert a == pytest.approx(b, rel=1e-4)
 
     def test_separation_helper(self, traj):
-        assert steady_separation(traj) < 1e-9
+        assert build_metrics(traj).separation < 1e-9
 
 
 class TestKshDeskValue:
