@@ -45,7 +45,6 @@ class CertificateReport:
 @dataclass(frozen=True)
 class SampledLambdaResult:
     max_found: float
-    bound: float
     ok: bool
 
 
@@ -80,15 +79,15 @@ def sampled_lambda_check(params: InverterParams, radius: float,
     states.real[1:] = r * np.cos(theta)
     states.imag[1:] = r * np.sin(theta)
     max_found = float(sym_lambda_max(states, params).max())
-    bound = params.xi * params.x_nom_sq2 - params.kappa_beta
-    return SampledLambdaResult(max_found=max_found, bound=bound,
-                               ok=max_found <= bound + BOUND_SLACK)
+    return SampledLambdaResult(
+        max_found=max_found,
+        ok=max_found <= BOUND_SLACK - certificate_margin(params).margin_c)
 
 
 def error_ball_radius(d_bar: float, c: float) -> float:
     """Steady separation bound d_bar/c for disturbances with |d| <= d_bar."""
-    if d_bar < 0:
-        raise ValueError(f"d_bar must be >= 0, got {d_bar}")
+    if not 0 <= d_bar < math.inf:
+        raise ValueError(f"d_bar must be finite and >= 0, got {d_bar}")
     if c <= 0:
         raise NotContractingError(
             f"error ball needs a positive contraction margin, got c={c}")

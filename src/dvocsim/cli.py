@@ -37,8 +37,6 @@ from .network import BranchParams, NetworkConfig, OscillatorDeath, k_sh
 from .oscillator import InverterParams
 from .scenarios import build_case, build_metrics, predicted_r_star
 
-OSCILLATOR_FIELDS = tuple(f.name for f in dataclasses.fields(InverterParams))
-BRANCH_FIELDS = tuple(f.name for f in dataclasses.fields(BranchParams))
 CASE_NETWORK_KEYS = ("t_z", "load_pu", "load_angle", "domination_ratio",
                      "zt_multiplier", "zt_jitter")
 
@@ -67,13 +65,14 @@ def _is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _as_complex(v: Any, where: str) -> complex:
+def _as_complex(d: dict, key: str, where: str) -> complex:
+    v = d[key]
     if _is_number(v):
         return complex(v)
     if (isinstance(v, (list, tuple)) and len(v) == 2
             and all(_is_number(c) for c in v)):
         return complex(v[0], v[1])
-    raise ScenarioError(f"'{where}' must be a number or [re, im] pair")
+    raise ScenarioError(f"'{where}.{key}' must be a number or [re, im] pair")
 
 
 def _num(d: dict, key: str, where: str, default=None) -> Any:
@@ -93,16 +92,38 @@ def _whole(d: dict, key: str, where: str) -> int:
     return int(v)
 
 
-def _parse_oscillator(d: Any, where: str) -> InverterParams:
-    _check_keys(_object(d, where), OSCILLATOR_FIELDS, where)
-    return InverterParams(**{k: float(_num(d, k, where)) for k in d})
+# how _section reads a field, by its declared type (a name, since every module
+# postpones annotations); a str field is validated by its own dataclass
+_READERS = {
+    "float": lambda d, key, where: float(_num(d, key, where)),
+    "int": _whole,
+    "complex": _as_complex,
+    "str": lambda d, key, where: d[key],
+}
+
+
+def _section(cls, obj: Any, where: str, **given: Any) -> Any:
+    """Dataclass ``cls`` from the JSON object ``obj``, field by field.
+
+    The fields in ``given`` are filled in by the caller and are not keys of
+    ``obj``; every other field is read by its declared type, and an absent
+    one takes its default.
+    """
+    d = _object(obj, where)
+    own = [f for f in dataclasses.fields(cls) if f.name not in given]
+    _check_keys(d, [f.name for f in own], where)
+    for f in own:
+        if f.name in d:
+            given[f.name] = _READERS[f.type](d, f.name, where)
+        elif f.default is dataclasses.MISSING:
+            raise ScenarioError(f"missing required key '{f.name}' in {where}")
+    return cls(**given)
 
 
 def _parse_init(d: Any, seed: int, n: int) -> InitSpec:
-    _check_keys(_object(d, "init"), ("norm_bound", "overrides"), "init")
-    norm_bound = _num(d, "norm_bound", "init", 1.0)
+    d = dict(_object(d, "init"))
     overrides = []
-    for key, val in _object(d.get("overrides", {}), "init.overrides").items():
+    for key, val in _object(d.pop("overrides", {}), "init.overrides").items():
         try:
             idx = int(key)
         except ValueError:
@@ -115,21 +136,18 @@ def _parse_init(d: Any, seed: int, n: int) -> InitSpec:
             raise ScenarioError(f"init override for inverter {idx} must "
                                 "be a number")
         overrides.append((idx - 1, float(val)))
-    return InitSpec(seed=seed, norm_bound=float(norm_bound),
+    return _section(InitSpec, d, "init", seed=seed,
                     overrides=tuple(sorted(overrides)))
 
 
 def _parse_disturbance(d: Any, n: int) -> Optional[DisturbanceSpec]:
     if d is None:
         return None
-    _check_keys(_object(d, "disturbance"),
-                ("inverter", "amplitude", "waveform"), "disturbance")
-    idx = _whole(d, "inverter", "disturbance")
-    if not 1 <= idx <= n:
-        raise ScenarioError(f"disturbance inverter {idx} out of range 1..{n}")
-    return DisturbanceSpec(inverter=idx - 1,
-                           amplitude=float(_num(d, "amplitude", "disturbance")),
-                           waveform=d.get("waveform", "rotating"))
+    spec = _section(DisturbanceSpec, d, "disturbance")
+    if not 1 <= spec.inverter <= n:
+        raise ScenarioError(
+            f"disturbance inverter {spec.inverter} out of range 1..{n}")
+    return dataclasses.replace(spec, inverter=spec.inverter - 1)
 
 
 def scenario_from_dict(raw: Any) -> Scenario:
@@ -141,7 +159,7 @@ def scenario_from_dict(raw: Any) -> Scenario:
         raise ScenarioError("missing required key 'seed' in scenario")
     seed = _whole(raw, "seed", "scenario")
     n = _whole(raw, "n", "scenario")
-    params = _parse_oscillator(raw.get("oscillator", {}), "oscillator")
+    params = _section(InverterParams, raw.get("oscillator", {}), "oscillator")
     t_end = float(_num(raw, "t_end", "scenario", 2.0))
     dt = float(_num(raw, "dt", "scenario", 1e-4))
     init = _parse_init(raw["init"], seed, n) if "init" in raw else None
@@ -170,59 +188,40 @@ def scenario_from_dict(raw: Any) -> Scenario:
     if len(branches_raw) != n:
         raise ScenarioError(f"'n' is {n} but {len(branches_raw)} branches "
                             "are given")
-    branches = []
-    for i, b in enumerate(branches_raw, start=1):
-        where = f"branches[{i}]"
-        _check_keys(_object(b, where), BRANCH_FIELDS, where)
-        parts = {k: float(_num(b, k, where, 0.0))
-                 for k in BRANCH_FIELDS if k != "z_extra"}
-        branches.append(BranchParams(
-            **parts, z_extra=_as_complex(b.get("z_extra", [0.0, 0.0]),
-                                         f"{where}.z_extra")))
-    net = _object(raw.get("network"), "network")
-    _check_keys(net, ("z_net", "t_z"), "network")
-    if "z_net" not in net:
-        raise ScenarioError("missing required key 'z_net' in network")
-    z_net = _as_complex(net["z_net"], "network.z_net")
-    t_z = float(_num(net, "t_z", "network", 0.0))
-    network = NetworkConfig(branches=tuple(branches), z_net=z_net,
-                            omega_eval=params.omega0, t_z=t_z)
+    branches = tuple(_section(BranchParams, b, f"branches[{i}]")
+                     for i, b in enumerate(branches_raw, start=1))
+    network = _section(NetworkConfig, raw.get("network"), "network",
+                       branches=branches, omega_eval=params.omega0)
     if init is None:
         init = InitSpec(seed=seed)
     return Scenario(params=(params,) * n, network=network, t_end=t_end,
                     dt=dt, init=init, disturbance=disturbance)
 
 
+def _to_json(obj: Any, *skip: str) -> dict:
+    """A dataclass's fields as JSON values; complex numbers become [re, im]."""
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+              if f.name not in skip}
+    return {k: [v.real, v.imag] if isinstance(v, complex) else v
+            for k, v in values.items()}
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Fully-resolved, round-trippable scenario dict (explicit form)."""
-    p0 = scenario.params[0]
-    branches = [{"r_f": b.r_f, "l_f": b.l_f, "r_v": b.r_v, "x_v": b.x_v,
-                 "z_extra": [b.z_extra.real, b.z_extra.imag]}
-                for b in scenario.network.branches]
-    d: dict[str, Any] = {
+    init, disturbance = scenario.init, scenario.disturbance
+    return {
         "n": scenario.n,
-        "seed": scenario.init.seed,
+        "seed": init.seed,
         "t_end": scenario.t_end,
         "dt": scenario.dt,
-        "oscillator": {k: getattr(p0, k) for k in OSCILLATOR_FIELDS},
-        "branches": branches,
-        "network": {
-            "z_net": [scenario.network.z_net.real, scenario.network.z_net.imag],
-            "t_z": scenario.network.t_z,
-        },
-        "init": {
-            "norm_bound": scenario.init.norm_bound,
-            "overrides": {str(k + 1): v for k, v in scenario.init.overrides},
-        },
-        "disturbance": None,
+        "oscillator": _to_json(scenario.params[0]),
+        "branches": [_to_json(b) for b in scenario.network.branches],
+        "network": _to_json(scenario.network, "branches", "omega_eval"),
+        "init": {**_to_json(init, "seed"), "overrides": {
+            str(k + 1): v for k, v in init.overrides}},
+        "disturbance": None if disturbance is None else {
+            **_to_json(disturbance), "inverter": disturbance.inverter + 1},
     }
-    if scenario.disturbance is not None:
-        d["disturbance"] = {
-            "inverter": scenario.disturbance.inverter + 1,
-            "amplitude": scenario.disturbance.amplitude,
-            "waveform": scenario.disturbance.waveform,
-        }
-    return d
 
 
 def _reject_constant(name: str) -> NoReturn:
@@ -329,14 +328,9 @@ def write_timeseries(traj: Trajectory, path: str | Path) -> None:
 
 
 def certificate_to_dict(report: CertificateReport) -> dict:
-    p = report.params
-    return {
-        "margin_c": report.margin_c,
-        "passed": report.passed,
-        "lambda_max_sampled": report.lambda_max_sampled,
-        "error_ball_radius": report.error_ball_radius,
-        "params": {k: getattr(p, k) for k in OSCILLATOR_FIELDS},
-    }
+    d = dataclasses.asdict(report)
+    d["params"] = d.pop("params")     # last, as report.json has always had it
+    return d
 
 
 def build_report(scenario: Scenario, cert: CertificateReport,
@@ -403,7 +397,8 @@ def _oscillator_for(config: argparse.Namespace) -> InverterParams:
     """Oscillator constants of --scenario, or the defaults plus --set."""
     if config.scenario_path is not None:
         return _scenario_for(config, None).params[0]
-    return _parse_oscillator(apply_overrides({}, config.overrides), "--set")
+    return _section(InverterParams, apply_overrides({}, config.overrides),
+                    "--set")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -411,6 +406,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _cmd_certify(config: argparse.Namespace) -> int:
+    if config.samples < 0:
+        raise ScenarioError(f"--samples must be >= 0, got {config.samples}")
     params = _oscillator_for(config)
     report = certificate_margin(params)
     if config.samples > 0:

@@ -28,6 +28,11 @@ from .oscillator import InverterParams, check_finite, local_map
 DIVERGENCE_NORM = 100.0     # pu, far outside any modeled regime
 MAX_DT_OMEGA = 0.2          # resolution guard: > ~31 steps per cycle
 STEP_TOL = 1e-9             # relative tolerance of t_end/dt to a whole number
+# Largest trajectory a run may record, ~32*(S+1)*N bytes for S steps and N
+# inverters (t, x, v_o and the currents).  1 GiB is three times case II with
+# N = 500 at t_end = 2 s (~320 MB), and leaves room for the post-processing
+# and output of such a run on a machine with a few GB of memory.
+MAX_TRAJECTORY_BYTES = 2**30
 
 WAVEFORMS = ("constant", "rotating")
 
@@ -81,6 +86,25 @@ class DisturbanceSpec:
                 f"waveform must be one of {WAVEFORMS}, got {self.waveform!r}")
 
 
+def check_grid(n: int, t_end: float, dt: float) -> None:
+    """Refuse a time grid that is not whole steps of dt, or whose n-inverter
+    trajectory would exceed ``MAX_TRAJECTORY_BYTES``."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not dt <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and >= dt, got {t_end}")
+    steps = t_end / dt
+    if abs(steps - round(steps)) > STEP_TOL * steps:
+        raise ValueError(
+            f"t_end = {t_end} is not a whole multiple of dt = {dt}")
+    size = 32 * n * (round(steps) + 1)     # integer: no overflow for any n
+    if size > MAX_TRAJECTORY_BYTES:
+        raise ValueError(
+            f"n = {n}, t_end = {t_end} and dt = {dt} would record "
+            f"{size:,} bytes of trajectory, more than the limit of "
+            f"{MAX_TRAJECTORY_BYTES:,} bytes")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything one reproducible run needs."""
@@ -111,15 +135,7 @@ class Scenario:
                 f"network.omega_eval = {self.network.omega_eval} differs from "
                 f"omega0 = {ref.omega0}: branch impedances must be evaluated "
                 "at the oscillator frequency")
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
-        if not self.dt <= self.t_end < math.inf:
-            raise ValueError(f"t_end must be finite and >= dt, got {self.t_end}")
-        steps = self.t_end / self.dt
-        if abs(steps - round(steps)) > STEP_TOL * steps:
-            raise ValueError(
-                f"t_end = {self.t_end} is not a whole multiple of "
-                f"dt = {self.dt}")
+        check_grid(len(self.params), self.t_end, self.dt)
         if not 0.0 < self.dt * ref.omega0 < MAX_DT_OMEGA:
             raise ValueError(
                 f"dt*omega0 = {self.dt * ref.omega0:.3g} outside (0, "
@@ -170,12 +186,6 @@ def init_random(scenario: Scenario) -> np.ndarray:
     return norm * np.exp(1j * theta)
 
 
-def _schedule(scenario: Scenario, t: float) -> tuple[np.ndarray, complex]:
-    """Branch admittances and total admittance for the step starting at t."""
-    net = scenario.network
-    return net.admittances(t), total_admittance(net, t)
-
-
 def _disturbance_at(scenario: Scenario, t: float) -> complex:
     d = scenario.disturbance
     if d is None or d.amplitude == 0.0:
@@ -209,8 +219,7 @@ def rk4_increment(f, t: float, y, dt: float):
 
 
 def _check_finite(x: np.ndarray, t: float) -> None:
-    bad = ~np.isfinite(x.view(float).reshape(len(x), 2)).all(axis=1)
-    bad |= np.abs(x) > DIVERGENCE_NORM
+    bad = ~(np.abs(x) <= DIVERGENCE_NORM)   # NaN compares false
     if bad.any():
         raise SimulationDiverged(t, int(np.argmax(bad)))
 
@@ -246,9 +255,10 @@ def simulate(scenario: Scenario,
     cs = np.empty((steps + 1, n), dtype=complex)
 
     # the start-up extra impedance makes the admittances piecewise constant
-    y_pre, ysum_pre = _schedule(scenario, 0.0)
-    y_post, ysum_post = _schedule(scenario, np.inf)
-    t_z = scenario.network.t_z
+    net = scenario.network
+    y_pre, ysum_pre = net.admittances(0.0), total_admittance(net, 0.0)
+    y_post, ysum_post = net.admittances(np.inf), total_admittance(net, np.inf)
+    t_z = net.t_z
 
     def record(i: int, xi: np.ndarray) -> None:
         y, ysum = (y_pre, ysum_pre) if t_grid[i] < t_z else (y_post, ysum_post)

@@ -87,12 +87,9 @@ class NetworkConfig:
     def n(self) -> int:
         return len(self.branches)
 
-    def impedances(self, t: float = math.inf) -> np.ndarray:
-        return np.array([b.impedance_at(self.omega_eval, t, self.t_z)
-                         for b in self.branches])
-
     def admittances(self, t: float = math.inf) -> np.ndarray:
-        return 1.0 / self.impedances(t)
+        return 1.0 / np.array([b.impedance_at(self.omega_eval, t, self.t_z)
+                               for b in self.branches])
 
     @property
     def y_net(self) -> complex:

@@ -29,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import DisturbanceSpec, InitSpec, Scenario, Trajectory
+from .engine import (DisturbanceSpec, InitSpec, Scenario, Trajectory,
+                     check_grid)
 from .network import (BranchParams, NetworkConfig, OscillatorDeath,
                       particular_radius)
 from .oscillator import InverterParams
@@ -101,6 +102,7 @@ def build_case(case_id: str, n: int, seed: int, *,
             f"domination_ratio must be > 0, got {domination_ratio}")
     if zt_multiplier < 1:
         raise ValueError(f"zt_multiplier must be >= 1, got {zt_multiplier}")
+    check_grid(n, t_end, dt)
 
     if base is None:
         base = InverterParams()
@@ -142,7 +144,7 @@ def build_case(case_id: str, n: int, seed: int, *,
 
 
 def sync_error(traj: Trajectory) -> np.ndarray:
-    """Max pairwise |x_i - x_j| at each time step.
+    """Max pairwise |x_i - x_j| at each time step (zero for one inverter).
 
     Memory is O(S*N) for S steps and N inverters: each inverter is compared
     with the higher-numbered ones only, and the per-step maximum is kept
@@ -150,8 +152,6 @@ def sync_error(traj: Trajectory) -> np.ndarray:
     since |a - b| == |b - a| and the zero diagonal cannot raise a maximum of
     non-negative values.
     """
-    if traj.n < 2:
-        raise ValueError("synchronization error needs at least 2 inverters")
     x = traj.x
     out = np.zeros(len(x))
     for i in range(traj.n - 1):
@@ -202,7 +202,7 @@ def build_metrics(traj: Trajectory, *,
     ``window`` seconds."""
     if traj.t[-1] - traj.t[0] <= window:
         raise ValueError("trajectory is shorter than the averaging window")
-    series = sync_error(traj) if traj.n >= 2 else np.zeros(len(traj.t))
+    series = sync_error(traj)
     sel = traj.t >= traj.t[-1] - window
 
     amps = np.sqrt((np.abs(traj.currents[sel]) ** 2).mean(axis=0))
@@ -228,7 +228,7 @@ def build_metrics(traj: Trajectory, *,
         current_amplitudes=tuple(float(a) for a in amps),
         sharing_ratios=tuple(float(r) for r in ratios),
         sharing_ratio_error=error,
-        synchronized=traj.n < 2 or bool((series[sel] < threshold).all()),
+        synchronized=bool((series[sel] < threshold).all()),
         separation=float(series[sel].mean()),
         amplitude=float(np.abs(traj.x[sel, 0]).mean()),
         fitted_rate=rate, window=window)

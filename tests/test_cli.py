@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from dvocsim.cli import (SQRT3_OVER_2, ScenarioError,
                          write_timeseries)
 from dvocsim.certificates import certificate_margin
 from dvocsim.engine import DisturbanceSpec, InitSpec, simulate
-from dvocsim.scenarios import build_case
+from dvocsim.scenarios import build_case, build_metrics
 
 
 def write(tmp_path, payload, name="scenario.json"):
@@ -188,7 +189,7 @@ class TestRoundTrip:
                "branches": [{"l_f": 1e-3}], "network": {"z_net": [50.0, 0.0]}}
         sc = load_scenario(write(tmp_path, raw))
         assert sc.network.omega_eval == 100.0
-        assert sc.network.impedances()[0] == 0.1j
+        assert sc.network.admittances()[0] == pytest.approx(1 / 0.1j)
 
 
 class TestOverrides:
@@ -294,6 +295,7 @@ class TestCommands:
         assert main(["certify"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
+        assert report["lambda_max_sampled"] is None   # --samples 0 skips it
         assert report["margin_c"] == pytest.approx(553.38, abs=0.01)
 
     def test_certify_open_loop_fails(self, capsys):
@@ -382,6 +384,35 @@ class TestCommands:
         assert main(["certify", "--samples", "10", "--radius", radius]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "radius" in err
+
+    @pytest.mark.parametrize("d_bar", ["nan", "inf", "1e400"])
+    def test_certify_non_finite_d_bar(self, d_bar, capsys):
+        assert main(["certify", "--d-bar", d_bar]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "d_bar" in captured.err
+
+    def test_certify_negative_samples(self, capsys):
+        assert main(["certify", "--samples", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "samples" in captured.err
+
+    @pytest.mark.parametrize("item", ["n=1e300", "t_end=1e6"])
+    def test_oversized_run_exit_code(self, item, tmp_path, capsys):
+        out = tmp_path / "x"
+        tracemalloc.start()
+        try:
+            code = main(["case1", "--set", item, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "n = " in err and "t_end = " in err and "dt = " in err
+        assert peak < 2**20          # refused before any trajectory array
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", [["--seed", "3"], ["--set", "t_end=0.1"]])
     def test_non_object_scenario_file_exit_code(self, flag, tmp_path, capsys):
@@ -490,3 +521,70 @@ class TestReport:
         assert len(report["metrics"]["sync_error_series"]) == len(traj.t)
         assert report["steady_state"]["k_sh"][0] == pytest.approx(1.0, abs=1e-3)
         json.dumps(report)      # JSON-serializable end to end
+
+
+class TestReplay:
+    """The scenario echoed into report.json reproduces the run byte for byte."""
+
+    def replay(self, tmp_path, first_run):
+        echoed = json.loads((first_run / "report.json").read_text())["scenario"]
+        path = write(tmp_path, echoed, name="echoed.json")
+        again = tmp_path / "again"
+        assert main(["simulate", "--scenario", str(path),
+                     "--out", str(again)]) == 0
+        for name in ("timeseries.csv", "report.json"):
+            assert ((again / name).read_bytes()
+                    == (first_run / name).read_bytes()), name
+        return echoed
+
+    def test_case2_with_disturbance_and_overrides(self, tmp_path):
+        first = tmp_path / "first"
+        assert main(["case2", "--n", "4", "--seed", "5", "--out", str(first),
+                     "--set", "t_end=0.1", "--set", "network.t_z=0.05",
+                     "--set", "disturbance.inverter=3",
+                     "--set", "disturbance.amplitude=2.5",
+                     "--set", "init.overrides.1=4.0",
+                     "--set", "init.overrides.4=0.5"]) == 0
+        echoed = self.replay(tmp_path, first)
+        assert echoed["init"]["overrides"] == {"1": 4.0, "4": 0.5}
+        assert echoed["disturbance"] == {"inverter": 3, "amplitude": 2.5,
+                                         "waveform": "rotating"}
+        assert any(b["z_extra"] != [0.0, 0.0] for b in echoed["branches"])
+
+    def test_explicit_with_startup_impedance(self, tmp_path):
+        path = write(tmp_path, {
+            "n": 2, "seed": 4, "t_end": 0.1,
+            "branches": [{"r_f": 0.1, "l_f": 1e-3, "z_extra": [2.0, 0.5]},
+                         {"r_f": 0.2, "l_f": 2e-3, "x_v": 0.3}],
+            "network": {"z_net": [80.0, 5.0], "t_z": 0.02},
+            "init": {"overrides": {"2": 3.0}},
+            "disturbance": {"inverter": 1, "amplitude": 1.0,
+                            "waveform": "constant"}})
+        first = tmp_path / "first"
+        assert main(["simulate", "--scenario", str(path),
+                     "--out", str(first)]) == 0
+        echoed = self.replay(tmp_path, first)
+        assert echoed["branches"][0]["z_extra"] == [2.0, 0.5]
+
+
+class TestOneInverter:
+    """A single inverter is its own synchronized group."""
+
+    def test_explicit_single_inverter_metrics(self, tmp_path):
+        path = write(tmp_path, {"n": 1, "seed": 2, "t_end": 0.1,
+                                "branches": [{"r_f": 0.1, "l_f": 1e-3}],
+                                "network": {"z_net": [50.0, 0.0]}})
+        sc = load_scenario(path)
+        m = build_metrics(simulate(sc))
+        assert m.synchronized is True
+        assert m.sync_error_series.shape == (sc.n_steps + 1,)
+        assert np.all(m.sync_error_series == 0.0)
+        assert m.fitted_rate is None
+        assert m.sharing_ratios == (1.0,)
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(path),
+                     "--out", str(out)]) == 0
+        metrics = json.loads((out / "report.json").read_text())["metrics"]
+        assert metrics["synchronized"] is True
+        assert metrics["fitted_rate"] is None
+        assert set(metrics["sync_error_series"]) == {0.0}

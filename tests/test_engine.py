@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from dvocsim import engine
 from dvocsim.engine import (DisturbanceSpec, InitSpec, Scenario,
                             SimulationDiverged, init_random, rk4_increment,
                             simulate)
-from dvocsim.network import BranchParams, NetworkConfig
+from dvocsim.network import BranchParams, NetworkConfig, total_admittance
 from dvocsim.oscillator import InverterParams
 
 P = InverterParams()
@@ -34,7 +35,7 @@ def make_scenario(n=2, z_net=50.0 + 0j, t_end=0.2, dt=1e-4, seed=1,
 
 def field_at(sc, x, t=0.0):
     """The engine's coupled field at time t, with that step's admittances."""
-    y, y_sigma = engine._schedule(sc, t)
+    y, y_sigma = sc.network.admittances(t), total_admittance(sc.network, t)
     return engine._field(t, x, sc, y, y_sigma)
 
 
@@ -94,6 +95,19 @@ class TestValidation:
     def test_spec_non_finite(self, make, field):
         with pytest.raises(ValueError, match=f"{field}.* finite"):
             make()
+
+    def test_oversized_trajectory_rejected(self):
+        # 2 inverters * 1e10 steps would record ~640 GB
+        with pytest.raises(ValueError, match="n = 2, t_end = 1000000.0 and "
+                           "dt = 0.0001 would record"):
+            make_scenario(t_end=1e6)
+
+    def test_size_limit_boundary(self):
+        per_inverter = 32 * (2000 + 1)       # bytes per inverter, 2000 steps
+        n_max = engine.MAX_TRAJECTORY_BYTES // per_inverter
+        engine.check_grid(n_max, 0.2, 1e-4)
+        with pytest.raises(ValueError, match=f"n = {n_max + 1}"):
+            engine.check_grid(n_max + 1, 0.2, 1e-4)
 
     def test_plant_state_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -204,6 +218,19 @@ class TestRk4Step:
         sc = make_scenario(n=1, seed=0)
         with pytest.raises(SimulationDiverged, match="inverter index 0"):
             simulate(sc, x0=np.array([150.0 + 0j]))
+
+    def test_divergence_check_flags_non_finite_and_large(self):
+        parts = [0.0, -0.0, 1.5, -1.5, 100.0, -100.0, math.inf, -math.inf,
+                 math.nan]
+        for re, im in itertools.product(parts, repeat=2):
+            x = np.array([0.5 + 0j, complex(re, im)])
+            if (not (math.isfinite(re) and math.isfinite(im))
+                    or math.hypot(re, im) > engine.DIVERGENCE_NORM):
+                with pytest.raises(SimulationDiverged,
+                                   match="inverter index 1"):
+                    engine._check_finite(x, 0.0)
+            else:
+                engine._check_finite(x, 0.0)
 
 
 class TestSimulate:
