@@ -29,8 +29,9 @@ from typing import Any, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from .certificates import (CertificateReport, certificate_margin,
-                           error_ball_radius, sampled_lambda_check)
+from .certificates import (CertificateReport, NotContractingError,
+                           certificate_margin, error_ball_radius,
+                           sampled_lambda_check)
 from .engine import (DisturbanceSpec, InitSpec, Scenario, SimulationDiverged,
                      Trajectory, simulate)
 from .network import BranchParams, NetworkConfig, OscillatorDeath, k_sh
@@ -410,16 +411,20 @@ def _cmd_certify(config: argparse.Namespace) -> int:
         raise ScenarioError(f"--samples must be >= 0, got {config.samples}")
     params = _oscillator_for(config)
     report = certificate_margin(params)
+    if config.d_bar is not None:
+        # error_ball_radius checks d_bar before c: a bad d_bar is an error
+        # even when the failing certificate has no error ball
+        try:
+            report = dataclasses.replace(report, error_ball_radius=(
+                error_ball_radius(config.d_bar, report.margin_c)))
+        except NotContractingError:
+            pass
     if config.samples > 0:
         sampled = sampled_lambda_check(params, config.sample_radius,
                                        config.samples,
                                        config.seed if config.seed is not None else 0)
         report = dataclasses.replace(report,
                                      lambda_max_sampled=sampled.max_found)
-    if config.d_bar is not None and report.passed:
-        report = dataclasses.replace(
-            report,
-            error_ball_radius=error_ball_radius(config.d_bar, report.margin_c))
     print(json.dumps(certificate_to_dict(report), indent=2))
     print(f"certificate: {'PASS' if report.passed else 'FAIL'} "
           f"(margin_c = {report.margin_c:.6g} 1/s)", file=sys.stderr)

@@ -1,20 +1,26 @@
 """Fixed-step simulation of N oscillators coupled through the algebraic bus.
 
-Every step evaluates the common bus voltage from the current states (the
-network is algebraic, solved by substitution) and advances all inverters with
-classical RK4.  The per-inverter dynamics are deliberately assembled as
+The network is algebraic, so the bus term of every inverter's field is one
+linear form of the states: kappa*v_o = g . x with the coupling vector
+g = kappa*beta*Y/Y_sigma.  The per-inverter dynamics are deliberately
+assembled as
 
     dx_k/dt = h(x_k) + kappa*v_o(t) [+ d_k(t)]
 
 with the identical bus term for every k, which is the structure the
-synchronization certificate relies on.  Fixed stepping keeps runs bit-exact
-for a given scenario and seed; start-up impedance removal is aligned to the
-step boundary at or after t_z.  A run is strictly sequential, but distinct
-scenarios share no mutable state and can be simulated concurrently.
+synchronization certificate relies on.  All inverters advance with classical
+RK4; the step loop records states only, and the bus voltage and branch
+currents are computed from the recorded states afterwards.  Fixed stepping
+keeps runs bit-exact for a given scenario and seed; start-up impedance
+removal is aligned to the step boundary at or after t_z, which splits a run
+into two segments with constant admittances.  A run is strictly sequential,
+but distinct scenarios share no mutable state and can be simulated
+concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -26,6 +32,7 @@ from .network import (NetworkConfig, branch_currents, pcc_voltage,
 from .oscillator import InverterParams, check_finite, local_map
 
 DIVERGENCE_NORM = 100.0     # pu, far outside any modeled regime
+DIVERGENCE_BLOCK = 64       # steps recorded between two divergence checks
 MAX_DT_OMEGA = 0.2          # resolution guard: > ~31 steps per cycle
 STEP_TOL = 1e-9             # relative tolerance of t_end/dt to a whole number
 # Largest trajectory a run may record, ~32*(S+1)*N bytes for S steps and N
@@ -38,14 +45,19 @@ WAVEFORMS = ("constant", "rotating")
 
 
 class SimulationDiverged(RuntimeError):
-    """A state left the modeled regime; carries the partial trajectory."""
+    """A state left the modeled regime; carries the partial trajectory.
 
-    def __init__(self, t: float, inverter: int,
+    ``last_norm`` is the largest |x| of the last finite recorded state.
+    """
+
+    def __init__(self, t: float, inverter: int, last_norm: float,
                  trajectory: Optional["Trajectory"] = None):
         super().__init__(
-            f"state of inverter index {inverter} diverged at t={t:.6g} s")
+            f"state of inverter index {inverter} diverged at t={t:.6g} s "
+            f"(last finite norm {last_norm:.6g} pu)")
         self.t = t
         self.inverter = inverter
+        self.last_norm = last_norm
         self.trajectory = trajectory
 
 
@@ -186,22 +198,21 @@ def init_random(scenario: Scenario) -> np.ndarray:
     return norm * np.exp(1j * theta)
 
 
-def _disturbance_at(scenario: Scenario, t: float) -> complex:
-    d = scenario.disturbance
-    if d is None or d.amplitude == 0.0:
-        return 0j
+def _disturbance_at(d: DisturbanceSpec, omega0: float, t: float) -> complex:
     if d.waveform == "constant":
         return complex(d.amplitude)
-    return d.amplitude * np.exp(1j * scenario.params[0].omega0 * t)
+    return d.amplitude * np.exp(1j * omega0 * t)
 
 
-def _field(t: float, x: np.ndarray, scenario: Scenario,
-           y: np.ndarray, y_sigma: complex) -> np.ndarray:
-    """Coupled derivative h(x_k) + kappa*v_o (+ disturbance on one inverter)."""
-    p = scenario.params[0]
-    dx = local_map(x, p) + p.kappa * pcc_voltage(x, y, y_sigma, p.beta)
-    if scenario.disturbance is not None:
-        dx[scenario.disturbance.inverter] += _disturbance_at(scenario, t)
+def _field(t: float, x: np.ndarray, p: InverterParams, g: np.ndarray,
+           disturbance: Optional[DisturbanceSpec]) -> np.ndarray:
+    """Coupled derivative h(x_k) + kappa*v_o (+ disturbance on one inverter).
+
+    ``g`` is the coupling vector kappa*beta*Y/Y_sigma, so g . x = kappa*v_o.
+    """
+    dx = local_map(x, p) + np.dot(g, x)
+    if disturbance is not None:
+        dx[disturbance.inverter] += _disturbance_at(disturbance, p.omega0, t)
     return dx
 
 
@@ -218,10 +229,32 @@ def rk4_increment(f, t: float, y, dt: float):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_finite(x: np.ndarray, t: float) -> None:
-    bad = ~(np.abs(x) <= DIVERGENCE_NORM)   # NaN compares false
-    if bad.any():
-        raise SimulationDiverged(t, int(np.argmax(bad)))
+def _first_diverged(rows: np.ndarray) -> Optional[tuple[int, int]]:
+    """(row, inverter) of the first state outside the modeled regime in a
+    block of recorded rows, or None when every state is inside it."""
+    bad = ~(np.abs(rows) <= DIVERGENCE_NORM)    # NaN compares false
+    if not bad.any():
+        return None
+    return divmod(int(np.argmax(bad)), rows.shape[1])
+
+
+def _trajectory(scenario: Scenario, t: np.ndarray, xs: np.ndarray,
+                k: int, segments) -> Trajectory:
+    """The trajectory of the recorded states ``xs``, with the bus voltage and
+    branch currents computed from them.
+
+    Rows before ``k`` see the first of ``segments``' admittances
+    ``(y, y_sigma)``, the rest the second's.  Both arrays are filled in
+    place, one segment at a time, with no (rows, N) temporary.
+    """
+    beta = scenario.params[0].beta
+    vs = np.empty(len(xs), dtype=complex)
+    cs = np.empty(xs.shape, dtype=complex)
+    k = min(k, len(xs))
+    for rows, (y, y_sigma) in zip((slice(0, k), slice(k, len(xs))), segments):
+        vs[rows] = pcc_voltage(xs[rows], y, y_sigma, beta)
+        branch_currents(xs[rows], vs[rows], y, beta, out=cs[rows])
+    return Trajectory(t, xs, vs, cs, scenario)
 
 
 def simulate(scenario: Scenario,
@@ -251,34 +284,35 @@ def simulate(scenario: Scenario,
 
     t_grid = np.arange(steps + 1) * dt
     xs = np.empty((steps + 1, n), dtype=complex)
-    vs = np.empty(steps + 1, dtype=complex)
-    cs = np.empty((steps + 1, n), dtype=complex)
+    xs[0] = x
 
-    # the start-up extra impedance makes the admittances piecewise constant
+    # the start-up extra impedance makes the admittances piecewise constant:
+    # steps [0, k) start before t_z, steps [k, steps) at or after it
     net = scenario.network
-    y_pre, ysum_pre = net.admittances(0.0), total_admittance(net, 0.0)
-    y_post, ysum_post = net.admittances(np.inf), total_admittance(net, np.inf)
-    t_z = net.t_z
+    segments = [(net.admittances(t), total_admittance(net, t))
+                for t in (0.0, math.inf)]
+    k = int(np.searchsorted(t_grid, net.t_z))
+    d = scenario.disturbance
+    if d is not None and d.amplitude == 0.0:
+        d = None
+    f_pre, f_post = (functools.partial(_field, p=p, g=p.kappa_beta * y / y_sigma,
+                                       disturbance=d)
+                     for y, y_sigma in segments)
 
-    def record(i: int, xi: np.ndarray) -> None:
-        y, ysum = (y_pre, ysum_pre) if t_grid[i] < t_z else (y_post, ysum_post)
-        v = pcc_voltage(xi, y, ysum, p.beta)
-        xs[i] = xi
-        vs[i] = v
-        cs[i] = branch_currents(xi, v, y, p.beta)
-
-    record(0, x)
-    for s in range(steps):
-        t_s = t_grid[s]
-        y, ysum = (y_pre, ysum_pre) if t_s < t_z else (y_post, ysum_post)
-        x = rk4_increment(
-            lambda ts, xs: _field(ts, xs, scenario, y, ysum), t_s, x, dt)
-        try:
-            _check_finite(x, t_grid[s + 1])
-        except SimulationDiverged as err:
-            err.trajectory = Trajectory(
-                t_grid[:s + 1].copy(), xs[:s + 1].copy(),
-                vs[:s + 1].copy(), cs[:s + 1].copy(), scenario)
-            raise
-        record(s + 1, x)
-    return Trajectory(t_grid, xs, vs, cs, scenario)
+    # the loop records states only and checks them once per block of rows;
+    # the few steps it takes past a divergence must not warn
+    with np.errstate(all="ignore"):
+        for start in range(0, steps, DIVERGENCE_BLOCK):
+            stop = min(start + DIVERGENCE_BLOCK, steps)
+            for s in range(start, stop):
+                x = rk4_increment(f_pre if s < k else f_post, s * dt, x, dt)
+                xs[s + 1] = x
+            found = _first_diverged(xs[start + 1:stop + 1])
+            if found is not None:
+                row, inverter = found
+                kept = start + row + 1      # rows 0..start+row are finite
+                raise SimulationDiverged(
+                    t_grid[kept], inverter, float(np.abs(xs[kept - 1]).max()),
+                    _trajectory(scenario, t_grid[:kept].copy(),
+                                xs[:kept].copy(), k, segments))
+    return _trajectory(scenario, t_grid, xs, k, segments)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -121,19 +121,29 @@ def total_admittance(cfg: NetworkConfig, t: float) -> complex:
 
 
 def pcc_voltage(x: np.ndarray, y: np.ndarray, y_sigma: complex,
-                scale: float) -> complex:
+                scale: float) -> complex | np.ndarray:
     """Bus voltage sum_i(Y_i * E_i) / Y_sigma for internal voltages E = scale*x.
 
-    ``x`` holds the complex states of all inverters, ``y`` their branch
-    admittances and ``y_sigma`` the total admittance (``total_admittance``).
+    ``x`` holds the complex states of all inverters along its last axis, ``y``
+    their branch admittances and ``y_sigma`` the total admittance
+    (``total_admittance``).  A 1-d ``x`` gives one voltage; leading axes of
+    ``x`` (one row per time, say) give one voltage per row.
     """
-    return scale * np.dot(y, x) / y_sigma
+    return scale * (x @ y) / y_sigma
 
 
-def branch_currents(x: np.ndarray, v: complex, y: np.ndarray,
-                    scale: float) -> np.ndarray:
-    """Per-branch currents (scale*x_i - V) * Y_i flowing into the bus."""
-    return (scale * x - v) * y
+def branch_currents(x: np.ndarray, v: complex | np.ndarray, y: np.ndarray,
+                    scale: float, out: Optional[np.ndarray] = None
+                    ) -> np.ndarray:
+    """Per-branch currents (scale*x_i - V) * Y_i flowing into the bus.
+
+    ``x`` may carry leading axes, with one bus voltage in ``v`` per row.  The
+    result is written to ``out`` (shape of ``x``) when given.
+    """
+    out = np.multiply(x, scale, out=out, dtype=complex)
+    out -= np.expand_dims(v, -1)
+    out *= y
+    return out
 
 
 def k_sh(cfg: NetworkConfig, t: float) -> complex:

@@ -83,7 +83,7 @@ def local_map(x: complex | np.ndarray,
     kappa*v_o.  ``x`` is a complex state, scalar or array; the result has its
     shape.
     """
-    return (chi(x, params) - params.kappa_beta + 1j * params.omega0) * x
+    return (chi(x, params) + complex(-params.kappa_beta, params.omega0)) * x
 
 
 def jacobian_h(x: complex | np.ndarray, params: InverterParams) -> np.ndarray:

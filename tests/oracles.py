@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: the network
 oracle is a dense linear solve instead of the closed-form admittance average,
 the amplitude oracle is the closed-form logistic solution of the radial ODE,
-and the two-inverter field oracle is written in flat real arithmetic.
+and the two-inverter field oracle and the star-network integrator are written
+in flat real arithmetic.
 """
 
 import math
@@ -75,6 +76,78 @@ def flat_two_inverter_field(y, xi, amp_sq, omega0, kappa, beta,
         db = c * x[1] + omega0 * x[0] - kappa * (beta * x[1] - v[1])
         out += [da, db]
     return np.array(out)
+
+
+def flat_star_rk4(x0, xi, amp_sq, omega0, kappa, beta, branches, z_net,
+                  t_z, dt, steps, disturbance=None):
+    """Classical RK4 of n oscillators on the star network, in flat arithmetic.
+
+    x0 is a list of (re, im) initial states; each branch is a tuple
+    (r_f, l_f, r_v, x_v, z_extra) with z_extra as (re, im), active for steps
+    that start before t_z; z_net is (re, im).  ``disturbance`` is
+    (inverter, amplitude, waveform) with waveform "constant" (a real
+    amplitude) or "rotating" (amplitude * e^(j*omega0*t)).  Branch
+    admittances come from the branch parts, the bus voltage from KCL at the
+    bus, sum_i (E_i - V)*Y_i = V/z_net.  Returns (xs, vs, currents): per
+    recorded step the states, the bus voltage and the branch currents, all
+    as (re, im) tuples, with each row's admittances chosen by its own time.
+    """
+    def admittances(before_t_z):
+        ys = []
+        for r_f, l_f, r_v, x_v, z_extra in branches:
+            z = (r_f + r_v, omega0 * l_f + x_v)
+            if before_t_z:
+                z = _cadd(z, z_extra)
+            ys.append(_cinv(z))
+        return ys
+
+    def bus(x, ys):
+        num = _cadd(*[_cmul(y, (beta * a, beta * b)) for y, (a, b) in zip(ys, x)])
+        return _cmul(num, _cinv(_cadd(*ys, _cinv(z_net))))
+
+    def field(t, x, ys):
+        v = bus(x, ys)
+        out = []
+        for k, (a, b) in enumerate(x):
+            c = xi * (amp_sq - a * a - b * b)
+            da = c * a - omega0 * b - kappa * (beta * a - v[0])
+            db = c * b + omega0 * a - kappa * (beta * b - v[1])
+            if disturbance is not None and k == disturbance[0]:
+                amp = disturbance[1]
+                if disturbance[2] == "constant":
+                    da += amp
+                else:
+                    da += amp * math.cos(omega0 * t)
+                    db += amp * math.sin(omega0 * t)
+            out.append((da, db))
+        return out
+
+    def shift(x, k, h):
+        return [(a + h * ka, b + h * kb) for (a, b), (ka, kb) in zip(x, k)]
+
+    y_pre, y_post = admittances(True), admittances(False)
+    x = [tuple(s) for s in x0]
+    xs = [x]
+    for s in range(steps):
+        t = s * dt
+        ys = y_pre if t < t_z else y_post
+        k1 = field(t, x, ys)
+        k2 = field(t + 0.5 * dt, shift(x, k1, 0.5 * dt), ys)
+        k3 = field(t + 0.5 * dt, shift(x, k2, 0.5 * dt), ys)
+        k4 = field(t + dt, shift(x, k3, dt), ys)
+        x = [(a + dt / 6.0 * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
+              b + dt / 6.0 * (q1 + 2.0 * q2 + 2.0 * q3 + q4))
+             for (a, b), (p1, q1), (p2, q2), (p3, q3), (p4, q4)
+             in zip(x, k1, k2, k3, k4)]
+        xs.append(x)
+    vs, currents = [], []
+    for s, x in enumerate(xs):
+        ys = y_pre if s * dt < t_z else y_post
+        v = bus(x, ys)
+        vs.append(v)
+        currents.append([_cmul((beta * a - v[0], beta * b - v[1]), y)
+                         for (a, b), y in zip(x, ys)])
+    return xs, vs, currents
 
 
 def central_difference_jacobian(f, x, h=1e-6):

@@ -363,7 +363,10 @@ class TestCommands:
                      "--out", str(out)]) == 2
         report = json.loads((out / "report.json").read_text())
         assert report["diverged"]["inverter"] == 1
+        assert set(report["diverged"]) == {"t", "inverter"}
         assert (out / "timeseries.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "last finite norm 150 pu" in err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, {"case": "I", "n": 2, "seed": 1, "bogus": 1})
@@ -391,6 +394,16 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "d_bar" in captured.err
+
+    def test_certify_failing_checks_d_bar(self, capsys):
+        assert main(["certify", "--set", "kappa=0", "--d-bar", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "d_bar" in captured.err
+
+    def test_certify_failing_has_no_error_ball(self, capsys):
+        assert main(["certify", "--set", "kappa=0", "--d-bar", "2"]) == 1
+        assert json.loads(capsys.readouterr().out)["error_ball_radius"] is None
 
     def test_certify_negative_samples(self, capsys):
         assert main(["certify", "--samples", "-3"]) == 1

@@ -1,12 +1,14 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import flat_two_inverter_field, logistic_radius
-from dvocsim import engine
+from oracles import flat_star_rk4, flat_two_inverter_field, logistic_radius
+from dvocsim import engine, scenarios
 from dvocsim.engine import (DisturbanceSpec, InitSpec, Scenario,
                             SimulationDiverged, init_random, rk4_increment,
                             simulate)
@@ -34,9 +36,11 @@ def make_scenario(n=2, z_net=50.0 + 0j, t_end=0.2, dt=1e-4, seed=1,
 
 
 def field_at(sc, x, t=0.0):
-    """The engine's coupled field at time t, with that step's admittances."""
+    """The engine's coupled field at time t, with that step's coupling vector
+    kappa*beta*Y/Y_sigma."""
+    p = sc.params[0]
     y, y_sigma = sc.network.admittances(t), total_admittance(sc.network, t)
-    return engine._field(t, x, sc, y, y_sigma)
+    return engine._field(t, x, p, p.kappa_beta * y / y_sigma, sc.disturbance)
 
 
 class TestValidation:
@@ -223,14 +227,12 @@ class TestRk4Step:
         parts = [0.0, -0.0, 1.5, -1.5, 100.0, -100.0, math.inf, -math.inf,
                  math.nan]
         for re, im in itertools.product(parts, repeat=2):
-            x = np.array([0.5 + 0j, complex(re, im)])
+            rows = np.array([[0.5 + 0j, 0.5 + 0j], [0.5 + 0j, complex(re, im)]])
             if (not (math.isfinite(re) and math.isfinite(im))
                     or math.hypot(re, im) > engine.DIVERGENCE_NORM):
-                with pytest.raises(SimulationDiverged,
-                                   match="inverter index 1"):
-                    engine._check_finite(x, 0.0)
+                assert engine._first_diverged(rows) == (1, 1)
             else:
-                engine._check_finite(x, 0.0)
+                assert engine._first_diverged(rows) is None
 
 
 class TestSimulate:
@@ -270,15 +272,45 @@ class TestSimulate:
         assert np.allclose(b.x, a.x[:, perm], rtol=1e-10, atol=1e-12)
 
     def test_recorded_bus_voltage_consistent(self):
-        sc = make_scenario(n=2, seed=8, t_end=0.05)
+        # every row of both segments: before and after the start-up impedance
+        sc = make_scenario(n=2, seed=8, t_end=0.05, t_z=0.02005,
+                           z_extras=[30.0 + 20.0j, 5.0 + 0j])
         traj = simulate(sc)
-        y = sc.network.admittances(math.inf)
-        y_sigma = y.sum() + 1 / sc.network.z_net
-        for idx in (0, 100, 500):
+        y_pre = sc.network.admittances(0.0)
+        y_post = sc.network.admittances(math.inf)
+        rows_pre = 0
+        for idx in range(len(traj.t)):
+            y = y_pre if traj.t[idx] < 0.02005 else y_post
+            rows_pre += y is y_pre
+            y_sigma = y.sum() + 1 / sc.network.z_net
             want = P.beta * np.dot(y, traj.x[idx]) / y_sigma
             assert traj.v_o[idx] == pytest.approx(want, rel=1e-12)
             want_i = (P.beta * traj.x[idx] - traj.v_o[idx]) * y
             assert np.allclose(traj.currents[idx], want_i, rtol=1e-12)
+        assert rows_pre == 201 and len(traj.t) - rows_pre == 300
+
+    def test_matches_flat_star_oracle(self):
+        # case II, N = 4: start-up impedance dropped mid-run, rotating
+        # disturbance on one inverter
+        sc = scenarios.build_case(
+            "II", 4, 17, t_end=0.05, t_z=0.0253,
+            disturbance=DisturbanceSpec(2, 40.0, "rotating"))
+        traj = simulate(sc)
+        p = sc.params[0]
+        branches = [(b.r_f, b.l_f, b.r_v, b.x_v,
+                     (b.z_extra.real, b.z_extra.imag))
+                    for b in sc.network.branches]
+        xs, vs, cs = flat_star_rk4(
+            [(v.real, v.imag) for v in traj.x[0]], p.xi, p.x_nom_sq2,
+            p.omega0, p.kappa, p.beta, branches,
+            (sc.network.z_net.real, sc.network.z_net.imag), sc.network.t_z,
+            sc.dt, sc.n_steps, (2, 40.0, "rotating"))
+        as_complex = lambda rows: np.array(rows) @ np.array([1.0, 1j])
+        for got, want, tol in ((traj.x, as_complex(xs), 1e-12),
+                               (traj.v_o, as_complex(vs), 1e-11),
+                               (traj.currents, as_complex(cs), 1e-9)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
     def test_startup_impedance_removed_at_boundary(self):
         z_extras = [199.0 * (1.0 + 0j)] * 2
@@ -345,3 +377,88 @@ class TestSimulate:
         gap_b = np.abs(b.x[-1, 0] - b.x[-1, 1])
         assert gap_a < 1e-12          # clean run synchronizes
         assert 1e-4 < gap_b < 0.05    # disturbed run sits in a small ball
+
+
+# grows towards the circle |x| = sqrt(2e4) ~ 141 > DIVERGENCE_NORM: the norm
+# crosses 100 at a step set by the initial norm, without overflow
+GROWING = InverterParams(xi=0.01, x_nom_sq2=2e4, kappa=0.0)
+
+
+def crossing_norm(step, dt=1e-4, p=GROWING):
+    """Initial norm whose logistic radius reaches DIVERGENCE_NORM halfway
+    through ``step``, so that step's RK4 result is the first one beyond it."""
+    e = math.exp(-2.0 * p.xi * p.x_nom_sq2 * (step + 0.5) * dt)
+    u = engine.DIVERGENCE_NORM ** 2
+    return math.sqrt(u * p.x_nom_sq2 * e / (p.x_nom_sq2 - u + u * e))
+
+
+def per_step_divergence(sc, x0):
+    """Reference: check every step, stop at the first state outside the
+    regime.  Returns (t, inverter, number of finite rows), or None."""
+    p = sc.params[0]
+    y = sc.network.admittances(math.inf)
+    g = p.kappa_beta * y / total_admittance(sc.network, math.inf)
+    f = lambda t, v: engine._field(t, v, p, g, sc.disturbance)
+    x = np.array(x0, dtype=complex)
+    for s in range(sc.n_steps):
+        x = rk4_increment(f, s * sc.dt, x, sc.dt)
+        bad = ~(np.abs(x) <= engine.DIVERGENCE_NORM)
+        if bad.any():
+            return (s + 1) * sc.dt, int(np.argmax(bad)), s + 1
+    return None
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("step", [0, 63, 64, 94, 191, 299],
+                             ids=["block-0-row-0", "block-0-last-row",
+                                  "block-1-row-0", "mid-block",
+                                  "block-2-last-row", "last-step"])
+    def test_first_bad_step_matches_per_step_check(self, step):
+        # inverter 1 crosses at ``step``, inverter 0 two steps later; steps
+        # 0 and 63 of a 64-step block are its first and last recorded rows
+        x0 = [crossing_norm(step + 2), 1j * crossing_norm(step)]
+        sc = make_scenario(n=2, params=(GROWING,) * 2, t_end=0.03)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = per_step_divergence(sc, x0)
+            with pytest.raises(SimulationDiverged) as excinfo:
+                simulate(sc, x0=np.array(x0))
+        assert want == pytest.approx(((step + 1) * sc.dt, 1, step + 1))
+        err = excinfo.value
+        assert (err.t, err.inverter, len(err.trajectory.t)) == want
+        assert err.last_norm == np.abs(err.trajectory.x[-1]).max()
+        assert err.last_norm <= engine.DIVERGENCE_NORM
+
+    def test_blow_up_past_the_bad_step_does_not_warn(self):
+        # from |x| = 150 the stiff amplitude term overflows to inf and NaN
+        # within the block that follows the first bad step
+        sc = make_scenario(n=2, seed=0, t_end=0.1, overrides=((0, 150.0),))
+        x0 = init_random(sc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = per_step_divergence(sc, x0)
+            with pytest.raises(SimulationDiverged,
+                               match="last finite norm 150 pu") as excinfo:
+                simulate(sc)
+        err = excinfo.value
+        assert (err.t, err.inverter, len(err.trajectory.t)) == want
+        assert want == (sc.dt, 0, 1)
+        assert err.last_norm == pytest.approx(150.0, rel=1e-12)
+        assert err.last_norm == np.abs(err.trajectory.x[-1]).max()
+
+
+class TestMemory:
+    @pytest.mark.parametrize("n, t_end", [(4, 1.0), (100, 0.1)])
+    def test_peak_near_trajectory_size(self, n, t_end):
+        # v_o and the currents are filled in place after the loop: no
+        # (steps, n) temporary on top of the recorded trajectory
+        simulate(scenarios.build_case("II", 4, 1, t_end=0.01))   # warm-up
+        sc = scenarios.build_case("II", n, 1, t_end=t_end)
+        tracemalloc.start()
+        try:
+            traj = simulate(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(a.nbytes for a in (traj.t, traj.x, traj.v_o, traj.currents))
+        assert peak <= 1.35 * size
