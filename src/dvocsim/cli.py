@@ -23,9 +23,13 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
+import threading
 from pathlib import Path
-from typing import Any, NoReturn, Optional, Sequence
+from typing import IO, Any, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -290,12 +294,78 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _format_rows(traj: Trajectory, start: int, stop: int, fh: IO[bytes]) -> None:
+    """Rows ``start:stop`` of the time series, written to ``fh`` a block at a
+    time."""
+    n = traj.n
+    columns = 7 * n + 3
+    # "%.17g" % v gives the same bytes as _fmt(v)
+    row_fmt = ",".join(["%.17g"] * columns) + "\n"
+    for first in range(start, stop, _CSV_BLOCK_ROWS):
+        rows = slice(first, min(first + _CSV_BLOCK_ROWS, stop))
+        x, v_o = traj.x[rows], traj.v_o[rows]
+        re, im = traj.currents[rows].real, traj.currents[rows].imag
+        block = np.empty((len(x), columns))
+        block[:, 0] = traj.t[rows]
+        block[:, 1:2 * n + 1:2] = x.real
+        block[:, 2:2 * n + 1:2] = x.imag
+        block[:, 2 * n + 1] = v_o.real
+        block[:, 2 * n + 2] = v_o.imag
+        i = 2 * n + 3
+        block[:, i:i + 2 * n:2] = re
+        block[:, i + 1:i + 2 * n:2] = im
+        i += 2 * n
+        block[:, i:i + 3 * n:3] = re
+        block[:, i + 1:i + 3 * n:3] = -0.5 * re + SQRT3_OVER_2 * im
+        block[:, i + 2:i + 3 * n:3] = -0.5 * re - SQRT3_OVER_2 * im
+        fh.write("".join(row_fmt % tuple(row)
+                         for row in block.tolist()).encode())
+
+
+def _format_in_child(traj: Trajectory, start: int, stop: int,
+                     fh: IO[bytes]) -> NoReturn:
+    """Format rows ``start:stop`` into ``fh`` and end this forked process.
+
+    It always leaves through ``os._exit``: no atexit hook runs and no buffer
+    inherited from the parent is flushed.  Exit status 0 means ``fh`` holds
+    every row of the range.
+    """
+    status = 1
+    try:
+        _format_rows(traj, start, stop, fh)
+        fh.flush()
+        status = 0
+    except Exception as err:
+        os.write(2, f"error: rows {start}..{stop - 1}: {err!r}\n".encode())
+    finally:
+        os._exit(status)
+
+
 def write_timeseries(traj: Trajectory, path: str | Path) -> None:
     """CSV time series: states (pu), bus voltage (V), currents (A, alpha/beta
     and three-phase via the inverse Clarke transform), 17 significant digits.
 
-    Rows are built and written a block at a time, so memory is
-    O(block * columns) whatever the number of steps.
+    The rows are split into contiguous ranges of whole blocks, one per CPU
+    this process may run on.  Before the file is opened, one child per range
+    after the first is forked to format its range into an unlinked temporary
+    file in the output directory; this process writes the header and range 0,
+    then appends each child's file in row order, so the bytes do not depend
+    on the number of ranges.  Nothing is forked with one usable CPU, one
+    block, no ``os.fork`` or other threads running (``fork`` is unsafe then).
+    Each process formats a block at a time and files are copied in chunks,
+    so memory is O(block * columns) whatever the number of steps; the output
+    directory briefly holds up to one more CSV's worth of temporary data.
+
+    Raises OSError naming ``path`` when a child fails; every child has been
+    reaped when this returns or raises.
     """
     n = traj.n
     header = ["t"]
@@ -303,29 +373,41 @@ def write_timeseries(traj: Trajectory, path: str | Path) -> None:
     header += ["v_o_alpha", "v_o_beta"]
     header += [f"i_{ax}_{k}" for k in range(1, n + 1) for ax in ("alpha", "beta")]
     header += [f"i_{ph}_{k}" for k in range(1, n + 1) for ph in ("a", "b", "c")]
-    # "%.17g" % v gives the same bytes as _fmt(v)
-    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
 
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(traj.t), _CSV_BLOCK_ROWS):
-            rows = slice(start, start + _CSV_BLOCK_ROWS)
-            x, v_o = traj.x[rows], traj.v_o[rows]
-            re, im = traj.currents[rows].real, traj.currents[rows].imag
-            block = np.empty((len(x), len(header)))
-            block[:, 0] = traj.t[rows]
-            block[:, 1:2 * n + 1:2] = x.real
-            block[:, 2:2 * n + 1:2] = x.imag
-            block[:, 2 * n + 1] = v_o.real
-            block[:, 2 * n + 2] = v_o.imag
-            i = 2 * n + 3
-            block[:, i:i + 2 * n:2] = re
-            block[:, i + 1:i + 2 * n:2] = im
-            i += 2 * n
-            block[:, i:i + 3 * n:3] = re
-            block[:, i + 1:i + 3 * n:3] = -0.5 * re + SQRT3_OVER_2 * im
-            block[:, i + 2:i + 3 * n:3] = -0.5 * re - SQRT3_OVER_2 * im
-            fh.write("".join(row_fmt % tuple(row) for row in block.tolist()))
+    steps = len(traj.t)
+    blocks = -(-steps // _CSV_BLOCK_ROWS)
+    parts = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        parts = max(1, min(_usable_cpus(), blocks))
+    edges = [min(steps, blocks * k // parts * _CSV_BLOCK_ROWS)
+             for k in range(parts + 1)]
+    ranges = list(zip(edges[:-1], edges[1:]))
+
+    temps: list[IO[bytes]] = []
+    pids: list[int] = []        # children not yet reaped, in row order
+    try:
+        for start, stop in ranges[1:]:
+            temps.append(tempfile.TemporaryFile(dir=Path(path).parent))
+            pid = os.fork()
+            if pid == 0:
+                _format_in_child(traj, start, stop, temps[-1])
+            pids.append(pid)
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            _format_rows(traj, *ranges[0], fh)
+            for (start, stop), tmp in zip(ranges[1:], temps):
+                status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+                del pids[0]
+                if status != 0:
+                    raise OSError(f"{path}: rows {start}..{stop - 1} were not "
+                                  f"formatted (child exit status {status})")
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, fh)
+    finally:
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for tmp in temps:
+            tmp.close()
 
 
 def certificate_to_dict(report: CertificateReport) -> dict:
@@ -456,12 +538,15 @@ def _cmd_simulate(config: argparse.Namespace, case: Optional[str]) -> int:
 
 def _cmd_sweep(config: argparse.Namespace) -> int:
     base = _oscillator_for(config)
-    text = config.kappas or "0,0.25,0.5,0.75,1,1.25,1.5,1.75,2"
+    text = ("0,0.25,0.5,0.75,1,1.25,1.5,1.75,2" if config.kappas is None
+            else config.kappas)
     try:
         kappas = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
+        kappas = []
+    if not kappas:
         raise ScenarioError(f"--kappas must be comma-separated numbers, "
-                            f"got {text!r}") from None
+                            f"got {text!r}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["kappa,margin_c,passed"]

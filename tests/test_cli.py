@@ -1,12 +1,19 @@
 import argparse
 import csv
+import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dvocsim
+from dvocsim import cli
 from dvocsim.cli import (SQRT3_OVER_2, ScenarioError,
                          apply_overrides, build_report, main, load_scenario,
                          run, scenario_from_dict, scenario_to_dict,
@@ -20,6 +27,48 @@ def write(tmp_path, payload, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+@functools.lru_cache(maxsize=None)
+def _trajectory(name):
+    if name == "case2_partial_block":    # 2001 rows: ends on a partial block
+        return simulate(build_case("II", 4, seed=7, t_end=0.2))
+    if name == "four_rows":              # fewer blocks than CPUs
+        return simulate(build_case("I", 2, seed=4, t_end=3e-4, dt=1e-4))
+    return simulate(scenario_from_dict(
+        {"n": 1, "seed": 2, "t_end": 0.1,
+         "branches": [{"r_f": 0.1, "l_f": 1e-3}],
+         "network": {"z_net": [50.0, 0.0]}}))
+
+
+def count_forks(monkeypatch, cpus):
+    """Make the writer see ``cpus`` usable CPUs; returns the list of forks
+    it makes, which grows as it forks."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def fail_rows(monkeypatch, fails):
+    """Make the writer raise on every range whose first row ``fails``."""
+    real = cli._format_rows
+
+    def format_rows(traj, start, stop, fh):
+        if fails(start):
+            raise RuntimeError(f"rows from {start}")
+        real(traj, start, stop, fh)
+    monkeypatch.setattr(cli, "_format_rows", format_rows)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestLoadScenario:
@@ -240,11 +289,17 @@ class TestWriteTimeseries:
         assert np.array_equal(data[:, 5], traj.v_o.real)
         assert np.array_equal(data[:, 7], traj.currents[:, 0].real)
 
-    def test_bytes_match_per_value_writer(self, tmp_path):
-        # spans several row blocks and ends on a partial one
-        traj = simulate(build_case("II", 4, seed=7, t_end=0.2))
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("name", ["case2_partial_block", "four_rows",
+                                      "one_inverter"])
+    def test_bytes_match_per_value_writer(self, tmp_path, monkeypatch, name,
+                                          cpus):
+        traj = _trajectory(name)
+        forks = count_forks(monkeypatch, cpus)
         path = tmp_path / "ts.csv"
         write_timeseries(traj, path)
+        blocks = -(-len(traj.t) // cli._CSV_BLOCK_ROWS)
+        assert len(forks) == min(cpus, blocks) - 1
 
         def fmt(v):
             return format(float(v), ".17g")
@@ -270,6 +325,28 @@ class TestWriteTimeseries:
         want = ",".join(header) + "\n" + "".join(
             ",".join(fmt(v) for v in row) + "\n" for row in zip(*cols))
         assert path.read_bytes() == want.encode()
+
+    def test_child_failure_names_file(self, tmp_path, monkeypatch, capsys):
+        count_forks(monkeypatch, 3)
+        fail_rows(monkeypatch, lambda start: start > 0)
+        path = tmp_path / "ts.csv"
+        with pytest.raises(OSError, match="ts.csv"):
+            write_timeseries(_trajectory("case2_partial_block"), path)
+        assert_no_children()
+        out = tmp_path / "run"
+        assert main(["case2", "--set", "t_end=0.02", "--out", str(out)]) == 1
+        assert_no_children()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "timeseries.csv" in err
+
+    def test_parent_failure_reaps_children(self, tmp_path, monkeypatch):
+        forks = count_forks(monkeypatch, 3)
+        fail_rows(monkeypatch, lambda start: start == 0)
+        with pytest.raises(RuntimeError, match="rows from 0"):
+            write_timeseries(_trajectory("case2_partial_block"),
+                             tmp_path / "ts.csv")
+        assert len(forks) == 2
+        assert_no_children()
 
     def test_phase_columns_match_inv_clarke(self, tmp_path):
         sc = build_case("I", 2, seed=4, t_end=3e-4, dt=1e-4)
@@ -461,6 +538,25 @@ class TestCommands:
         assert [r[2] for r in rows[1:]] == ["false", "true", "true"]
         margin = float(rows[3][1])
         assert margin == pytest.approx(553.3826, abs=1e-3)
+
+    @pytest.mark.parametrize("kappas", [",", "", " , "],
+                             ids=["comma", "empty", "blank"])
+    def test_sweep_without_kappas_exit_code(self, tmp_path, capsys, kappas):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out), "--kappas", kappas]) == 1
+        assert "--kappas" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def test_import_starts_no_process_pool(self):
+        # a process pool's import costs a measurable share of start-up
+        src = Path(dvocsim.__file__).resolve().parents[1]
+        code = ("import sys, dvocsim, dvocsim.cli; print(sorted(m for m in "
+                "('multiprocessing', 'concurrent.futures') "
+                "if m in sys.modules))")
+        got = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert got.stdout.strip() == "[]"
 
 
 def sweep_margins(tmp_path, args):
