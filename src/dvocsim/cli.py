@@ -547,12 +547,14 @@ def _cmd_sweep(config: argparse.Namespace) -> int:
     if not kappas:
         raise ScenarioError(f"--kappas must be comma-separated numbers, "
                             f"got {text!r}")
+    # every kappa is checked before anything is printed or created
+    reports = [certificate_margin(dataclasses.replace(base, kappa=kappa))
+               for kappa in kappas]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["kappa,margin_c,passed"]
     print(f"{'kappa':>10} {'margin_c':>14} pass")
-    for kappa in kappas:
-        report = certificate_margin(dataclasses.replace(base, kappa=kappa))
+    for kappa, report in zip(kappas, reports):
         lines.append(f"{_fmt(kappa)},{_fmt(report.margin_c)},"
                      f"{str(report.passed).lower()}")
         print(f"{kappa:>10.4g} {report.margin_c:>14.6g} "

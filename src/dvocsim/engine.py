@@ -16,6 +16,19 @@ removal is aligned to the step boundary at or after t_z, which splits a run
 into two segments with constant admittances.  A run is strictly sequential,
 but distinct scenarios share no mutable state and can be simulated
 concurrently.
+
+The step loop is bound by interpreter overhead, not arithmetic: an N = 4
+state is four complex numbers.  Under numpy's scalar promotion rules (NEP
+50) every operation between an array and a Python float or complex converts
+that scalar afresh, which costs about as much again as the operation itself.
+So every scalar operand of the loop is handed to numpy as a 0-d array of the
+operand's own dtype, built once per run: the constants ``local_map`` reads
+(``_MapConstants``) and the RK4 weights (``_rk4_weights``).  A 0-d operand
+goes through the same stride-0 loop as the promoted scalar, so trajectories
+keep every bit.  |x|^2 stays ``x.real**2 + x.imag**2``: the faster
+``(x*x.conj()).real`` goes through numpy's complex multiply, which uses
+fused multiply-adds where the CPU has them (AVX-512, say), and there it
+changes the trajectory from the first step.
 """
 
 from __future__ import annotations
@@ -204,29 +217,63 @@ def _disturbance_at(d: DisturbanceSpec, omega0: float, t: float) -> complex:
     return d.amplitude * np.exp(1j * omega0 * t)
 
 
-def _field(t: float, x: np.ndarray, p: InverterParams, g: np.ndarray,
+class _MapConstants:
+    """What the field reads of ``p``, built once per run: the operands of
+    ``local_map`` as 0-d arrays (see the module docstring) and omega0, the
+    disturbance's angular frequency, as a float.  A plain class: a dataclass
+    would add ~1 ms to ``import dvocsim``."""
+
+    __slots__ = ("xi", "x_nom_sq2", "shift", "omega0")
+
+    def __init__(self, p: InverterParams):
+        self.xi = np.array(p.xi)
+        self.x_nom_sq2 = np.array(p.x_nom_sq2)
+        self.shift = np.array(p.shift)
+        self.omega0 = p.omega0
+
+
+def _field(t: float, x: np.ndarray, c: _MapConstants, g: np.ndarray,
            disturbance: Optional[DisturbanceSpec]) -> np.ndarray:
     """Coupled derivative h(x_k) + kappa*v_o (+ disturbance on one inverter).
 
     ``g`` is the coupling vector kappa*beta*Y/Y_sigma, so g . x = kappa*v_o.
     """
-    dx = local_map(x, p) + np.dot(g, x)
+    dx = local_map(x, c) + np.dot(g, x)
     if disturbance is not None:
-        dx[disturbance.inverter] += _disturbance_at(disturbance, p.omega0, t)
+        dx[disturbance.inverter] += _disturbance_at(disturbance, c.omega0, t)
     return dx
+
+
+@functools.lru_cache(maxsize=16)
+def _rk4_weights(dt: float, dtype: np.dtype) -> tuple[np.ndarray, ...]:
+    """0.5*dt, dt, dt/6 and 2 as read-only 0-d arrays of the dtype that a
+    Python float takes on against a ``dtype`` array."""
+    dtype = np.result_type(dtype, dt)
+    weights = tuple(np.array(w, dtype) for w in (0.5 * dt, dt, dt / 6.0, 2.0))
+    for w in weights:
+        w.flags.writeable = False
+    return weights
 
 
 def rk4_increment(f, t: float, y, dt: float):
     """One classical 4th-order Runge-Kutta step of dy/dt = f(t, y).
 
     Generic over scalars and arrays; this single kernel is what every
-    simulation step in the package goes through.
+    simulation step in the package goes through.  For an array ``y`` the
+    scalar weights are cached 0-d arrays (``_rk4_weights``), which skips
+    numpy's per-call promotion of Python scalars (NEP 50) and gives the same
+    bits.  A scalar ``y`` keeps Python-float weights, so a Python float or
+    complex state gives a result of its own type.
     """
+    if isinstance(y, np.ndarray):
+        half, whole, sixth, two = _rk4_weights(dt, y.dtype)
+    else:
+        half, whole, sixth, two = 0.5 * dt, dt, dt / 6.0, 2.0
     k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
-    k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + 0.5 * dt, y + half * k1)
+    k3 = f(t + 0.5 * dt, y + half * k2)
+    k4 = f(t + dt, y + whole * k3)
+    return y + sixth * (k1 + two * k2 + two * k3 + k4)
 
 
 def _first_diverged(rows: np.ndarray) -> Optional[tuple[int, int]]:
@@ -295,7 +342,8 @@ def simulate(scenario: Scenario,
     d = scenario.disturbance
     if d is not None and d.amplitude == 0.0:
         d = None
-    f_pre, f_post = (functools.partial(_field, p=p, g=p.kappa_beta * y / y_sigma,
+    c = _MapConstants(p)
+    f_pre, f_post = (functools.partial(_field, c=c, g=p.kappa_beta * y / y_sigma,
                                        disturbance=d)
                      for y, y_sigma in segments)
 

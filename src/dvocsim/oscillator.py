@@ -64,6 +64,12 @@ class InverterParams:
     def kappa_beta(self) -> float:
         return self.kappa * self.beta
 
+    @property
+    def shift(self) -> complex:
+        """-kappa*beta + j*omega0: the part of the local map's gain that does
+        not depend on the state."""
+        return complex(-self.kappa_beta, self.omega0)
+
 
 def chi(x: complex | np.ndarray,
         params: InverterParams) -> float | np.ndarray:
@@ -81,9 +87,11 @@ def local_map(x: complex | np.ndarray,
 
     The coupled field of every inverter is h(x_k) plus the common bus term
     kappa*v_o.  ``x`` is a complex state, scalar or array; the result has its
-    shape.
+    shape.  Of ``params`` it reads ``xi``, ``x_nom_sq2`` and ``shift``, so
+    any object with those attributes will do (the engine passes them as 0-d
+    arrays).
     """
-    return (chi(x, params) + complex(-params.kappa_beta, params.omega0)) * x
+    return (chi(x, params) + params.shift) * x
 
 
 def jacobian_h(x: complex | np.ndarray, params: InverterParams) -> np.ndarray:

@@ -273,7 +273,8 @@ class TestWriteTimeseries:
         traj = simulate(sc)
         path = tmp_path / "ts.csv"
         write_timeseries(traj, path)
-        rows = list(csv.reader(path.open()))
+        with path.open() as f:
+            rows = list(csv.reader(f))
         n = 2
         assert len(rows) == 1 + len(traj.t)          # header + S+1 points
         assert len(rows[0]) == 1 + 2 * n + 2 + 2 * n + 3 * n
@@ -353,7 +354,8 @@ class TestWriteTimeseries:
         traj = simulate(sc)
         path = tmp_path / "ts.csv"
         write_timeseries(traj, path)
-        rows = list(csv.reader(path.open()))
+        with path.open() as f:
+            rows = list(csv.reader(f))
         header = rows[0]
         for k in range(2):
             i = header.index(f"i_a_{k + 1}")
@@ -533,7 +535,8 @@ class TestCommands:
         out = tmp_path / "sweep"
         assert main(["sweep", "--out", str(out),
                      "--kappas", "0,0.0178,1"]) == 0
-        rows = list(csv.reader((out / "sweep.csv").open()))
+        with (out / "sweep.csv").open() as f:
+            rows = list(csv.reader(f))
         assert rows[0] == ["kappa", "margin_c", "passed"]
         assert [r[2] for r in rows[1:]] == ["false", "true", "true"]
         margin = float(rows[3][1])
@@ -546,6 +549,20 @@ class TestCommands:
         assert main(["sweep", "--out", str(out), "--kappas", kappas]) == 1
         assert "--kappas" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("kappas, message", [
+        ("nan,inf", "kappa must be finite, got nan"),
+        ("1,inf", "kappa must be finite, got inf"),
+        ("1,-2", "kappa must be >= 0, got -2.0"),
+    ], ids=["nan-first", "inf-second", "negative-second"])
+    def test_sweep_rejects_kappa_before_any_output(self, tmp_path, capsys,
+                                                   kappas, message):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out), "--kappas", kappas]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_import_starts_no_process_pool(self):
         # a process pool's import costs a measurable share of start-up
@@ -562,7 +579,8 @@ class TestCommands:
 def sweep_margins(tmp_path, args):
     out = tmp_path / "sweep"
     assert main(["sweep", "--out", str(out)] + args) == 0
-    rows = list(csv.reader((out / "sweep.csv").open()))
+    with (out / "sweep.csv").open() as f:
+        rows = list(csv.reader(f))
     return [float(r[1]) for r in rows[1:]]
 
 

@@ -12,7 +12,8 @@ from dvocsim import engine, scenarios
 from dvocsim.engine import (DisturbanceSpec, InitSpec, Scenario,
                             SimulationDiverged, init_random, rk4_increment,
                             simulate)
-from dvocsim.network import BranchParams, NetworkConfig, total_admittance
+from dvocsim.network import (BranchParams, NetworkConfig, branch_currents,
+                             pcc_voltage, total_admittance)
 from dvocsim.oscillator import InverterParams
 
 P = InverterParams()
@@ -40,7 +41,8 @@ def field_at(sc, x, t=0.0):
     kappa*beta*Y/Y_sigma."""
     p = sc.params[0]
     y, y_sigma = sc.network.admittances(t), total_admittance(sc.network, t)
-    return engine._field(t, x, p, p.kappa_beta * y / y_sigma, sc.disturbance)
+    return engine._field(t, x, engine._MapConstants(p),
+                         p.kappa_beta * y / y_sigma, sc.disturbance)
 
 
 class TestValidation:
@@ -209,6 +211,38 @@ class TestRk4Kernel:
                 r = rk4_increment(f, i * dt, r, dt)
             errs.append(abs(r - logistic_radius(0.1, 0.4)))
         assert errs[0] / errs[1] == pytest.approx(16.0, abs=3.0)
+
+    @pytest.mark.parametrize("y, f", [
+        (0.1, lambda t, r: P.xi * (P.x_nom_sq2 - r * r) * r),
+        (0.3 + 0.4j, lambda t, v: ((P.xi * (P.x_nom_sq2 - abs(v) ** 2)
+                                    + 1j * W0) * v + math.cos(W0 * t))),
+        (np.array([0.3 + 0.4j, -0.9 + 0.1j, 0.0 - 0.0j]),
+         lambda t, v: (P.xi * (P.x_nom_sq2 - np.abs(v) ** 2) + 1j * W0) * v
+         + 7.0 * t),
+        (np.array([complex(math.inf, 1.0), -0.5 - 0.5j]), lambda t, v: v),
+        (np.array([0.3, -0.9], dtype=np.float32),
+         lambda t, r: np.float32(P.xi) * (1 - r * r) * r),
+    ], ids=["float", "complex", "complex-array", "complex-array-non-finite",
+            "float32-array"])
+    def test_same_result_as_python_float_weights(self, y, f):
+        # the kernel's arithmetic with every weight a Python float
+        def reference(t, y, dt):
+            k1 = f(t, y)
+            k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
+            k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
+            k4 = f(t + dt, y + dt * k3)
+            return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        for dt in (1e-4, 1e-3 / 3):
+            with np.errstate(invalid="ignore"):    # 0 * inf in the products
+                got = rk4_increment(f, 0.01, y, dt)
+                want = reference(0.01, y, dt)
+            assert type(got) is type(want)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()     # same bits
+            else:
+                assert got == want
 
 
 class TestRk4Step:
@@ -379,6 +413,68 @@ class TestSimulate:
         assert 1e-4 < gap_b < 0.05    # disturbed run sits in a small ball
 
 
+def python_scalar_run(sc):
+    """Reference step loop: the engine's arithmetic in its order, with every
+    scalar operand a Python float or complex that numpy promotes per call.
+
+    Returns the recorded states and the bus voltage and branch currents
+    computed from them, one impedance segment at a time like ``simulate``.
+    """
+    p, d, dt = sc.params[0], sc.disturbance, sc.dt
+    t_grid = np.arange(sc.n_steps + 1) * dt
+    k_z = int(np.searchsorted(t_grid, sc.network.t_z))
+    segments = [(sc.network.admittances(t), total_admittance(sc.network, t))
+                for t in (0.0, math.inf)]
+
+    def field(t, x, g):
+        dx = ((p.xi * (p.x_nom_sq2 - (x.real ** 2 + x.imag ** 2))
+               + complex(-p.kappa_beta, p.omega0)) * x + np.dot(g, x))
+        if d is not None:
+            dx[d.inverter] += (complex(d.amplitude) if d.waveform == "constant"
+                               else d.amplitude * np.exp(1j * p.omega0 * t))
+        return dx
+
+    x = init_random(sc)
+    xs = [x]
+    for s in range(sc.n_steps):
+        y, y_sigma = segments[0 if s < k_z else 1]
+        g = p.kappa_beta * y / y_sigma
+        t = s * dt
+        k1 = field(t, x, g)
+        k2 = field(t + 0.5 * dt, x + (0.5 * dt) * k1, g)
+        k3 = field(t + 0.5 * dt, x + (0.5 * dt) * k2, g)
+        k4 = field(t + dt, x + dt * k3, g)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        xs.append(x)
+    xs = np.array(xs)
+    rows = (slice(0, k_z), slice(k_z, None))
+    v_o = np.concatenate([pcc_voltage(xs[r], y, y_sigma, p.beta)
+                          for r, (y, y_sigma) in zip(rows, segments)])
+    currents = np.concatenate([branch_currents(xs[r], v_o[r], y, p.beta)
+                               for r, (y, _) in zip(rows, segments)])
+    return xs, v_o, currents
+
+
+class TestPythonScalarReference:
+    """``simulate`` hands its scalar operands to numpy as 0-d arrays; the
+    trajectory must be bit for bit the one Python scalars give."""
+
+    @pytest.mark.parametrize("n, case", [
+        (4, dict(t_end=0.2, t_z=0.1,
+                 disturbance=DisturbanceSpec(1, 5.0, "rotating"))),
+        (4, dict(t_end=0.2, t_z=0.1,
+                 disturbance=DisturbanceSpec(2, 5.0, "constant"))),
+        (100, dict(t_end=0.01)),
+    ], ids=["n4-rotating-tz-mid-run", "n4-constant-tz-mid-run", "n100-short"])
+    def test_bit_identical(self, n, case):
+        sc = scenarios.build_case("II", n, 3, **case)
+        traj = simulate(sc)
+        xs, v_o, currents = python_scalar_run(sc)
+        assert np.array_equal(traj.x, xs)
+        assert np.array_equal(traj.v_o, v_o)
+        assert np.array_equal(traj.currents, currents)
+
+
 # grows towards the circle |x| = sqrt(2e4) ~ 141 > DIVERGENCE_NORM: the norm
 # crosses 100 at a step set by the initial norm, without overflow
 GROWING = InverterParams(xi=0.01, x_nom_sq2=2e4, kappa=0.0)
@@ -398,7 +494,8 @@ def per_step_divergence(sc, x0):
     p = sc.params[0]
     y = sc.network.admittances(math.inf)
     g = p.kappa_beta * y / total_admittance(sc.network, math.inf)
-    f = lambda t, v: engine._field(t, v, p, g, sc.disturbance)
+    c = engine._MapConstants(p)
+    f = lambda t, v: engine._field(t, v, c, g, sc.disturbance)
     x = np.array(x0, dtype=complex)
     for s in range(sc.n_steps):
         x = rk4_increment(f, s * sc.dt, x, sc.dt)

@@ -52,7 +52,8 @@ def phase_rows(tmp_path, currents):
                       build_case("I", 2, seed=0, t_end=0.01))
     path = tmp_path / "ts.csv"
     write_timeseries(traj, path)
-    rows = list(csv.reader(path.open()))
+    with path.open() as f:
+        rows = list(csv.reader(f))
     return rows[0], [[float(v) for v in r] for r in rows[1:]]
 
 
