@@ -16,7 +16,7 @@ parameters plus sampled verification of the eigenvalue bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,9 +37,10 @@ class CertificateReport:
 
     margin_c: float                         # kappa*beta - xi*2*Xnom^2, 1/s
     passed: bool                            # margin strictly positive
-    params: InverterParams
     lambda_max_sampled: Optional[float] = None
     error_ball_radius: Optional[float] = None   # pu per unit disturbance bound
+    _: KW_ONLY
+    params: InverterParams                  # last in report.json's order
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,8 @@ def sampled_lambda_check(params: InverterParams, radius: float,
         raise ValueError(f"radius must be finite and > 0, got {radius}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, n_samples)
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, n_samples))

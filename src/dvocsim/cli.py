@@ -13,8 +13,9 @@ Complex values are written as two-element ``[re, im]`` arrays.  Inverter
 numbering in files and reports is 1-based (matching column names such as
 ``x_alpha_1``); Python APIs are 0-based.
 
-Exit codes: 0 success (for ``certify``: certificate passed), 1 bad
-input/unsatisfied certificate/IO failure, 2 simulation divergence.
+Exit codes: 0 success (for ``certify``: certificate passed); 1 bad input,
+which includes a usage error such as a missing or unknown flag, an
+unsatisfied certificate or an IO failure; 2 simulation divergence.
 """
 
 from __future__ import annotations
@@ -203,12 +204,17 @@ def scenario_from_dict(raw: Any) -> Scenario:
                     dt=dt, init=init, disturbance=disturbance)
 
 
+def _json_value(v: Any) -> Any:
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    return v.tolist() if isinstance(v, np.ndarray) else v
+
+
 def _to_json(obj: Any, *skip: str) -> dict:
-    """A dataclass's fields as JSON values; complex numbers become [re, im]."""
-    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
-              if f.name not in skip}
-    return {k: [v.real, v.imag] if isinstance(v, complex) else v
-            for k, v in values.items()}
+    """A dataclass's fields as JSON values; complex numbers become [re, im]
+    and arrays lists."""
+    return {f.name: _json_value(getattr(obj, f.name))
+            for f in dataclasses.fields(obj) if f.name not in skip}
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -247,11 +253,12 @@ def _strict_json(text: str) -> Any:
                       parse_float=_finite_float)
 
 
-def _read_scenario_json(path: str | Path) -> Any:
+def _read_scenario_json(path: str | Path) -> dict:
     try:
-        return _strict_json(Path(path).read_text())
+        raw = _strict_json(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise ScenarioError(f"{path} is not valid JSON: {err}") from err
+    return _object(raw, "scenario")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -410,111 +417,89 @@ def write_timeseries(traj: Trajectory, path: str | Path) -> None:
             tmp.close()
 
 
-def certificate_to_dict(report: CertificateReport) -> dict:
-    d = dataclasses.asdict(report)
-    d["params"] = d.pop("params")     # last, as report.json has always had it
-    return d
-
-
 def build_report(scenario: Scenario, cert: CertificateReport,
                  traj: Optional[Trajectory] = None,
                  diverged: Optional[SimulationDiverged] = None) -> dict:
     """Everything a run produces, as one JSON-ready dict."""
-    report: dict[str, Any] = {
-        "scenario": scenario_to_dict(scenario),
-        "certificate": certificate_to_dict(cert),
-        "metrics": None,
-        "steady_state": None,
-        "diverged": None,
-    }
+    metrics = None
+    if traj is not None:
+        try:
+            metrics = build_metrics(traj)
+        except ValueError:
+            pass        # partial trajectories can be shorter than the window
     ks = k_sh(scenario.network, math.inf)
     r_star = predicted_r_star(scenario)
-    report["steady_state"] = {
-        "k_sh": [ks.real, ks.imag],
-        "r_star": None if isinstance(r_star, OscillatorDeath) else r_star,
-        "oscillator_death": isinstance(r_star, OscillatorDeath),
+    return {
+        "scenario": scenario_to_dict(scenario),
+        "certificate": dataclasses.asdict(cert),
+        "metrics": None if metrics is None else _to_json(
+            metrics, "current_amplitudes", "separation"),
+        "steady_state": {
+            "k_sh": [ks.real, ks.imag],
+            "r_star": None if isinstance(r_star, OscillatorDeath) else r_star,
+            "oscillator_death": isinstance(r_star, OscillatorDeath),
+        },
+        "diverged": None if diverged is None else {
+            "t": diverged.t, "inverter": diverged.inverter + 1},
     }
-    if traj is not None and len(traj.t) > 1:
-        try:
-            m = build_metrics(traj)
-        except ValueError:
-            m = None    # partial trajectories can be shorter than the window
-        if m is not None:
-            report["metrics"] = {
-                "sync_time": m.sync_time,
-                "sync_threshold": m.sync_threshold,
-                "synchronized": m.synchronized,
-                "sharing_ratios": list(m.sharing_ratios),
-                "sharing_ratio_error": m.sharing_ratio_error,
-                "amplitude": m.amplitude,
-                "fitted_rate": m.fitted_rate,
-                "window": m.window,
-                "sync_error_series": m.sync_error_series.tolist(),
-            }
-    if diverged is not None:
-        report["diverged"] = {"t": diverged.t,
-                              "inverter": diverged.inverter + 1}
-    return report
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _scenario_for(config: argparse.Namespace,
-                  case: Optional[str]) -> Scenario:
-    if case is not None:
-        raw: dict[str, Any] = {"case": case, "n": config.n,
-                               "seed": config.seed if config.seed is not None else 0}
-    elif config.scenario_path is not None:
-        raw = _object(_read_scenario_json(config.scenario_path), "scenario")
-        if config.seed is not None:
-            raw["seed"] = config.seed
-    else:
-        raise ScenarioError("a scenario file is required (--scenario)")
-    raw = apply_overrides(raw, config.overrides)
-    return scenario_from_dict(raw)
+def _scenario_for(raw: dict, seed: Optional[int],
+                  overrides: Sequence[str]) -> Scenario:
+    """Scenario of ``raw`` with ``seed`` (if given), then ``--set``, applied."""
+    if seed is not None:
+        raw["seed"] = seed
+    return scenario_from_dict(apply_overrides(raw, overrides))
 
 
-def _oscillator_for(config: argparse.Namespace) -> InverterParams:
+def _oscillator_for(config: argparse.Namespace,
+                    seed: Optional[int] = None) -> InverterParams:
     """Oscillator constants of --scenario, or the defaults plus --set."""
     if config.scenario_path is not None:
-        return _scenario_for(config, None).params[0]
+        return _scenario_for(_read_scenario_json(config.scenario_path), seed,
+                             config.overrides).params[0]
     return _section(InverterParams, apply_overrides({}, config.overrides),
                     "--set")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _cmd_certify(config: argparse.Namespace) -> int:
     if config.samples < 0:
         raise ScenarioError(f"--samples must be >= 0, got {config.samples}")
-    params = _oscillator_for(config)
+    params = _oscillator_for(config, config.seed)
     report = certificate_margin(params)
+    found: dict[str, float] = {}
     if config.d_bar is not None:
         # error_ball_radius checks d_bar before c: a bad d_bar is an error
         # even when the failing certificate has no error ball
         try:
-            report = dataclasses.replace(report, error_ball_radius=(
-                error_ball_radius(config.d_bar, report.margin_c)))
+            found["error_ball_radius"] = error_ball_radius(config.d_bar,
+                                                           report.margin_c)
         except NotContractingError:
             pass
     if config.samples > 0:
-        sampled = sampled_lambda_check(params, config.sample_radius,
-                                       config.samples,
-                                       config.seed if config.seed is not None else 0)
-        report = dataclasses.replace(report,
-                                     lambda_max_sampled=sampled.max_found)
-    print(json.dumps(certificate_to_dict(report), indent=2))
+        found["lambda_max_sampled"] = sampled_lambda_check(
+            params, config.sample_radius, config.samples,
+            config.seed or 0).max_found
+    report = dataclasses.replace(report, **found)
+    print(json.dumps(dataclasses.asdict(report), indent=2))
     print(f"certificate: {'PASS' if report.passed else 'FAIL'} "
           f"(margin_c = {report.margin_c:.6g} 1/s)", file=sys.stderr)
     return 0 if report.passed else 1
 
 
-def _cmd_simulate(config: argparse.Namespace, case: Optional[str]) -> int:
-    scenario = _scenario_for(config, case)
+def _cmd_simulate(config: argparse.Namespace) -> int:
+    raw = ({"case": config.case, "n": config.n, "seed": 0}
+           if config.case is not None
+           else _read_scenario_json(config.scenario_path))
+    scenario = _scenario_for(raw, config.seed, config.overrides)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cert = certificate_margin(scenario.params[0])
@@ -529,7 +514,10 @@ def _cmd_simulate(config: argparse.Namespace, case: Optional[str]) -> int:
     _write_json(out / "report.json",
                 build_report(scenario, cert, traj, diverged))
     if diverged is not None:
-        print(f"error: {diverged}", file=sys.stderr)
+        # numbered from 1, as in report.json and the CSV columns
+        print(f"error: state of inverter {diverged.inverter + 1} diverged at "
+              f"t={diverged.t:.6g} s (last finite norm "
+              f"{diverged.last_norm:.6g} pu)", file=sys.stderr)
         return 2
     print(f"wrote {out / 'timeseries.csv'} and {out / 'report.json'}",
           file=sys.stderr)
@@ -564,67 +552,67 @@ def _cmd_sweep(config: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One declaration per command: its help, its handler and the flags the
+    handler reads; ``run`` calls the handler."""
+    flags: dict[str, dict[str, Any]] = {
+        "--scenario": dict(dest="scenario_path", metavar="PATH",
+                           help="scenario JSON file"),
+        "--seed": dict(type=int, help="override the scenario seed"),
+        "--set": dict(dest="overrides", action="append", default=[],
+                      metavar="KEY=VALUE", help="override a scenario entry "
+                      "(dotted path, repeatable)"),
+        "--out": dict(dest="out_dir", metavar="DIR", help="output directory"),
+        "--n": dict(type=int, default=4, help="number of inverters"),
+        "--samples": dict(type=int, default=0,
+                          help="also sample the Jacobian eigenvalue bound"),
+        "--radius": dict(dest="sample_radius", type=float, default=2.0),
+        "--d-bar": dict(dest="d_bar", type=float,
+                        help="disturbance bound for the error-ball radius"),
+        "--kappas": dict(help="comma-separated kappa values"),
+    }
     parser = argparse.ArgumentParser(
         prog="dvocsim",
         description="Simulate parallel grid-forming oscillators and check "
                     "their synchronization certificate.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out_required: bool) -> None:
-        p.add_argument("--scenario", dest="scenario_path", metavar="PATH",
-                       help="scenario JSON file")
-        p.add_argument("--seed", type=int, help="override the scenario seed")
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="override a scenario entry "
-                       "(dotted path, repeatable)")
-        if out_required:
-            p.add_argument("--out", dest="out_dir", required=True,
-                           metavar="DIR", help="output directory")
-
-    p = sub.add_parser("certify", help="algebraic contraction certificate")
-    common(p, out_required=False)
-    p.add_argument("--samples", type=int, default=0,
-                   help="also sample the Jacobian eigenvalue bound")
-    p.add_argument("--radius", dest="sample_radius", type=float, default=2.0)
-    p.add_argument("--d-bar", dest="d_bar", type=float,
-                   help="disturbance bound for the error-ball radius")
-
-    p = sub.add_parser("simulate", help="run a scenario file")
-    common(p, out_required=True)
-
-    for name, help_text in (("case1", "stock start-up scenario, equal branches"),
-                            ("case2", "stock sharing scenario, 20:10.5 groups")):
+    def command(name, help_text, handler, *names, required=("--out",),
+                **defaults) -> None:
         p = sub.add_parser(name, help=help_text)
-        common(p, out_required=True)
-        p.add_argument("--n", type=int, default=4, help="number of inverters")
+        for flag in names:
+            p.add_argument(flag, required=flag in required, **flags[flag])
+        p.set_defaults(handler=handler, **defaults)
 
-    p = sub.add_parser("sweep", help="kappa grid of certificate margins")
-    common(p, out_required=True)
-    p.add_argument("--kappas", help="comma-separated kappa values")
+    command("certify", "algebraic contraction certificate", _cmd_certify,
+            "--scenario", "--seed", "--set", "--samples", "--radius", "--d-bar")
+    command("simulate", "run a scenario file", _cmd_simulate,
+            "--scenario", "--seed", "--set", "--out",
+            required=("--scenario", "--out"), case=None)
+    command("case1", "stock start-up scenario, equal branches", _cmd_simulate,
+            "--n", "--seed", "--set", "--out", case="I")
+    command("case2", "stock sharing scenario, 20:10.5 groups", _cmd_simulate,
+            "--n", "--seed", "--set", "--out", case="II")
+    command("sweep", "kappa grid of certificate margins", _cmd_sweep,
+            "--scenario", "--set", "--out", "--kappas")
     return parser
 
 
 def run(config: argparse.Namespace) -> int:
-    """Dispatch one parsed command; returns the process exit code."""
+    """Run one parsed command's handler; returns the process exit code."""
     try:
-        if config.command == "certify":
-            return _cmd_certify(config)
-        if config.command == "simulate":
-            return _cmd_simulate(config, None)
-        if config.command == "case1":
-            return _cmd_simulate(config, "I")
-        if config.command == "case2":
-            return _cmd_simulate(config, "II")
-        if config.command == "sweep":
-            return _cmd_sweep(config)
-        raise ScenarioError(f"unknown command {config.command!r}")
+        return config.handler(config)
     except (ScenarioError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run(build_parser().parse_args(argv))
+    try:
+        config = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # --help (0) or a usage error (argparse's 2, dvocsim's divergence)
+        return 1 if stop.code else 0
+    return run(config)
 
 
 if __name__ == "__main__":

@@ -86,6 +86,8 @@ class InitSpec:
         object.__setattr__(self, "overrides", tuple(
             (int(k), float(v)) for k, v in self.overrides))
         check_finite(self, ("norm_bound",))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.norm_bound < 0:
             raise ValueError(f"norm_bound must be >= 0, got {self.norm_bound}")
         for k, v in self.overrides:

@@ -49,19 +49,20 @@ DEFAULT_WINDOW = 0.04       # s; two cycles at 50 Hz
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Quantities reported for one simulation run."""
+    """Quantities reported for one simulation run, in report.json's order."""
 
-    sync_error_series: np.ndarray       # max pairwise |x_i - x_j| per step, pu
     sync_time: Optional[float]          # s; None if never achieved
     sync_threshold: float
-    current_amplitudes: tuple[float, ...]   # A, trailing-window RMS
-    sharing_ratios: tuple[float, ...]   # current amplitudes over branch 1's
-    sharing_ratio_error: float          # max rel. deviation from |Y_i|/|Y_1|
     synchronized: bool                  # series below threshold in the window
     separation: float                   # pu, trailing-window mean of series
+    current_amplitudes: tuple[float, ...]   # A, trailing-window RMS
+    # None when branch 1 carries no current
+    sharing_ratios: Optional[tuple[float, ...]]  # amplitudes over branch 1's
+    sharing_ratio_error: Optional[float]  # max rel. deviation from |Y_i|/|Y_1|
     amplitude: float                    # pu, trailing-window mean of |x_1|
     fitted_rate: Optional[float]        # 1/s; None if the fit is degenerate
     window: float
+    sync_error_series: np.ndarray       # max pairwise |x_i - x_j| per step, pu
 
 
 def case2_low_indices(n: int) -> tuple[int, int]:
@@ -93,15 +94,18 @@ def build_case(case_id: str, n: int, seed: int, *,
                              f"groups are populated, got {n}")
     else:
         raise ValueError(f"unknown case id {case_id!r}")
-    if load_pu <= 0:
-        raise ValueError(f"load_pu must be > 0, got {load_pu}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0 < load_pu < math.inf:
+        raise ValueError(f"load_pu must be finite and > 0, got {load_pu}")
     if not 0.0 <= load_angle <= math.pi / 2:
         raise ValueError(f"load_angle must be in [0, pi/2], got {load_angle}")
-    if domination_ratio <= 0:
-        raise ValueError(
-            f"domination_ratio must be > 0, got {domination_ratio}")
-    if zt_multiplier < 1:
-        raise ValueError(f"zt_multiplier must be >= 1, got {zt_multiplier}")
+    if not 0 < domination_ratio < math.inf:
+        raise ValueError(f"domination_ratio must be finite and > 0, "
+                         f"got {domination_ratio}")
+    if not 1 <= zt_multiplier < math.inf:
+        raise ValueError(f"zt_multiplier must be finite and >= 1, "
+                         f"got {zt_multiplier}")
     check_grid(n, t_end, dt)
 
     if base is None:
@@ -196,8 +200,7 @@ def fit_decay_rate(t: np.ndarray, series: np.ndarray,
 
 
 def build_metrics(traj: Trajectory, *,
-                  window: float = DEFAULT_WINDOW,
-                  threshold: float = SYNC_THRESHOLD) -> MetricsReport:
+                  window: float = DEFAULT_WINDOW) -> MetricsReport:
     """Post-processing of one run; window quantities average the trailing
     ``window`` seconds."""
     if traj.t[-1] - traj.t[0] <= window:
@@ -207,8 +210,11 @@ def build_metrics(traj: Trajectory, *,
 
     amps = np.sqrt((np.abs(traj.currents[sel]) ** 2).mean(axis=0))
     y = np.abs(traj.scenario.network.admittances(math.inf))
-    ratios = amps / amps[0] if amps[0] > 0 else np.full_like(amps, np.nan)
-    error = float(np.abs(ratios / (y / y[0]) - 1.0).max())
+    ratios = error = None
+    if amps[0] > 0:
+        shares = amps / amps[0]
+        ratios = tuple(float(r) for r in shares)
+        error = float(np.abs(shares / (y / y[0]) - 1.0).max())
 
     # fit the decay where the series is still well above the roundoff floor
     floor = max(1e-12, 1e-12 * float(series[0]))
@@ -223,12 +229,12 @@ def build_metrics(traj: Trajectory, *,
             rate = None
     return MetricsReport(
         sync_error_series=series,
-        sync_time=sync_time(traj.t, series, threshold),
-        sync_threshold=threshold,
+        sync_time=sync_time(traj.t, series),
+        sync_threshold=SYNC_THRESHOLD,
         current_amplitudes=tuple(float(a) for a in amps),
-        sharing_ratios=tuple(float(r) for r in ratios),
+        sharing_ratios=ratios,
         sharing_ratio_error=error,
-        synchronized=bool((series[sel] < threshold).all()),
+        synchronized=bool((series[sel] < SYNC_THRESHOLD).all()),
         separation=float(series[sel].mean()),
         amplitude=float(np.abs(traj.x[sel, 0]).mean()),
         fitted_rate=rate, window=window)

@@ -70,6 +70,8 @@ class TestSampledLambda:
             sampled_lambda_check(P, 0.0, 10, 0)
         with pytest.raises(ValueError, match="n_samples"):
             sampled_lambda_check(P, 1.0, 0, 0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            sampled_lambda_check(P, 1.0, 10, -1)
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
     def test_non_finite_radius(self, radius):

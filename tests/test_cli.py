@@ -1,9 +1,9 @@
-import argparse
 import csv
 import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,8 +14,8 @@ import pytest
 
 import dvocsim
 from dvocsim import cli
-from dvocsim.cli import (SQRT3_OVER_2, ScenarioError,
-                         apply_overrides, build_report, main, load_scenario,
+from dvocsim.cli import (SQRT3_OVER_2, ScenarioError, apply_overrides,
+                         build_parser, build_report, main, load_scenario,
                          run, scenario_from_dict, scenario_to_dict,
                          write_timeseries)
 from dvocsim.certificates import certificate_margin
@@ -447,6 +447,61 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "last finite norm 150 pu" in err
 
+    def test_divergence_line_numbers_inverters_as_report(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "boom"
+        assert main(["case2", "--set", "oscillator.xi=1e4",
+                     "--set", "oscillator.kappa=100", "--set", "t_end=0.05",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        number = int(re.search(r"state of inverter (\d+) diverged", err)[1])
+        report = json.loads((out / "report.json").read_text())
+        assert number == report["diverged"]["inverter"] == 1
+        assert "last finite norm 10 pu" in err
+        with (out / "timeseries.csv").open() as f:
+            assert f"x_alpha_{number}" in next(csv.reader(f))
+
+    def test_report_without_current_is_strict_json(self, tmp_path, capsys):
+        # every state starts at the origin and stays there: no current flows
+        path = write(tmp_path, {"case": "II", "n": 4, "seed": 1, "t_end": 0.1,
+                                "init": {"norm_bound": 0},
+                                "network": {"t_z": 0.05}})
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(path),
+                     "--out", str(out)]) == 0
+
+        def reject(name):
+            raise AssertionError(f"report.json holds {name}")
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=reject)
+        assert report["metrics"]["sharing_ratios"] is None
+        assert report["metrics"]["sharing_ratio_error"] is None
+
+    @pytest.mark.parametrize("argv, scenario", [
+        (["case1", "--seed", "-1"], None),
+        (["case2", "--seed", "-1"], None),
+        (["simulate", "--seed", "-1"], {"case": "I", "n": 2, "seed": 0}),
+        (["simulate"], {"case": "I", "n": 2, "seed": -1}),
+        (["simulate"], {"case": "II", "n": 4, "seed": -1,
+                        "network": {"zt_jitter": True}}),
+        (["simulate"], {"n": 1, "seed": -1, "branches": [{"r_f": 0.1}],
+                        "network": {"z_net": [50.0, 0.0]}}),
+        (["certify", "--samples", "3", "--seed", "-1"], None),
+    ], ids=["case1", "case2", "simulate-flag", "case-file", "jitter-file",
+            "explicit-file", "certify-samples"])
+    def test_negative_seed_names_seed(self, argv, scenario, tmp_path,
+                                      capsys):
+        out = tmp_path / "x"
+        if scenario is not None:
+            argv = argv + ["--scenario", str(write(tmp_path, scenario))]
+        if argv[0] != "certify":
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, {"case": "I", "n": 2, "seed": 1, "bogus": 1})
         assert main(["simulate", "--scenario", str(path),
@@ -617,9 +672,9 @@ class TestOscillatorResolver:
 
 def certify_namespace(**changes):
     """The namespace build_parser gives for a bare ``certify``."""
-    fields = dict(command="certify", scenario_path=None, seed=None,
-                  overrides=[], samples=0, sample_radius=2.0, d_bar=None)
-    return argparse.Namespace(**{**fields, **changes})
+    config = build_parser().parse_args(["certify"])
+    vars(config).update(changes)
+    return config
 
 
 class TestRun:
@@ -630,8 +685,50 @@ class TestRun:
         assert main(["certify", "--set", "kappa=0"]) == 1
 
     def test_unknown_command(self, capsys):
-        assert run(argparse.Namespace(command="frobnicate")) == 1
-        assert "frobnicate" in capsys.readouterr().err
+        assert main(["frobnicate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dvocsim") and "'frobnicate'" in err
+
+
+class TestUsage:
+    """Usage errors exit 1, the code for bad input; 2 is for divergence."""
+
+    @pytest.mark.parametrize("argv", [
+        ["case2"],                                  # --out is required
+        ["case2", "--out", "x", "--bogus"],
+        ["case2", "--n", "abc", "--out", "x"],
+        ["simulate", "--out", "x"],                 # --scenario is required
+        ["case2", "--scenario", "f.json", "--out", "x"],
+        ["case1", "--scenario", "f.json", "--out", "x"],
+        ["sweep", "--seed", "3", "--out", "x"],
+    ], ids=["missing-out", "unknown-flag", "bad-int", "missing-scenario",
+            "case2-scenario", "case1-scenario", "sweep-seed"])
+    def test_usage_error_exit_code(self, argv, tmp_path, capsys,
+                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: dvocsim")
+        assert ": error: " in captured.err
+        assert list(tmp_path.iterdir()) == []       # nothing was run
+
+    def test_help_exit_code(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: dvocsim")
+
+    @pytest.mark.parametrize("command, flags", [
+        ("certify", {"--scenario", "--seed", "--set", "--samples",
+                     "--radius", "--d-bar"}),
+        ("simulate", {"--scenario", "--seed", "--set", "--out"}),
+        ("case1", {"--n", "--seed", "--set", "--out"}),
+        ("case2", {"--n", "--seed", "--set", "--out"}),
+        ("sweep", {"--scenario", "--set", "--out", "--kappas"}),
+    ])
+    def test_flags_per_command(self, command, flags, capsys):
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == flags | {"--help"}
 
 
 class TestReport:

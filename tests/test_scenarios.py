@@ -101,6 +101,17 @@ class TestBuildCase:
         with pytest.raises(ValueError, match="domination_ratio"):
             build_case("I", 4, seed=0, domination_ratio=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("knob", ["load_pu", "load_angle",
+                                      "domination_ratio", "zt_multiplier"])
+    def test_non_finite_knob_names_it(self, knob, value):
+        with pytest.raises(ValueError, match=f"^{knob} must be"):
+            build_case("II", 4, 0, **{knob: value})
+
+    def test_negative_seed_before_jitter_draw(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            build_case("II", 4, -1, zt_jitter=True)
+
 
 class TestSyncError:
     def test_identical_states_zero(self):
