@@ -43,6 +43,8 @@ from .network import BranchParams, NetworkConfig, OscillatorDeath, k_sh
 from .oscillator import InverterParams
 from .scenarios import build_case, build_metrics, predicted_r_star
 
+SCENARIO_KEYS = ("case", "n", "seed", "t_end", "dt", "oscillator", "branches",
+                 "network", "init", "disturbance")
 CASE_NETWORK_KEYS = ("t_z", "load_pu", "load_angle", "domination_ratio",
                      "zt_multiplier", "zt_jitter")
 
@@ -158,9 +160,7 @@ def _parse_disturbance(d: Any, n: int) -> Optional[DisturbanceSpec]:
 
 def scenario_from_dict(raw: Any) -> Scenario:
     """Strictly parse a scenario dict (case form or explicit form)."""
-    top = ("case", "n", "seed", "t_end", "dt", "oscillator", "branches",
-           "network", "init", "disturbance")
-    _check_keys(_object(raw, "scenario"), top, "scenario")
+    _check_keys(_object(raw, "scenario"), SCENARIO_KEYS, "scenario")
     if "seed" not in raw:
         raise ScenarioError("missing required key 'seed' in scenario")
     seed = _whole(raw, "seed", "scenario")
@@ -448,22 +448,17 @@ def build_report(scenario: Scenario, cert: CertificateReport,
 # commands
 
 
-def _scenario_for(raw: dict, seed: Optional[int],
-                  overrides: Sequence[str]) -> Scenario:
-    """Scenario of ``raw`` with ``seed`` (if given), then ``--set``, applied."""
-    if seed is not None:
-        raw["seed"] = seed
-    return scenario_from_dict(apply_overrides(raw, overrides))
-
-
-def _oscillator_for(config: argparse.Namespace,
-                    seed: Optional[int] = None) -> InverterParams:
-    """Oscillator constants of --scenario, or the defaults plus --set."""
-    if config.scenario_path is not None:
-        return _scenario_for(_read_scenario_json(config.scenario_path), seed,
-                             config.overrides).params[0]
-    return _section(InverterParams, apply_overrides({}, config.overrides),
-                    "--set")
+def _oscillator_for(config: argparse.Namespace) -> InverterParams:
+    """Oscillator constants: the ``oscillator`` section of --scenario, or the
+    defaults, with --set applied.  Nothing else of the file is built, so a
+    scenario too large to simulate can still be certified."""
+    if config.scenario_path is None:
+        return _section(InverterParams, apply_overrides({}, config.overrides),
+                        "--set")
+    raw = apply_overrides(_read_scenario_json(config.scenario_path),
+                          config.overrides)
+    _check_keys(raw, SCENARIO_KEYS, "scenario")
+    return _section(InverterParams, raw.get("oscillator", {}), "oscillator")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -473,7 +468,9 @@ def _write_json(path: Path, payload: dict) -> None:
 def _cmd_certify(config: argparse.Namespace) -> int:
     if config.samples < 0:
         raise ScenarioError(f"--samples must be >= 0, got {config.samples}")
-    params = _oscillator_for(config, config.seed)
+    if config.seed is not None and config.seed < 0:
+        raise ScenarioError(f"seed must be >= 0, got {config.seed}")
+    params = _oscillator_for(config)
     report = certificate_margin(params)
     found: dict[str, float] = {}
     if config.d_bar is not None:
@@ -499,7 +496,9 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
     raw = ({"case": config.case, "n": config.n, "seed": 0}
            if config.case is not None
            else _read_scenario_json(config.scenario_path))
-    scenario = _scenario_for(raw, config.seed, config.overrides)
+    if config.seed is not None:
+        raw["seed"] = config.seed
+    scenario = scenario_from_dict(apply_overrides(raw, config.overrides))
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cert = certificate_margin(scenario.params[0])

@@ -18,22 +18,25 @@ but distinct scenarios share no mutable state and can be simulated
 concurrently.
 
 The step loop is bound by interpreter overhead, not arithmetic: an N = 4
-state is four complex numbers.  Under numpy's scalar promotion rules (NEP
-50) every operation between an array and a Python float or complex converts
-that scalar afresh, which costs about as much again as the operation itself.
-So every scalar operand of the loop is handed to numpy as a 0-d array of the
-operand's own dtype, built once per run: the constants ``local_map`` reads
-(``_MapConstants``) and the RK4 weights (``_rk4_weights``).  A 0-d operand
-goes through the same stride-0 loop as the promoted scalar, so trajectories
-keep every bit.  |x|^2 stays ``x.real**2 + x.imag**2``: the faster
-``(x*x.conj()).real`` goes through numpy's complex multiply, which uses
-fused multiply-adds where the CPU has them (AVX-512, say), and there it
-changes the trajectory from the first step.
+state is four complex numbers.  So ``simulate`` builds one workspace per run
+(``_Workspace``) and every step writes into its buffers with ``out=`` ufunc
+calls, allocating no array and casting no operand.  Its scalar operands are
+0-d arrays of the operand's own dtype: under numpy's scalar promotion rules
+(NEP 50) a Python float or complex is converted afresh on every call, and a
+0-d array goes through the same stride-0 loop.  The bus term g . x goes into
+a 0-d buffer.  Two identities keep the allocating form's bits:
+
+* |x|^2 is one multiply of ``x.view(np.float64)`` by itself and one add of
+  its even and odd elements, term by term ``x.real**2 + x.imag**2``.  Not
+  ``(x*x.conj()).real``: numpy's complex multiply uses fused multiply-adds
+  where the CPU has them (AVX-512, say), which changes the trajectory.
+* chi - kappa*beta is a float add into the real part of a complex buffer
+  whose imaginary part holds omega0: the allocating form adds
+  -kappa*beta + j*omega0 to chi cast to complex, and 0.0 + omega0 is omega0.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -219,63 +222,88 @@ def _disturbance_at(d: DisturbanceSpec, omega0: float, t: float) -> complex:
     return d.amplitude * np.exp(1j * omega0 * t)
 
 
-class _MapConstants:
-    """What the field reads of ``p``, built once per run: the operands of
-    ``local_map`` as 0-d arrays (see the module docstring) and omega0, the
-    disturbance's angular frequency, as a float.  A plain class: a dataclass
-    would add ~1 ms to ``import dvocsim``."""
+class _Workspace:
+    """One run's state (adopted and advanced in place), RK4 stages, the
+    operands and scratch of ``chi``/``local_map`` and the bus buffer, which
+    every step of ``simulate`` writes into.  It belongs to one run, never to
+    the module, so distinct runs can go on concurrently.  A plain class: a
+    dataclass would add ~1 ms to ``import dvocsim``.
+    """
 
-    __slots__ = ("xi", "x_nom_sq2", "shift", "omega0")
+    __slots__ = ("y", "yv", "ys", "ysv", "stages", "weights", "xi",
+                 "x_nom_sq2", "neg_kappa_beta", "omega0", "sq", "sq_re",
+                 "sq_im", "gain", "gain_re", "bus", "g", "disturbance")
 
-    def __init__(self, p: InverterParams):
+    def __init__(self, p: InverterParams, y: np.ndarray, dt: float,
+                 disturbance: Optional[DisturbanceSpec]):
+        n = len(y)
+        self.y, self.yv = y, y.view(np.float64)
+        # k1..k4, the stage state and the accumulator
+        self.stages = tuple(np.empty(n, dtype=complex) for _ in range(6))
+        self.ys = self.stages[4]
+        self.ysv = self.ys.view(np.float64)
+        # a Python float operand takes on the state's dtype (NEP 50)
+        self.weights = tuple(np.array(w, dtype=complex)
+                             for w in (0.5 * dt, dt, dt / 6.0, 2.0))
         self.xi = np.array(p.xi)
         self.x_nom_sq2 = np.array(p.x_nom_sq2)
-        self.shift = np.array(p.shift)
+        self.neg_kappa_beta = np.array(-p.kappa_beta)
         self.omega0 = p.omega0
+        self.sq = np.empty(2 * n)
+        self.sq_re, self.sq_im = self.sq[0::2], self.sq[1::2]
+        self.gain = np.full(n, complex(0.0, p.omega0))
+        self.gain_re = self.gain.real
+        self.bus = np.empty((), dtype=complex)
+        self.g: Optional[np.ndarray] = None
+        self.disturbance = disturbance
+
+    def field(self, t: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Coupled derivative h(x_k) + kappa*v_o (+ disturbance on one
+        inverter), written into ``out``.
+
+        ``g`` is the coupling vector kappa*beta*Y/Y_sigma, so g . x =
+        kappa*v_o.  ``x`` is a contiguous complex array.
+        """
+        local_map(x, self, out)
+        np.dot(self.g, x, self.bus)
+        np.add(out, self.bus, out)
+        d = self.disturbance
+        if d is not None:
+            out[d.inverter] += _disturbance_at(d, self.omega0, t)
+        return out
 
 
-def _field(t: float, x: np.ndarray, c: _MapConstants, g: np.ndarray,
-           disturbance: Optional[DisturbanceSpec]) -> np.ndarray:
-    """Coupled derivative h(x_k) + kappa*v_o (+ disturbance on one inverter).
-
-    ``g`` is the coupling vector kappa*beta*Y/Y_sigma, so g . x = kappa*v_o.
-    """
-    dx = local_map(x, c) + np.dot(g, x)
-    if disturbance is not None:
-        dx[disturbance.inverter] += _disturbance_at(disturbance, c.omega0, t)
-    return dx
-
-
-@functools.lru_cache(maxsize=16)
-def _rk4_weights(dt: float, dtype: np.dtype) -> tuple[np.ndarray, ...]:
-    """0.5*dt, dt, dt/6 and 2 as read-only 0-d arrays of the dtype that a
-    Python float takes on against a ``dtype`` array."""
-    dtype = np.result_type(dtype, dt)
-    weights = tuple(np.array(w, dtype) for w in (0.5 * dt, dt, dt / 6.0, 2.0))
-    for w in weights:
-        w.flags.writeable = False
-    return weights
-
-
-def rk4_increment(f, t: float, y, dt: float):
+def rk4_increment(f, t: float, y, dt: float,
+                  w: Optional[_Workspace] = None):
     """One classical 4th-order Runge-Kutta step of dy/dt = f(t, y).
 
-    Generic over scalars and arrays; this single kernel is what every
-    simulation step in the package goes through.  For an array ``y`` the
-    scalar weights are cached 0-d arrays (``_rk4_weights``), which skips
-    numpy's per-call promotion of Python scalars (NEP 50) and gives the same
-    bits.  A scalar ``y`` keeps Python-float weights, so a Python float or
-    complex state gives a result of its own type.
+    This single kernel is what every simulation step in the package goes
+    through.  Without ``w`` it is generic over scalars and arrays and returns
+    a new value of y's type.  With a run workspace ``w``, ``y`` is ``w.y``,
+    ``f(t, x, out)`` writes into ``out``, and the result is written into
+    ``y`` and returned; the arithmetic and its order are the same, with 0-d
+    weights, so are the bits.
     """
-    if isinstance(y, np.ndarray):
-        half, whole, sixth, two = _rk4_weights(dt, y.dtype)
-    else:
+    if w is None:
         half, whole, sixth, two = 0.5 * dt, dt, dt / 6.0, 2.0
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + half * k1)
-    k3 = f(t + 0.5 * dt, y + half * k2)
-    k4 = f(t + dt, y + whole * k3)
-    return y + sixth * (k1 + two * k2 + two * k3 + k4)
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * dt, y + half * k1)
+        k3 = f(t + 0.5 * dt, y + half * k2)
+        k4 = f(t + dt, y + whole * k3)
+        return y + sixth * (k1 + two * k2 + two * k3 + k4)
+    half, whole, sixth, two = w.weights
+    k1, k2, k3, k4, ys, acc = w.stages
+    f(t, y, k1)
+    np.add(y, np.multiply(half, k1, acc), ys)
+    f(t + 0.5 * dt, ys, k2)
+    np.add(y, np.multiply(half, k2, acc), ys)
+    f(t + 0.5 * dt, ys, k3)
+    np.add(y, np.multiply(whole, k3, acc), ys)
+    f(t + dt, ys, k4)
+    np.add(k1, np.multiply(two, k2, acc), acc)
+    np.add(acc, np.multiply(two, k3, ys), acc)
+    np.add(acc, k4, acc)
+    return np.add(y, np.multiply(sixth, acc, acc), y)
 
 
 def _first_diverged(rows: np.ndarray) -> Optional[tuple[int, int]]:
@@ -344,10 +372,10 @@ def simulate(scenario: Scenario,
     d = scenario.disturbance
     if d is not None and d.amplitude == 0.0:
         d = None
-    c = _MapConstants(p)
-    f_pre, f_post = (functools.partial(_field, c=c, g=p.kappa_beta * y / y_sigma,
-                                       disturbance=d)
-                     for y, y_sigma in segments)
+    w = _Workspace(p, x, dt, d)
+    g_pre, g_post = (p.kappa_beta * y / y_sigma for y, y_sigma in segments)
+    w.g = g_pre
+    field = w.field
 
     # the loop records states only and checks them once per block of rows;
     # the few steps it takes past a divergence must not warn
@@ -355,8 +383,9 @@ def simulate(scenario: Scenario,
         for start in range(0, steps, DIVERGENCE_BLOCK):
             stop = min(start + DIVERGENCE_BLOCK, steps)
             for s in range(start, stop):
-                x = rk4_increment(f_pre if s < k else f_post, s * dt, x, dt)
-                xs[s + 1] = x
+                if s == k:
+                    w.g = g_post
+                xs[s + 1] = rk4_increment(field, s * dt, x, dt, w)
             found = _first_diverged(xs[start + 1:stop + 1])
             if found is not None:
                 row, inverter = found

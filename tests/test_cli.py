@@ -487,8 +487,9 @@ class TestCommands:
         (["simulate"], {"n": 1, "seed": -1, "branches": [{"r_f": 0.1}],
                         "network": {"z_net": [50.0, 0.0]}}),
         (["certify", "--samples", "3", "--seed", "-1"], None),
+        (["certify", "--seed", "-1"], None),    # the seed feeds nothing here
     ], ids=["case1", "case2", "simulate-flag", "case-file", "jitter-file",
-            "explicit-file", "certify-samples"])
+            "explicit-file", "certify-samples", "certify-no-samples"])
     def test_negative_seed_names_seed(self, argv, scenario, tmp_path,
                                       capsys):
         out = tmp_path / "x"
@@ -544,6 +545,25 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "samples" in captured.err
+
+    def test_certify_reads_only_the_oscillator(self, tmp_path, capsys):
+        # a run of 100 000 inverters would record ~64 GB; the certificate
+        # needs none of it
+        path = write(tmp_path, {"case": "I", "n": 100000, "seed": 0})
+        assert main(["certify", "--scenario", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["margin_c"] == pytest.approx(553.38, abs=0.01)
+
+    def test_certify_scenario_set_and_key_check(self, tmp_path, capsys):
+        path = write(tmp_path, {"case": "I", "n": 100000, "seed": 0})
+        assert main(["certify", "--scenario", str(path),
+                     "--set", "oscillator.kappa=0"]) == 1
+        assert json.loads(capsys.readouterr().out)["passed"] is False
+        typo = write(tmp_path, {"case": "I", "n": 2, "seed": 0,
+                                "oscilator": {"kappa": 0.0}}, "typo.json")
+        assert main(["certify", "--scenario", str(typo)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'oscilator'" in err
 
     @pytest.mark.parametrize("item", ["n=1e300", "t_end=1e6"])
     def test_oversized_run_exit_code(self, item, tmp_path, capsys):

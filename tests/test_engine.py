@@ -41,8 +41,10 @@ def field_at(sc, x, t=0.0):
     kappa*beta*Y/Y_sigma."""
     p = sc.params[0]
     y, y_sigma = sc.network.admittances(t), total_admittance(sc.network, t)
-    return engine._field(t, x, engine._MapConstants(p),
-                         p.kappa_beta * y / y_sigma, sc.disturbance)
+    w = engine._Workspace(p, np.array(x, dtype=complex), sc.dt,
+                          sc.disturbance)
+    w.g = p.kappa_beta * y / y_sigma
+    return w.field(t, w.y, np.empty(sc.n, dtype=complex))
 
 
 class TestValidation:
@@ -384,15 +386,47 @@ class TestSimulate:
             simulate(sc, x0=np.array([1.0 + 0j]))
 
     def test_concurrent_runs_are_independent(self):
-        # disjoint scenarios share no mutable state
+        # each run steps in its own workspace: with more threads than cores,
+        # runs of one size and a switch interval short enough to interleave
+        # their steps, every trajectory is bit for bit its sequential one
+        import sys
         from concurrent.futures import ThreadPoolExecutor
-        sc1 = make_scenario(n=2, seed=1, t_end=0.05)
-        sc2 = make_scenario(n=3, seed=2, t_end=0.05)
-        with ThreadPoolExecutor(2) as pool:
-            a, b = pool.submit(simulate, sc1), pool.submit(simulate, sc2)
-            a, b = a.result(), b.result()
-        assert np.array_equal(a.x, simulate(sc1).x)
-        assert np.array_equal(b.x, simulate(sc2).x)
+        runs = [make_scenario(n=4, seed=1, t_end=0.05),
+                make_scenario(n=4, seed=2, t_end=0.05, t_z=0.02,
+                              z_extras=[30.0 + 20.0j, 5.0 + 0j, 0j, 0j]),
+                make_scenario(n=4, seed=3, t_end=0.05,
+                              disturbance=DisturbanceSpec(1, 5.0, "rotating")),
+                scenarios.build_case("II", 4, 4, t_end=0.05, t_z=0.025)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(runs)) as pool:
+                futures = [pool.submit(simulate, sc) for sc in runs]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for sc, traj in zip(runs, got):
+            want = simulate(sc)
+            for name in ("x", "v_o", "currents"):
+                assert np.array_equal(getattr(traj, name), getattr(want, name))
+
+    def test_later_run_leaves_earlier_trajectory(self):
+        sc = make_scenario(n=3, seed=5, t_end=0.02)
+        first = simulate(sc)
+        kept = [a.copy() for a in (first.t, first.x, first.v_o, first.currents)]
+        simulate(sc)
+        simulate(make_scenario(n=3, seed=6, t_end=0.02))
+        for a, b in zip(kept, (first.t, first.x, first.v_o, first.currents)):
+            assert np.array_equal(a, b)
+
+    def test_x0_left_unchanged(self):
+        sc = make_scenario(n=2, seed=1, t_end=0.02)
+        x0 = np.array([0.5 + 0.1j, -0.3 + 0.4j])
+        kept = x0.copy()
+        traj = simulate(sc, x0=x0)
+        assert np.array_equal(x0, kept)
+        assert np.array_equal(traj.x[0], kept)
+        assert not np.shares_memory(traj.x, x0)
 
     def test_trajectory_state_accessors(self):
         sc = make_scenario(n=2, seed=1, t_end=0.01)
@@ -456,8 +490,9 @@ def python_scalar_run(sc):
 
 
 class TestPythonScalarReference:
-    """``simulate`` hands its scalar operands to numpy as 0-d arrays; the
-    trajectory must be bit for bit the one Python scalars give."""
+    """``simulate`` steps in place in its workspace, with its scalar operands
+    as 0-d arrays; the trajectory must be bit for bit the one the allocating
+    step with Python scalars gives."""
 
     @pytest.mark.parametrize("n, case", [
         (4, dict(t_end=0.2, t_z=0.1,
@@ -465,7 +500,9 @@ class TestPythonScalarReference:
         (4, dict(t_end=0.2, t_z=0.1,
                  disturbance=DisturbanceSpec(2, 5.0, "constant"))),
         (100, dict(t_end=0.01)),
-    ], ids=["n4-rotating-tz-mid-run", "n4-constant-tz-mid-run", "n100-short"])
+        (8, dict(t_end=0.1, t_z=0.05, base=InverterParams(kappa=4.0))),
+    ], ids=["n4-rotating-tz-mid-run", "n4-constant-tz-mid-run", "n100-short",
+            "n8-tz-mid-run"])
     def test_bit_identical(self, n, case):
         sc = scenarios.build_case("II", n, 3, **case)
         traj = simulate(sc)
@@ -494,11 +531,11 @@ def per_step_divergence(sc, x0):
     p = sc.params[0]
     y = sc.network.admittances(math.inf)
     g = p.kappa_beta * y / total_admittance(sc.network, math.inf)
-    c = engine._MapConstants(p)
-    f = lambda t, v: engine._field(t, v, c, g, sc.disturbance)
     x = np.array(x0, dtype=complex)
+    w = engine._Workspace(p, x, sc.dt, sc.disturbance)
+    w.g = g
     for s in range(sc.n_steps):
-        x = rk4_increment(f, s * sc.dt, x, sc.dt)
+        rk4_increment(w.field, s * sc.dt, x, sc.dt, w)
         bad = ~(np.abs(x) <= engine.DIVERGENCE_NORM)
         if bad.any():
             return (s + 1) * sc.dt, int(np.argmax(bad)), s + 1

@@ -66,6 +66,33 @@ class TestChi:
         assert chi(1 + 1j, P) == -10.0
 
 
+class TestInPlaceForm:
+    """Given a run workspace and ``out``, chi and local_map write the bits
+    of their allocating form, for finite and non-finite states."""
+
+    @pytest.mark.parametrize("where", ["state", "stage", "other"])
+    def test_same_bits(self, where):
+        from dvocsim.engine import _Workspace
+        params = InverterParams(xi=7.5, x_nom_sq2=1.3, kappa=0.7)
+        rng = np.random.default_rng(5)
+        parts = np.concatenate([rng.normal(0.0, 2.0, 40), [
+            0.0, -0.0, 1e-300, -1e300, math.inf, -math.inf, math.nan]])
+        x = np.empty(64, dtype=complex)
+        x.real, x.imag = rng.choice(parts, 64), rng.choice(parts, 64)
+        w = _Workspace(params, x.copy(), 1e-4, None)
+        at = {"state": w.y, "stage": w.ys, "other": x.copy()}[where]
+        at[:] = x
+        chi_out = np.empty(64)
+        h_out = np.empty(64, dtype=complex)
+        with np.errstate(all="ignore"):
+            want_chi, want_h = chi(x, params), local_map(x, params)
+            got_chi = chi(at, w, chi_out)
+            got_h = local_map(at, w, h_out)
+        assert got_chi is chi_out and got_h is h_out
+        assert got_chi.tobytes() == want_chi.tobytes()
+        assert got_h.tobytes() == want_h.tobytes()
+
+
 class TestOpenLoop:
     """With kappa = 0 the local map is the free-running oscillator."""
 
