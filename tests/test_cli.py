@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import dvocsim
 from dvocsim import cli
@@ -35,6 +37,17 @@ def _trajectory(name):
         return simulate(build_case("II", 4, seed=7, t_end=0.2))
     if name == "four_rows":              # fewer blocks than CPUs
         return simulate(build_case("I", 2, seed=4, t_end=3e-4, dt=1e-4))
+    if name == "case2_n100":             # tiny currents in d.ddde-0x form
+        return simulate(build_case("II", 100, seed=0, t_end=0.02))
+    if name == "edge_values":            # values formatted by "%.17g" itself
+        traj = simulate(build_case("II", 4, seed=7, t_end=0.2))
+        edges = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 1e20)
+        for k, v in enumerate(edges):
+            row = 333 * k                # in several ranges of the writer
+            traj.x[row, k % 4] = complex(v, -v)
+            traj.currents[row, 1] = complex(v, 0.25)  # no inf - inf in i_b
+            traj.currents[row + 1, 2] = complex(-0.5, v)
+        return traj
     return simulate(scenario_from_dict(
         {"n": 1, "seed": 2, "t_end": 0.1,
          "branches": [{"r_f": 0.1, "l_f": 1e-3}],
@@ -292,7 +305,8 @@ class TestWriteTimeseries:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     @pytest.mark.parametrize("name", ["case2_partial_block", "four_rows",
-                                      "one_inverter"])
+                                      "one_inverter", "case2_n100",
+                                      "edge_values"])
     def test_bytes_match_per_value_writer(self, tmp_path, monkeypatch, name,
                                           cpus):
         traj = _trajectory(name)
@@ -367,6 +381,69 @@ class TestWriteTimeseries:
                     -0.5 * alpha - math.sqrt(3) / 2 * beta)
             assert got == pytest.approx(want, rel=1e-15)
             assert sum(got) == pytest.approx(0.0, abs=1e-9)
+
+
+def per_value_lines(block):
+    """The CSV text of a 2-D block, one "%.17g" format call per value."""
+    return "".join(",".join(format(float(v), ".17g") for v in row) + "\n"
+                   for row in block.tolist()).encode()
+
+
+def ulps_around(v):
+    return [np.nextafter(v, -math.inf), v, np.nextafter(v, math.inf)]
+
+
+class TestCsvKernel:
+    """cli._csv_lines gives the bytes of the value-by-value "%.17g" writer."""
+
+    shapes = st.tuples(st.integers(1, 6), st.integers(1, 9))
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, shapes, elements=st.floats(
+        allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+    def test_floats(self, block):
+        assert cli._csv_lines(block) == per_value_lines(block)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.uint64, shapes, elements=st.integers(0, 2 ** 64 - 1)))
+    def test_bit_patterns(self, bits):
+        block = bits.view(np.float64)
+        assert cli._csv_lines(block) == per_value_lines(block)
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 5e-324, -5e-324],
+        ulps_around(1e-6) + ulps_around(1e16),
+        [sign * w for k in range(-8, 19) for w in ulps_around(10.0 ** k)
+         for sign in (1, -1)],
+        # 17 digits that round up to the next decade
+        [0.099999999999999992, 0.99999999999999994, 9999999999999998.0,
+         9.9999999999999991e-6, 9.9999999999999995e-5, 99999999999999.992],
+    ], ids=["zeros", "fast_set_bounds", "powers_of_ten", "decade_round_up"])
+    def test_explicit(self, values):
+        block = np.array([values])
+        assert cli._csv_lines(block) == per_value_lines(block)
+
+    @pytest.mark.parametrize("offset", [-1.0, 1.0])
+    def test_exponent_estimate_corrected(self, monkeypatch, offset):
+        # the exact product corrects a decimal exponent that is one off
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + offset)
+        block = 10.0 ** np.random.default_rng(3).uniform(-7, 17, (40, 50))
+        assert cli._csv_lines(block) == per_value_lines(block)
+
+    def test_round_half_even_ties(self):
+        # m/4 with m odd in [1e15, 2**51) ends in .25 or .75: 17 digits
+        # keep one decimal, so the 17th digit is a tie at every value
+        m = np.random.default_rng(5).integers(4e15, 2 ** 53, 6000) | 1
+        block = np.concatenate([m / 4, -m / 4]).reshape(-1, 20)
+        assert cli._csv_lines(block) == per_value_lines(block)
+
+    def test_random_sweep(self):
+        rng = np.random.default_rng(11)
+        block = 10.0 ** rng.uniform(-8, 18, 10 ** 6)
+        block *= rng.choice([-1.0, 1.0], block.size)
+        block = block.reshape(-1, 500)
+        assert cli._csv_lines(block) == per_value_lines(block)
 
 
 class TestCommands:
