@@ -291,34 +291,13 @@ def apply_overrides(raw: dict, sets: Sequence[str]) -> dict:
 # outputs
 
 
-# rows per range of the forked time-series writer (whole ranges only)
+# the forked time-series writer splits its rows into ranges of whole blocks
 _CSV_BLOCK_ROWS = 64
 # values per call of the CSV kernel: at this size its temporaries come back
 # from the allocator's free lists; at 8192 each call page-faults them afresh
 _CSV_CHUNK_VALUES = 4096
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0     # inverse Clarke transform
-
-# Tables of the CSV kernel (_csv_lines).  10**k is an exact double for k <= 22;
-# the Veltkamp constant splits a double into two halves of 26 bits.
-_U64 = np.uint64
-_VELTKAMP = 2.0 ** 27 + 1.0
-_POW10 = np.array([float(10 ** k) for k in range(23)])
-_POW10_HI = _VELTKAMP * _POW10 - (_VELTKAMP * _POW10 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-_ASCII_ZEROS = _U64(0x3030303030303030)             # "00000000"
-_BYTE = np.arange(32)
-# column p of word w: the bytes of a 24-byte string below byte p, and a "."
-# at byte p (rows are the string's three little-endian words)
-_BELOW = np.where(_BYTE[:24] < _BYTE[:24, None], 0xFF, 0).astype(
-    np.uint8).view("<u8").T.copy()
-_DOT = np.where(_BYTE[:24] == _BYTE[:24, None], ord("."), 0).astype(
-    np.uint8).view("<u8").T.copy()
-# row r < 25 keeps the first r bytes of a 32-byte slot and its separator
-# (byte 28); row 25 + r also keeps the exponent (bytes 24-27)
-_KEEP = (_BYTE < np.arange(25)[:, None]) | (_BYTE == 28)
-_KEEP = np.concatenate([_KEEP, _KEEP | ((_BYTE >= 24) & (_BYTE < 28))])
-
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
@@ -332,117 +311,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _digits8(x: np.ndarray) -> np.ndarray:
-    """The eight ASCII digits of each ``x < 10**8``, the first in the lowest
-    byte: four-, two- and one-digit lanes split in place (SWAR)."""
-    hi = x // _U64(10000)
-    x = hi | ((x - hi * _U64(10000)) << _U64(32))
-    hi = ((x * _U64(5243)) >> _U64(19)) & _U64(0x7F0000007F)     # n // 100
-    x = hi | ((x - hi * _U64(100)) << _U64(16))
-    hi = ((x * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)  # n // 10
-    return hi | ((x - hi * _U64(10)) << _U64(8)) | _ASCII_ZEROS
-
-
-def _trailing_zero_digits(digits: np.ndarray) -> np.ndarray:
-    """How many of the eight ASCII digits of each word end in "0"s: its zero
-    bytes above the highest set bit, once the "0"s are cleared (the float
-    conversion keeps that bit, as no byte is above 9)."""
-    return (64 - np.frexp((digits ^ _ASCII_ZEROS).astype(float))[1]) >> 3
-
-
-def _times_pow10(a: np.ndarray, q: np.ndarray) -> tuple:
-    """``hi + lo == a * 10**q`` exactly: Dekker's product of doubles."""
-    a_hi = _VELTKAMP * a
-    a_hi -= a_hi - a
-    a_lo = a - a_hi
-    p_hi, p_lo = _POW10_HI.take(q), _POW10_LO.take(q)
-    hi = a * _POW10.take(q)
-    return hi, ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-
-
-def _csv_lines(block: np.ndarray) -> bytes:
-    """A C-contiguous float64 block (rows x columns) as CSV text: each value
-    exactly as ``"%.17g"`` gives it, "," between values and "\\n" after each
-    row.
-
-    Values with 1e-6 < |v| < 1e16 are formatted here.  Their 17 significant
-    digits are the integer nearest (ties to even) to |v| * 10**(16 - x), x
-    the decimal exponent, which a Dekker product gives without rounding
-    error; an estimate of x that this product refutes is corrected.  The
-    layout follows %g: fixed notation for x >= -4, d.ddde-0x below, trailing
-    zeros and a bare point dropped.  Every other value (zeros, subnormals,
-    nan, inf, |v| <= 1e-6 or >= 1e16) goes through ``"%.17g"`` itself.  Each
-    value fills a 32-byte slot (text, exponent, separator) and one boolean
-    mask keeps the bytes in use.
-    """
-    n, columns = block.size, block.shape[1]
-    values = block.ravel()
-    a = np.abs(values)
-    fast = (a > 1e-6) & (a < 1e16)
-    a[~fast] = 1.0
-    x = np.floor(np.log10(a)).astype(np.intp)      # at most one off
-    np.minimum(np.maximum(x, -6, out=x), 15, out=x)
-    hi, lo = _times_pow10(a, 16 - x)
-    if ((hi <= 1e16) | (hi >= 1e17)).any():    # else 1e16 < hi + lo < 1e17
-        x += (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-        x -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-        hi, lo = _times_pow10(a, 16 - x)
-    # hi >= 1e16 > 2**53 is an even integer, so rint(lo) rounds ties to even;
-    # no double rounds up to 10**17 here (the candidates, the largest double
-    # below each power of ten, are in the tests)
-    d = hi.astype(_U64) + np.rint(lo).astype(np.int64).astype(_U64)
-    lead = d // _U64(10 ** 16)
-    d -= lead * _U64(10 ** 16)
-    first, last = digits = _digits8(np.array(np.divmod(d, _U64(10 ** 8))))
-    zeros_first, zeros = _trailing_zero_digits(digits)
-    zeros += (zeros == 8) * zeros_first
-
-    # the text: sh bytes of "-" (if negative) and leading "0"s (fixed
-    # notation below 1), the 17 digits, a "." inserted at byte p; it ends
-    # after the last significant digit, or at p if no fraction is left
-    neg = np.signbit(values)
-    sci = x < -4
-    sh = np.where(sci, 0, np.maximum(-x, 0)) + neg
-    slot = np.empty((4, n), _U64)        # little-endian words of each slot
-    text = slot[:3]
-    text[0] = (lead | _U64(ord("0"))) | (first << _U64(8))
-    text[1] = (first >> _U64(56)) | (last << _U64(8))
-    text[2] = last >> _U64(56)
-    bits = (8 * sh).astype(_U64)
-    carry = (text[:2] >> _U64(1)) >> (_U64(63) - bits)   # no shift by 64
-    text <<= bits
-    text[1:] |= carry
-    # "-" and "0"s into the bytes shifted in ("0" | digit is that digit)
-    text[0] |= np.where(neg, _U64(0x303030303030302D), _ASCII_ZEROS)
-    p = neg + np.maximum(x, 0) + 1
-    used = sh + 17 - zeros
-    keep = np.where(used <= p, p, used + 1)
-    below = _BELOW.take(p, axis=1)
-    after = text & ~below
-    text &= below
-    text |= _DOT.take(p, axis=1)
-    text |= after << _U64(8)
-    text[1:] |= after[:2] >> _U64(56)
-    slot[3] = ((ord("0") - x).astype(_U64) << _U64(24)) | _U64(0x302D65)
-    keep += 25 * sci                    # "e-0" and the exponent's digit
-
-    canvas = slot.T.astype("<u8", order="C").view(np.uint8)
-    canvas[:, 28] = ord(",")
-    canvas[columns - 1::columns, 28] = ord("\n")
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        texts = (b"%.17g\0" * slow.size
-                 % tuple(values[slow].tolist())).split(b"\0")[:-1]
-        canvas[slow, :24] = np.frombuffer(
-            b"".join(t.ljust(24, b"\0") for t in texts),
-            np.uint8).reshape(-1, 24)
-        keep[slow] = [len(t) for t in texts]
-    return canvas[_KEEP.take(keep, axis=0)].tobytes()
-
-
 def _format_rows(traj: Trajectory, start: int, stop: int, fh: IO[bytes]) -> None:
     """Rows ``start:stop`` of the time series, written to ``fh`` a few rows
     (about _CSV_CHUNK_VALUES values) at a time."""
+    # imported here: only the writer needs the kernel, so importing the
+    # package does not build its tables (or compile it, without a .pyc)
+    from ._csvtext import csv_lines
     n = traj.n
     columns = 7 * n + 3
     step = max(1, _CSV_CHUNK_VALUES // columns)
@@ -463,7 +337,7 @@ def _format_rows(traj: Trajectory, start: int, stop: int, fh: IO[bytes]) -> None
         block[:, i:i + 3 * n:3] = re
         block[:, i + 1:i + 3 * n:3] = -0.5 * re + SQRT3_OVER_2 * im
         block[:, i + 2:i + 3 * n:3] = -0.5 * re - SQRT3_OVER_2 * im
-        fh.write(_csv_lines(block))
+        fh.write(csv_lines(block))
 
 
 def _format_in_child(traj: Trajectory, start: int, stop: int,
@@ -496,9 +370,10 @@ def write_timeseries(traj: Trajectory, path: str | Path) -> None:
     then appends each child's file in row order, so the bytes do not depend
     on the number of ranges.  Nothing is forked with one usable CPU, one
     block, no ``os.fork`` or other threads running (``fork`` is unsafe then).
-    Each process formats a block at a time and files are copied in chunks,
-    so memory is O(block * columns) whatever the number of steps; the output
-    directory briefly holds up to one more CSV's worth of temporary data.
+    Each process formats a few rows at a time and files are copied in
+    chunks, so memory is O(columns + _CSV_CHUNK_VALUES) whatever the number
+    of steps; the output directory briefly holds up to one more CSV's worth
+    of temporary data.
 
     Raises OSError naming ``path`` when a child fails; every child has been
     reaped when this returns or raises.

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dvocsim
-from dvocsim import cli
+from dvocsim import _csvtext, cli
 from dvocsim.cli import (SQRT3_OVER_2, ScenarioError, apply_overrides,
                          build_parser, build_report, main, load_scenario,
                          run, scenario_from_dict, scenario_to_dict,
@@ -394,7 +394,7 @@ def ulps_around(v):
 
 
 class TestCsvKernel:
-    """cli._csv_lines gives the bytes of the value-by-value "%.17g" writer."""
+    """csv_lines gives the bytes of the value-by-value "%.17g" writer."""
 
     shapes = st.tuples(st.integers(1, 6), st.integers(1, 9))
 
@@ -402,13 +402,13 @@ class TestCsvKernel:
     @given(arrays(np.float64, shapes, elements=st.floats(
         allow_nan=True, allow_infinity=True, allow_subnormal=True)))
     def test_floats(self, block):
-        assert cli._csv_lines(block) == per_value_lines(block)
+        assert _csvtext.csv_lines(block) == per_value_lines(block)
 
     @settings(max_examples=200, deadline=None)
     @given(arrays(np.uint64, shapes, elements=st.integers(0, 2 ** 64 - 1)))
     def test_bit_patterns(self, bits):
         block = bits.view(np.float64)
-        assert cli._csv_lines(block) == per_value_lines(block)
+        assert _csvtext.csv_lines(block) == per_value_lines(block)
 
     @pytest.mark.parametrize("values", [
         [0.0, -0.0, 5e-324, -5e-324],
@@ -421,7 +421,7 @@ class TestCsvKernel:
     ], ids=["zeros", "fast_set_bounds", "powers_of_ten", "decade_round_up"])
     def test_explicit(self, values):
         block = np.array([values])
-        assert cli._csv_lines(block) == per_value_lines(block)
+        assert _csvtext.csv_lines(block) == per_value_lines(block)
 
     @pytest.mark.parametrize("offset", [-1.0, 1.0])
     def test_exponent_estimate_corrected(self, monkeypatch, offset):
@@ -429,21 +429,21 @@ class TestCsvKernel:
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda a: log10(a) + offset)
         block = 10.0 ** np.random.default_rng(3).uniform(-7, 17, (40, 50))
-        assert cli._csv_lines(block) == per_value_lines(block)
+        assert _csvtext.csv_lines(block) == per_value_lines(block)
 
     def test_round_half_even_ties(self):
         # m/4 with m odd in [1e15, 2**51) ends in .25 or .75: 17 digits
         # keep one decimal, so the 17th digit is a tie at every value
         m = np.random.default_rng(5).integers(4e15, 2 ** 53, 6000) | 1
         block = np.concatenate([m / 4, -m / 4]).reshape(-1, 20)
-        assert cli._csv_lines(block) == per_value_lines(block)
+        assert _csvtext.csv_lines(block) == per_value_lines(block)
 
     def test_random_sweep(self):
         rng = np.random.default_rng(11)
         block = 10.0 ** rng.uniform(-8, 18, 10 ** 6)
         block *= rng.choice([-1.0, 1.0], block.size)
         block = block.reshape(-1, 500)
-        assert cli._csv_lines(block) == per_value_lines(block)
+        assert _csvtext.csv_lines(block) == per_value_lines(block)
 
 
 class TestCommands:
