@@ -293,11 +293,13 @@ def apply_overrides(raw: dict, sets: Sequence[str]) -> dict:
 
 # the forked time-series writer splits its rows into ranges of whole blocks
 _CSV_BLOCK_ROWS = 64
-# values per call of the CSV kernel: at this size its temporaries come back
-# from the allocator's free lists; at 8192 each call page-faults them afresh
+# values per call of the CSV kernel (at least one row): a call has ~140 us of
+# fixed cost, and at 8192 values the allocator handed its temporaries back
+# page-faulted afresh on every call
 _CSV_CHUNK_VALUES = 4096
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0     # inverse Clarke transform
+
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
