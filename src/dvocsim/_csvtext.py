@@ -21,9 +21,11 @@ _BELOW = np.where(_BYTE[:24] < _BYTE[:24, None], 0xFF, 0).astype(
 _DOT = np.where(_BYTE[:24] == _BYTE[:24, None], ord("."), 0).astype(
     np.uint8).view("<u8").T.copy()
 # row r < 25 keeps the first r bytes of a 32-byte slot and its separator
-# (byte 28); row 25 + r also keeps the exponent (bytes 24-27)
+# (byte 28), row 25 + r also the exponent (bytes 24-27): 0xFF bytes in the
+# slot's four little-endian words
 _KEEP = (_BYTE < np.arange(25)[:, None]) | (_BYTE == 28)
 _KEEP = np.concatenate([_KEEP, _KEEP | ((_BYTE >= 24) & (_BYTE < 28))])
+_KEEP = np.where(_KEEP, 0xFF, 0).astype(np.uint8).view("<u8")
 
 
 def _digits8(x: np.ndarray) -> np.ndarray:
@@ -54,10 +56,11 @@ def _times_pow10(a: np.ndarray, q: np.ndarray) -> tuple:
     return hi, ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
 
 
-def csv_lines(block: np.ndarray) -> bytes:
-    """A C-contiguous float64 block (rows x columns) as CSV text: each value
-    exactly as ``"%.17g"`` gives it, "," between values and "\\n" after each
-    row.
+def csv_lines(block: np.ndarray, order: np.ndarray) -> bytes:
+    """Rows of a C-contiguous float64 block as CSV text: each value exactly
+    as ``"%.17g"`` gives it, "," between values and "\\n" after each row.
+    Row r's values are ``block[r, order]``, so a column that ``order``
+    repeats is formatted once.
 
     Values with 1e-6 < |v| < 1e16 are formatted here.  Their 17 significant
     digits are the integer nearest (ties to even) to |v| * 10**(16 - x), x
@@ -66,10 +69,11 @@ def csv_lines(block: np.ndarray) -> bytes:
     layout follows %g: fixed notation for x >= -4, d.ddde-0x below, trailing
     zeros and a bare point dropped.  Every other value (zeros, subnormals,
     nan, inf, |v| <= 1e-6 or >= 1e16) goes through ``"%.17g"`` itself.  Each
-    value fills a 32-byte slot (text, exponent, separator) and one boolean
-    mask keeps the bytes in use.
+    value fills a 32-byte slot (text, exponent, separator) whose unused
+    bytes are zeroed; the output's slots are gathered from them in
+    ``order``, and the zero bytes are deleted.
     """
-    n, columns = block.size, block.shape[1]
+    n = block.size
     values = block.ravel()
     a = np.abs(values)
     fast = (a > 1e-6) & (a < 1e16)
@@ -87,7 +91,8 @@ def csv_lines(block: np.ndarray) -> bytes:
     d = hi.astype(_U64) + np.rint(lo).astype(np.int64).astype(_U64)
     lead = d // _U64(10 ** 16)
     d -= lead * _U64(10 ** 16)
-    first, last = digits = _digits8(np.array(np.divmod(d, _U64(10 ** 8))))
+    high = d // _U64(10 ** 8)           # np.divmod of uint64 is ~7x slower
+    first, last = digits = _digits8(np.array([high, d - high * _U64(10 ** 8)]))
     zeros_first, zeros = _trailing_zero_digits(digits)
     zeros += (zeros == 8) * zeros_first
 
@@ -97,8 +102,7 @@ def csv_lines(block: np.ndarray) -> bytes:
     neg = np.signbit(values)
     sci = x < -4
     sh = np.where(sci, 0, np.maximum(-x, 0)) + neg
-    slot = np.empty((4, n), _U64)        # little-endian words of each slot
-    text = slot[:3]
+    text = np.empty((3, n), _U64)       # little-endian words of the text
     text[0] = (lead | _U64(ord("0"))) | (first << _U64(8))
     text[1] = (first >> _U64(56)) | (last << _U64(8))
     text[2] = last >> _U64(56)
@@ -115,20 +119,26 @@ def csv_lines(block: np.ndarray) -> bytes:
     after = text & ~below
     text &= below
     text |= _DOT.take(p, axis=1)
-    text |= after << _U64(8)
-    text[1:] |= after[:2] >> _U64(56)
-    slot[3] = ((ord("0") - x).astype(_U64) << _U64(24)) | _U64(0x302D65)
-    keep += 25 * sci                    # "e-0" and the exponent's digit
+    after[2] = after[2] << _U64(8) | after[1] >> _U64(56)  # one byte up
+    after[1] = after[1] << _U64(8) | after[0] >> _U64(56)
+    after[0] <<= _U64(8)
+    # one row per slot (the gather below copies 32 contiguous bytes a value):
+    # the text, then "e-0", the exponent's digit and "," in the fourth word
+    slot = np.empty((n, 4), "<u8")
+    np.bitwise_or(text, after, out=slot.T[:3])
+    slot[:, 3] = ((ord("0") - x).astype(_U64) << _U64(24)) | _U64(0x2C00302D65)
+    keep += 25 * sci
 
-    canvas = slot.T.astype("<u8", order="C").view(np.uint8)
-    canvas[:, 28] = ord(",")
-    canvas[columns - 1::columns, 28] = ord("\n")
     slow = np.flatnonzero(~fast)
     if slow.size:
         texts = (b"%.17g\0" * slow.size
                  % tuple(values[slow].tolist())).split(b"\0")[:-1]
-        canvas[slow, :24] = np.frombuffer(
+        slot[slow, :3] = np.frombuffer(
             b"".join(t.ljust(24, b"\0") for t in texts),
-            np.uint8).reshape(-1, 24)
+            "<u8").reshape(-1, 3)
         keep[slow] = [len(t) for t in texts]
-    return canvas[_KEEP.take(keep, axis=0)].tobytes()
+    slot &= _KEEP.take(keep, axis=0)    # no kept byte is 0
+    at = (np.arange(0, n, block.shape[1])[:, None] + order).ravel()
+    canvas = slot.take(at, axis=0).view(np.uint8)
+    canvas[len(order) - 1::len(order), 28] = ord("\n")
+    return canvas.tobytes().translate(None, b"\0")

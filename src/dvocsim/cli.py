@@ -293,10 +293,12 @@ def apply_overrides(raw: dict, sets: Sequence[str]) -> dict:
 
 # the forked time-series writer splits its rows into ranges of whole blocks
 _CSV_BLOCK_ROWS = 64
-# values per call of the CSV kernel (at least one row): a call has ~140 us of
-# fixed cost, and at 8192 values the allocator handed its temporaries back
-# page-faulted afresh on every call
-_CSV_CHUNK_VALUES = 4096
+# values per call of the CSV kernel (at least one row): each call has ~140 us
+# of fixed cost, which more values per call spread thinner, but its
+# temporaries peak at ~320 bytes a value (5 MB here); in the benchmark's
+# wide-n100, 8192 and 16384 values ran alike, and 32768 ran no faster and
+# raised the peak RSS by 6 MB
+_CSV_CHUNK_VALUES = 16384
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0     # inverse Clarke transform
 
@@ -321,25 +323,29 @@ def _format_rows(traj: Trajectory, start: int, stop: int, fh: IO[bytes]) -> None
     from ._csvtext import csv_lines
     n = traj.n
     columns = 7 * n + 3
+    # the block holds each distinct column once: i_a_k is i_alpha_k, so the
+    # kernel formats it once and gathers its text twice
+    i = 2 * n + 3
+    order = np.arange(columns)
+    order[i + 2 * n::3] = np.arange(i, i + 2 * n, 2)
+    order[i + 2 * n + 1::3] = np.arange(i + 2 * n, i + 4 * n, 2)
+    order[i + 2 * n + 2::3] = np.arange(i + 2 * n + 1, i + 4 * n, 2)
     step = max(1, _CSV_CHUNK_VALUES // columns)
     for first in range(start, stop, step):
         rows = slice(first, min(first + step, stop))
         x, v_o = traj.x[rows], traj.v_o[rows]
         re, im = traj.currents[rows].real, traj.currents[rows].imag
-        block = np.empty((len(x), columns))
+        block = np.empty((len(x), 6 * n + 3))
         block[:, 0] = traj.t[rows]
-        block[:, 1:2 * n + 1:2] = x.real
-        block[:, 2:2 * n + 1:2] = x.imag
-        block[:, 2 * n + 1] = v_o.real
-        block[:, 2 * n + 2] = v_o.imag
-        i = 2 * n + 3
+        block[:, 1:i - 2:2] = x.real
+        block[:, 2:i - 2:2] = x.imag
+        block[:, i - 2] = v_o.real
+        block[:, i - 1] = v_o.imag
         block[:, i:i + 2 * n:2] = re
         block[:, i + 1:i + 2 * n:2] = im
-        i += 2 * n
-        block[:, i:i + 3 * n:3] = re
-        block[:, i + 1:i + 3 * n:3] = -0.5 * re + SQRT3_OVER_2 * im
-        block[:, i + 2:i + 3 * n:3] = -0.5 * re - SQRT3_OVER_2 * im
-        fh.write(csv_lines(block))
+        block[:, i + 2 * n::2] = -0.5 * re + SQRT3_OVER_2 * im
+        block[:, i + 2 * n + 1::2] = -0.5 * re - SQRT3_OVER_2 * im
+        fh.write(csv_lines(block, order))
 
 
 def _format_in_child(traj: Trajectory, start: int, stop: int,

@@ -54,6 +54,37 @@ def _trajectory(name):
          "network": {"z_net": [50.0, 0.0]}}))
 
 
+@functools.lru_cache(maxsize=None)
+def _per_value_csv(name):
+    """The time series of ``_trajectory(name)`` as the writer must give it,
+    one "%.17g" format call per value."""
+    traj = _trajectory(name)
+
+    def fmt(v):
+        return format(float(v), ".17g")
+    n = traj.n
+    header = ["t"]
+    header += [f"x_{ax}_{k}" for k in range(1, n + 1)
+               for ax in ("alpha", "beta")]
+    header += ["v_o_alpha", "v_o_beta"]
+    header += [f"i_{ax}_{k}" for k in range(1, n + 1)
+               for ax in ("alpha", "beta")]
+    header += [f"i_{ph}_{k}" for k in range(1, n + 1)
+               for ph in ("a", "b", "c")]
+    cols = [traj.t]
+    for k in range(n):
+        cols += [traj.x[:, k].real, traj.x[:, k].imag]
+    cols += [traj.v_o.real, traj.v_o.imag]
+    for k in range(n):
+        cols += [traj.currents[:, k].real, traj.currents[:, k].imag]
+    for k in range(n):
+        re, im = traj.currents[:, k].real, traj.currents[:, k].imag
+        cols += [re, -0.5 * re + SQRT3_OVER_2 * im,
+                 -0.5 * re - SQRT3_OVER_2 * im]
+    return (",".join(header) + "\n" + "".join(
+        ",".join(fmt(v) for v in row) + "\n" for row in zip(*cols))).encode()
+
+
 def count_forks(monkeypatch, cpus):
     """Make the writer see ``cpus`` usable CPUs; returns the list of forks
     it makes, which grows as it forks."""
@@ -303,43 +334,27 @@ class TestWriteTimeseries:
         assert np.array_equal(data[:, 5], traj.v_o.real)
         assert np.array_equal(data[:, 7], traj.currents[:, 0].real)
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    # the call size is the writer's default, one row per call or more than
+    # the whole series: calls end inside and at the edges of forked ranges
+    @pytest.mark.parametrize("cpus, chunk", [
+        *((cpus, None) for cpus in (1, 2, 3, 8)),
+        *(pytest.param(cpus, chunk, id=f"{cpus}-{name}")
+          for cpus in (1, 3)
+          for chunk, name in ((1, "row_per_call"), (10 ** 9, "one_call")))])
     @pytest.mark.parametrize("name", ["case2_partial_block", "four_rows",
                                       "one_inverter", "case2_n100",
                                       "edge_values"])
     def test_bytes_match_per_value_writer(self, tmp_path, monkeypatch, name,
-                                          cpus):
+                                          cpus, chunk):
         traj = _trajectory(name)
         forks = count_forks(monkeypatch, cpus)
+        if chunk is not None:
+            monkeypatch.setattr(cli, "_CSV_CHUNK_VALUES", chunk)
         path = tmp_path / "ts.csv"
         write_timeseries(traj, path)
         blocks = -(-len(traj.t) // cli._CSV_BLOCK_ROWS)
         assert len(forks) == min(cpus, blocks) - 1
-
-        def fmt(v):
-            return format(float(v), ".17g")
-        n = traj.n
-        header = ["t"]
-        header += [f"x_{ax}_{k}" for k in range(1, n + 1)
-                   for ax in ("alpha", "beta")]
-        header += ["v_o_alpha", "v_o_beta"]
-        header += [f"i_{ax}_{k}" for k in range(1, n + 1)
-                   for ax in ("alpha", "beta")]
-        header += [f"i_{ph}_{k}" for k in range(1, n + 1)
-                   for ph in ("a", "b", "c")]
-        cols = [traj.t]
-        for k in range(n):
-            cols += [traj.x[:, k].real, traj.x[:, k].imag]
-        cols += [traj.v_o.real, traj.v_o.imag]
-        for k in range(n):
-            cols += [traj.currents[:, k].real, traj.currents[:, k].imag]
-        for k in range(n):
-            re, im = traj.currents[:, k].real, traj.currents[:, k].imag
-            cols += [re, -0.5 * re + SQRT3_OVER_2 * im,
-                     -0.5 * re - SQRT3_OVER_2 * im]
-        want = ",".join(header) + "\n" + "".join(
-            ",".join(fmt(v) for v in row) + "\n" for row in zip(*cols))
-        assert path.read_bytes() == want.encode()
+        assert path.read_bytes() == _per_value_csv(name)
 
     def test_child_failure_names_file(self, tmp_path, monkeypatch, capsys):
         count_forks(monkeypatch, 3)
@@ -389,8 +404,31 @@ def per_value_lines(block):
                    for row in block.tolist()).encode()
 
 
+def all_columns(block):
+    """csv_lines over every column of ``block``, in order."""
+    return _csvtext.csv_lines(block, np.arange(block.shape[1]))
+
+
 def ulps_around(v):
     return [np.nextafter(v, -math.inf), v, np.nextafter(v, math.inf)]
+
+
+@st.composite
+def blocks_and_orders(draw, raw_bits):
+    """A block of floats, or of raw 64-bit patterns, and a column order of
+    the kernel: the identity or columns drawn with repeats."""
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 9)))
+    if raw_bits:
+        block = draw(arrays(np.uint64, shape, elements=st.integers(
+            0, 2 ** 64 - 1))).view(np.float64)
+    else:
+        block = draw(arrays(np.float64, shape, elements=st.floats(
+            allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+    order = draw(st.one_of(
+        st.just(np.arange(shape[1])),
+        arrays(np.intp, st.integers(1, 12),
+               elements=st.integers(0, shape[1] - 1))))
+    return block, order
 
 
 class TestCsvKernel:
@@ -402,13 +440,29 @@ class TestCsvKernel:
     @given(arrays(np.float64, shapes, elements=st.floats(
         allow_nan=True, allow_infinity=True, allow_subnormal=True)))
     def test_floats(self, block):
-        assert _csvtext.csv_lines(block) == per_value_lines(block)
+        assert all_columns(block) == per_value_lines(block)
 
     @settings(max_examples=200, deadline=None)
     @given(arrays(np.uint64, shapes, elements=st.integers(0, 2 ** 64 - 1)))
     def test_bit_patterns(self, bits):
         block = bits.view(np.float64)
-        assert _csvtext.csv_lines(block) == per_value_lines(block)
+        assert all_columns(block) == per_value_lines(block)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(blocks_and_orders(raw_bits=False),
+                     blocks_and_orders(raw_bits=True)))
+    def test_column_order(self, block_and_order):
+        block, order = block_and_order
+        assert (_csvtext.csv_lines(block, order)
+                == per_value_lines(block[:, order]))
+
+    def test_repeated_slow_column(self):
+        # every value of the repeated column is formatted by "%.17g" itself
+        slow = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-7]
+        block = np.array([slow, np.linspace(-2.5, 3.5, len(slow))]).T.copy()
+        order = np.array([0, 1, 0, 0])
+        assert (_csvtext.csv_lines(block, order)
+                == per_value_lines(block[:, order]))
 
     @pytest.mark.parametrize("values", [
         [0.0, -0.0, 5e-324, -5e-324],
@@ -421,7 +475,7 @@ class TestCsvKernel:
     ], ids=["zeros", "fast_set_bounds", "powers_of_ten", "decade_round_up"])
     def test_explicit(self, values):
         block = np.array([values])
-        assert _csvtext.csv_lines(block) == per_value_lines(block)
+        assert all_columns(block) == per_value_lines(block)
 
     @pytest.mark.parametrize("offset", [-1.0, 1.0])
     def test_exponent_estimate_corrected(self, monkeypatch, offset):
@@ -429,21 +483,21 @@ class TestCsvKernel:
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda a: log10(a) + offset)
         block = 10.0 ** np.random.default_rng(3).uniform(-7, 17, (40, 50))
-        assert _csvtext.csv_lines(block) == per_value_lines(block)
+        assert all_columns(block) == per_value_lines(block)
 
     def test_round_half_even_ties(self):
         # m/4 with m odd in [1e15, 2**51) ends in .25 or .75: 17 digits
         # keep one decimal, so the 17th digit is a tie at every value
         m = np.random.default_rng(5).integers(4e15, 2 ** 53, 6000) | 1
         block = np.concatenate([m / 4, -m / 4]).reshape(-1, 20)
-        assert _csvtext.csv_lines(block) == per_value_lines(block)
+        assert all_columns(block) == per_value_lines(block)
 
     def test_random_sweep(self):
         rng = np.random.default_rng(11)
         block = 10.0 ** rng.uniform(-8, 18, 10 ** 6)
         block *= rng.choice([-1.0, 1.0], block.size)
         block = block.reshape(-1, 500)
-        assert _csvtext.csv_lines(block) == per_value_lines(block)
+        assert all_columns(block) == per_value_lines(block)
 
 
 class TestCommands:
