@@ -337,7 +337,7 @@ class TestWriteTimeseries:
     # the call size is the writer's default, one row per call or more than
     # the whole series: calls end inside and at the edges of forked ranges
     @pytest.mark.parametrize("cpus, chunk", [
-        *((cpus, None) for cpus in (1, 2, 3, 8)),
+        *(pytest.param(cpus, None, id=str(cpus)) for cpus in (1, 2, 3, 8)),
         *(pytest.param(cpus, chunk, id=f"{cpus}-{name}")
           for cpus in (1, 3)
           for chunk, name in ((1, "row_per_call"), (10 ** 9, "one_call")))])
