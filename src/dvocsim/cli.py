@@ -482,6 +482,9 @@ def _cmd_certify(config: argparse.Namespace) -> int:
         raise ScenarioError(f"--samples must be >= 0, got {config.samples}")
     if config.seed is not None and config.seed < 0:
         raise ScenarioError(f"seed must be >= 0, got {config.seed}")
+    if not 0.0 < config.sample_radius < math.inf:
+        raise ScenarioError(f"--radius must be finite and > 0, got "
+                            f"{config.sample_radius}")
     params = _oscillator_for(config)
     report = certificate_margin(params)
     found: dict[str, float] = {}

@@ -24,15 +24,8 @@ calls, allocating no array and casting no operand.  Its scalar operands are
 0-d arrays of the operand's own dtype: under numpy's scalar promotion rules
 (NEP 50) a Python float or complex is converted afresh on every call, and a
 0-d array goes through the same stride-0 loop.  The bus term g . x goes into
-a 0-d buffer.  Two identities keep the allocating form's bits:
-
-* |x|^2 is one multiply of ``x.view(np.float64)`` by itself and one add of
-  its even and odd elements, term by term ``x.real**2 + x.imag**2``.  Not
-  ``(x*x.conj()).real``: numpy's complex multiply uses fused multiply-adds
-  where the CPU has them (AVX-512, say), which changes the trajectory.
-* chi - kappa*beta is a float add into the real part of a complex buffer
-  whose imaginary part holds omega0: the allocating form adds
-  -kappa*beta + j*omega0 to chi cast to complex, and 0.0 + omega0 is omega0.
+a 0-d buffer.  ``_Workspace.field`` states the identities by which its
+in-place arithmetic keeps the bits of the allocating form.
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ import numpy as np
 
 from .network import (NetworkConfig, branch_currents, pcc_voltage,
                       total_admittance)
-from .oscillator import InverterParams, check_finite, local_map
+from .oscillator import InverterParams, check_finite
 
 DIVERGENCE_NORM = 100.0     # pu, far outside any modeled regime
 DIVERGENCE_BLOCK = 64       # steps recorded between two divergence checks
@@ -224,7 +217,7 @@ def _disturbance_at(d: DisturbanceSpec, omega0: float, t: float) -> complex:
 
 class _Workspace:
     """One run's state (adopted and advanced in place), RK4 stages, the
-    operands and scratch of ``chi``/``local_map`` and the bus buffer, which
+    operands and scratch of the field's local map and the bus buffer, which
     every step of ``simulate`` writes into.  It belongs to one run, never to
     the module, so distinct runs can go on concurrently.  A plain class: a
     dataclass would add ~1 ms to ``import dvocsim``.
@@ -262,9 +255,30 @@ class _Workspace:
         inverter), written into ``out``.
 
         ``g`` is the coupling vector kappa*beta*Y/Y_sigma, so g . x =
-        kappa*v_o.  ``x`` is a contiguous complex array.
+        kappa*v_o.  ``x`` is a contiguous complex array.  The result has the
+        bits of ``local_map(x, p) + np.dot(g, x)`` by two identities:
+
+        * |x|^2 is one multiply of ``x.view(np.float64)`` by itself and one
+          add of its even and odd elements, term by term ``x.real**2 +
+          x.imag**2``.  Not ``(x*x.conj()).real``: numpy's complex multiply
+          uses fused multiply-adds where the CPU has them (AVX-512, say),
+          which changes the trajectory.
+        * chi - kappa*beta is a float add into the real part of ``gain``,
+          whose imaginary part holds omega0: the allocating form adds
+          -kappa*beta + j*omega0 to chi cast to complex, and 0.0 + omega0 is
+          omega0.
         """
-        local_map(x, self, out)
+        # a view costs about as much as a ufunc call, so the states have
+        # theirs built once
+        xv = (self.yv if x is self.y else self.ysv if x is self.ys
+              else x.view(np.float64))
+        gain_re = self.gain_re
+        np.multiply(xv, xv, self.sq)
+        np.add(self.sq_re, self.sq_im, gain_re)
+        np.subtract(self.x_nom_sq2, gain_re, gain_re)
+        np.multiply(self.xi, gain_re, gain_re)
+        np.add(gain_re, self.neg_kappa_beta, gain_re)
+        np.multiply(self.gain, x, out)
         np.dot(self.g, x, self.bus)
         np.add(out, self.bus, out)
         d = self.disturbance

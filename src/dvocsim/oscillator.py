@@ -64,55 +64,25 @@ class InverterParams:
     def kappa_beta(self) -> float:
         return self.kappa * self.beta
 
-    @property
-    def shift(self) -> complex:
-        """-kappa*beta + j*omega0: the part of the local map's gain that does
-        not depend on the state."""
-        return complex(-self.kappa_beta, self.omega0)
 
-
-def chi(x: complex | np.ndarray, params: InverterParams,
-        out: np.ndarray | None = None) -> float | np.ndarray:
+def chi(x: complex | np.ndarray, params: InverterParams) -> float | np.ndarray:
     """Amplitude-regulating scalar xi*(2*Xnom^2 - |x|^2).
 
     ``x`` is a complex state alpha + j*beta, scalar or array; the result has
-    its shape.  Given ``out``, a float array of that shape, ``x`` must be a
-    contiguous complex array and ``params`` the engine's run workspace, which
-    holds ``xi`` and ``x_nom_sq2`` as 0-d arrays, the scratch ``sq`` of twice
-    x's size with its even and odd views ``sq_re`` and ``sq_im``, and its
-    states ``y`` and ``ys`` with their float views ``yv`` and ``ysv``: the
-    result is written into ``out`` and returned, with the same bits.
+    its shape.
     """
-    if out is None:
-        return params.xi * (params.x_nom_sq2 - (x.real ** 2 + x.imag ** 2))
-    # |x|^2 as each interleaved part squared, real part first, then summed;
-    # a view costs about as much as a ufunc call, so the workspace's states
-    # have theirs built once
-    xv = (params.yv if x is params.y else params.ysv if x is params.ys
-          else x.view(np.float64))
-    np.multiply(xv, xv, params.sq)
-    np.add(params.sq_re, params.sq_im, out)
-    np.subtract(params.x_nom_sq2, out, out)
-    return np.multiply(params.xi, out, out)
+    return params.xi * (params.x_nom_sq2 - (x.real ** 2 + x.imag ** 2))
 
 
-def local_map(x: complex | np.ndarray, params: InverterParams,
-              out: np.ndarray | None = None) -> complex | np.ndarray:
+def local_map(x: complex | np.ndarray,
+              params: InverterParams) -> complex | np.ndarray:
     """Local map h(x) = (chi(x) - kappa*beta + j*omega0)*x of one inverter.
 
     The coupled field of every inverter is h(x_k) plus the common bus term
     kappa*v_o.  ``x`` is a complex state, scalar or array; the result has its
-    shape.  Given ``out``, a complex array of that shape, ``params`` is the
-    engine's run workspace (see :func:`chi`) and the result is written into
-    ``out`` and returned, with the same bits: chi - kappa*beta goes into the
-    real part of the workspace's ``gain`` buffer, whose imaginary part holds
-    omega0, which is what 0.0 + omega0 gives for omega0 > 0.
+    shape.
     """
-    if out is None:
-        return (chi(x, params) + params.shift) * x
-    gain_re = params.gain_re
-    np.add(chi(x, params, gain_re), params.neg_kappa_beta, gain_re)
-    return np.multiply(params.gain, x, out)
+    return (chi(x, params) + complex(-params.kappa_beta, params.omega0)) * x
 
 
 def jacobian_h(x: complex | np.ndarray, params: InverterParams) -> np.ndarray:

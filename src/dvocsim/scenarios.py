@@ -203,6 +203,8 @@ def build_metrics(traj: Trajectory, *,
                   window: float = DEFAULT_WINDOW) -> MetricsReport:
     """Post-processing of one run; window quantities average the trailing
     ``window`` seconds."""
+    if not 0.0 < window < math.inf:
+        raise ValueError(f"window must be finite and > 0, got {window}")
     if traj.t[-1] - traj.t[0] <= window:
         raise ValueError("trajectory is shorter than the averaging window")
     series = sync_error(traj)

@@ -648,11 +648,15 @@ class TestCommands:
                      "--out", str(tmp_path / "x")]) == 1
         assert "NaN" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("radius", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("radius", ["nan", "inf", "1e400", "-1", "0"])
     def test_certify_non_finite_radius(self, radius, capsys):
-        assert main(["certify", "--samples", "10", "--radius", radius]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "radius" in err
+        # refused up front: without --samples nothing else reads the radius
+        for samples in (["--samples", "10"], []):
+            assert main(["certify", *samples, "--radius", radius]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+            assert "--radius" in captured.err
 
     @pytest.mark.parametrize("d_bar", ["nan", "inf", "1e400"])
     def test_certify_non_finite_d_bar(self, d_bar, capsys):

@@ -67,30 +67,37 @@ class TestChi:
 
 
 class TestInPlaceForm:
-    """Given a run workspace and ``out``, chi and local_map write the bits
-    of their allocating form, for finite and non-finite states."""
+    """The engine's in-place field writes the bits of the allocating
+    ``local_map(x) + g . x``, for finite and non-finite states, given the
+    run's state, its stage state or any other array."""
 
     @pytest.mark.parametrize("where", ["state", "stage", "other"])
     def test_same_bits(self, where):
         from dvocsim.engine import _Workspace
         params = InverterParams(xi=7.5, x_nom_sq2=1.3, kappa=0.7)
         rng = np.random.default_rng(5)
-        parts = np.concatenate([rng.normal(0.0, 2.0, 40), [
-            0.0, -0.0, 1e-300, -1e300, math.inf, -math.inf, math.nan]])
-        x = np.empty(64, dtype=complex)
-        x.real, x.imag = rng.choice(parts, 64), rng.choice(parts, 64)
-        w = _Workspace(params, x.copy(), 1e-4, None)
-        at = {"state": w.y, "stage": w.ys, "other": x.copy()}[where]
-        at[:] = x
-        chi_out = np.empty(64)
-        h_out = np.empty(64, dtype=complex)
-        with np.errstate(all="ignore"):
-            want_chi, want_h = chi(x, params), local_map(x, params)
-            got_chi = chi(at, w, chi_out)
-            got_h = local_map(at, w, h_out)
-        assert got_chi is chi_out and got_h is h_out
-        assert got_chi.tobytes() == want_chi.tobytes()
-        assert got_h.tobytes() == want_h.tobytes()
+        parts = np.concatenate([rng.normal(0.0, 2.0, 40),
+                                [0.0, -0.0, 1e-300, -1e300]])
+        special = np.concatenate([parts, [math.inf, -math.inf, math.nan]])
+        g = rng.normal(0.0, 50.0, 64) + 1j * rng.normal(0.0, 50.0, 64)
+        for pool in (parts, special):
+            x = np.empty(64, dtype=complex)
+            x.real, x.imag = rng.choice(pool, 64), rng.choice(pool, 64)
+            # only ``at`` holds x, so reading another array's view fails
+            w = _Workspace(params, np.zeros(64, dtype=complex), 1e-4, None)
+            w.g, w.ys[:] = g, 0.0
+            at = {"state": w.y, "stage": w.ys, "other": x.copy()}[where]
+            at[:] = x
+            out = np.empty(64, dtype=complex)
+            with np.errstate(all="ignore"):
+                want_gain = chi(x, params) + complex(-params.kappa_beta,
+                                                     params.omega0)
+                want = local_map(x, params) + np.dot(g, x)
+                got = w.field(0.0, at, out)
+            assert got is out
+            # the gain alone, as a non-finite state makes g . x NaN
+            assert w.gain.tobytes() == want_gain.tobytes()
+            assert got.tobytes() == want.tobytes()
 
 
 class TestOpenLoop:

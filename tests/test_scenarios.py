@@ -269,6 +269,12 @@ class TestSharingReport:
         with pytest.raises(ValueError, match="window"):
             build_metrics(simulate(sc), window=0.02)
 
+    @pytest.mark.parametrize("window", [-0.005, 0.0, math.nan, math.inf])
+    def test_window_not_positive_finite(self, window):
+        sc = build_case("I", 3, seed=1, t_end=0.01)
+        with pytest.raises(ValueError, match="window must be finite and > 0"):
+            build_metrics(simulate(sc), window=window)
+
 
 @pytest.fixture(scope="module")
 def traj():
