@@ -25,6 +25,10 @@ from .oscillator import InverterParams, sym_lambda_max
 
 BOUND_SLACK = 1e-9
 ENVELOPE_FLOOR = 1e-12      # pu; round-off floor of envelope_check
+# Peak bytes sampled_lambda_check allocates per state (tracemalloc: 96.0 at
+# 10^5 to 4*10^6 samples); 1 GiB admits 11,184,809 samples and the origin.
+_SAMPLE_BYTES = 96
+_MAX_SAMPLES = 2**30 // _SAMPLE_BYTES - 1
 
 
 class NotContractingError(ValueError):
@@ -67,12 +71,15 @@ def sampled_lambda_check(params: InverterParams, radius: float,
 
     The origin (the analytic maximizer of the symmetric part's top eigenvalue)
     is always included ahead of the ``n_samples`` random states, and all of
-    them go through ``sym_lambda_max`` as one complex array.
+    them go through ``sym_lambda_max`` as one complex array.  The radius
+    must keep that function's largest intermediate, ~4*xi*radius^2, finite.
     """
-    if not math.isfinite(radius) or radius <= 0:
-        raise ValueError(f"radius must be finite and > 0, got {radius}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not (radius > 0 and math.isfinite(4.0 * params.xi * radius * radius)):
+        raise ValueError(f"radius must be finite and > 0, with 4*xi*radius^2 "
+                         f"finite (xi = {params.xi}), got {radius}")
+    if not 1 <= n_samples <= _MAX_SAMPLES:
+        raise ValueError(f"n_samples must be 1 to {_MAX_SAMPLES:,} (~"
+                         f"{_SAMPLE_BYTES} bytes each), got {n_samples:,}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
@@ -122,6 +129,8 @@ def envelope_check(t_i: np.ndarray, x_i: np.ndarray,
         raise ValueError("trajectories are on different time grids")
     if len(t_i) != len(x_i) or len(t_j) != len(x_j):
         raise ValueError("time grid and state series lengths differ")
+    if len(t_i) == 0:
+        raise ValueError("the series are empty")
     if len(t_i) >= 3:
         steps = np.diff(t_i)
         if np.max(steps) - np.min(steps) > 1e-9 * max(np.max(np.abs(steps)), 1e-300):

@@ -261,11 +261,6 @@ def _read_scenario_json(path: str | Path) -> dict:
     return _object(raw, "scenario")
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Parse a scenario JSON file (strict: unknown keys are errors)."""
-    return scenario_from_dict(_read_scenario_json(path))
-
-
 def apply_overrides(raw: dict, sets: Sequence[str]) -> dict:
     """Apply repeatable ``--set dotted.path=value`` overrides to a raw dict."""
     out = json.loads(json.dumps(raw))     # deep copy, JSON types only
@@ -430,15 +425,13 @@ def write_timeseries(traj: Trajectory, path: str | Path) -> None:
 
 
 def build_report(scenario: Scenario, cert: CertificateReport,
-                 traj: Optional[Trajectory] = None,
+                 traj: Trajectory,
                  diverged: Optional[SimulationDiverged] = None) -> dict:
     """Everything a run produces, as one JSON-ready dict."""
-    metrics = None
-    if traj is not None:
-        try:
-            metrics = build_metrics(traj)
-        except ValueError:
-            pass        # partial trajectories can be shorter than the window
+    try:
+        metrics = build_metrics(traj)
+    except ValueError:  # a partial trajectory can be shorter than the window
+        metrics = None
     ks = k_sh(scenario.network, math.inf)
     r_star = predicted_r_star(scenario)
     return {
@@ -482,10 +475,12 @@ def _cmd_certify(config: argparse.Namespace) -> int:
         raise ScenarioError(f"--samples must be >= 0, got {config.samples}")
     if config.seed is not None and config.seed < 0:
         raise ScenarioError(f"seed must be >= 0, got {config.seed}")
-    if not 0.0 < config.sample_radius < math.inf:
-        raise ScenarioError(f"--radius must be finite and > 0, got "
-                            f"{config.sample_radius}")
     params = _oscillator_for(config)
+    radius = config.sample_radius
+    if not (radius > 0 and math.isfinite(4.0 * params.xi * radius * radius)):
+        raise ScenarioError(f"--radius must be finite and > 0, with "
+                            f"4*xi*radius^2 finite (xi = {params.xi}), got "
+                            f"{radius}")
     report = certificate_margin(params)
     found: dict[str, float] = {}
     if config.d_bar is not None:
@@ -498,10 +493,10 @@ def _cmd_certify(config: argparse.Namespace) -> int:
             pass
     if config.samples > 0:
         found["lambda_max_sampled"] = sampled_lambda_check(
-            params, config.sample_radius, config.samples,
+            params, radius, config.samples,
             config.seed or 0).max_found
     report = dataclasses.replace(report, **found)
-    print(json.dumps(dataclasses.asdict(report), indent=2))
+    print(json.dumps(dataclasses.asdict(report), indent=2, allow_nan=False))
     print(f"certificate: {'PASS' if report.passed else 'FAIL'} "
           f"(margin_c = {report.margin_c:.6g} 1/s)", file=sys.stderr)
     return 0 if report.passed else 1
@@ -523,8 +518,7 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
     except SimulationDiverged as err:
         diverged = err
         traj = err.trajectory
-    if traj is not None:
-        write_timeseries(traj, out / "timeseries.csv")
+    write_timeseries(traj, out / "timeseries.csv")
     _write_json(out / "report.json",
                 build_report(scenario, cert, traj, diverged))
     if diverged is not None:

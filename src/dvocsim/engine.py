@@ -54,13 +54,14 @@ WAVEFORMS = ("constant", "rotating")
 
 
 class SimulationDiverged(RuntimeError):
-    """A state left the modeled regime; carries the partial trajectory.
+    """A state left the modeled regime at time ``t``.
 
-    ``last_norm`` is the largest |x| of the last finite recorded state.
+    ``last_norm`` is the largest |x| of the last finite recorded state, and
+    ``trajectory`` holds every recorded state up to it.
     """
 
     def __init__(self, t: float, inverter: int, last_norm: float,
-                 trajectory: Optional["Trajectory"] = None):
+                 trajectory: "Trajectory"):
         super().__init__(
             f"state of inverter index {inverter} diverged at t={t:.6g} s "
             f"(last finite norm {last_norm:.6g} pu)")
@@ -287,24 +288,17 @@ class _Workspace:
         return out
 
 
-def rk4_increment(f, t: float, y, dt: float,
-                  w: Optional[_Workspace] = None):
+def rk4_increment(f, t: float, y: np.ndarray, dt: float,
+                  w: _Workspace) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step of dy/dt = f(t, y).
 
-    This single kernel is what every simulation step in the package goes
-    through.  Without ``w`` it is generic over scalars and arrays and returns
-    a new value of y's type.  With a run workspace ``w``, ``y`` is ``w.y``,
-    ``f(t, x, out)`` writes into ``out``, and the result is written into
-    ``y`` and returned; the arithmetic and its order are the same, with 0-d
-    weights, so are the bits.
+    Every simulation step in the package goes through this kernel.  ``w`` is
+    a workspace built for ``y`` and ``dt``, ``f(t, x, out)`` writes the
+    derivative at ``x`` into ``out``, and the step is written into ``y`` and
+    returned.  The ufunc calls and their order are those of ``y + dt/6*(k1 +
+    2*k2 + 2*k3 + k4)`` with Python float weights, which take on y's dtype
+    (NEP 50) as the 0-d weights do, so are the bits.
     """
-    if w is None:
-        half, whole, sixth, two = 0.5 * dt, dt, dt / 6.0, 2.0
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * dt, y + half * k1)
-        k3 = f(t + 0.5 * dt, y + half * k2)
-        k4 = f(t + dt, y + whole * k3)
-        return y + sixth * (k1 + two * k2 + two * k3 + k4)
     half, whole, sixth, two = w.weights
     k1, k2, k3, k4, ys, acc = w.stages
     f(t, y, k1)
@@ -352,8 +346,7 @@ def simulate(scenario: Scenario,
              x0: Optional[np.ndarray] = None) -> Trajectory:
     """Run the scenario on the uniform grid t_i = i*dt.
 
-    ``x0`` overrides the seeded random initial state (used by tests and
-    sweeps that need full control of initial conditions).  On divergence the
+    ``x0`` overrides the seeded random initial state.  On divergence the
     trajectory up to the last finite state is attached to the raised
     :class:`SimulationDiverged`.
     """

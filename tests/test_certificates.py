@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -73,10 +75,47 @@ class TestSampledLambda:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             sampled_lambda_check(P, 1.0, 10, -1)
 
-    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 1e200])
     def test_non_finite_radius(self, radius):
+        # at 1e200, |x|^2 overflows and the sampled eigenvalue would be NaN
         with pytest.raises(ValueError, match="radius must be finite"):
             sampled_lambda_check(P, radius, 10, 0)
+
+    def test_largest_radius_before_overflow(self):
+        # at xi = 10, sym_lambda_max's largest intermediate ~4*xi*r^2 is
+        # finite at r = 2e153 and overflows at r = 3e153
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sampled_lambda_check(P, 2e153, 10, 0)
+        assert out.ok and math.isfinite(out.max_found)
+        with pytest.raises(ValueError, match=r"4\*xi\*radius\^2 finite"):
+            sampled_lambda_check(P, 3e153, 10, 0)
+
+    def test_bytes_per_sample(self):
+        # the budget's per-sample figure is the measured peak
+        n = 100_000
+        tracemalloc.start()
+        try:
+            sampled_lambda_check(P, 2.0, n, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.9 <= peak / (certificates._SAMPLE_BYTES * (n + 1)) <= 1.05
+
+    @pytest.mark.parametrize("offset", [1, 10**12])
+    def test_sample_budget(self, offset):
+        # refused before the samples are drawn: nothing near their size is
+        # allocated
+        n = certificates._MAX_SAMPLES + offset
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n_samples must be 1 to "
+                               f"{certificates._MAX_SAMPLES:,} "):
+                sampled_lambda_check(P, 2.0, n, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_max_is_written_out_bound(self):
         out = sampled_lambda_check(P, 2.0, 5000, seed=1)
@@ -170,6 +209,11 @@ class TestEnvelope:
         x = np.exp(-self.t) + 0j
         with pytest.raises(ValueError, match="length"):
             envelope_check(self.t, x[:-1], self.t, x, c=1.0)
+
+    def test_empty_series(self):
+        empty = np.array([])
+        with pytest.raises(ValueError, match="the series are empty"):
+            envelope_check(empty, empty + 0j, empty, empty + 0j, c=1.0)
 
     def test_needs_positive_rate(self):
         x = np.exp(-self.t) + 0j

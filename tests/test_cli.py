@@ -17,10 +17,10 @@ from hypothesis.extra.numpy import arrays
 import dvocsim
 from dvocsim import _csvtext, cli
 from dvocsim.cli import (SQRT3_OVER_2, ScenarioError, apply_overrides,
-                         build_parser, build_report, main, load_scenario,
-                         run, scenario_from_dict, scenario_to_dict,
+                         build_parser, build_report, main, run,
+                         scenario_from_dict, scenario_to_dict,
                          write_timeseries)
-from dvocsim.certificates import certificate_margin
+from dvocsim.certificates import SampledLambdaResult, certificate_margin
 from dvocsim.engine import DisturbanceSpec, InitSpec, simulate
 from dvocsim.scenarios import build_case, build_metrics
 
@@ -116,8 +116,8 @@ def assert_no_children():
 
 
 class TestLoadScenario:
-    def test_minimal_case_file(self, tmp_path):
-        sc = load_scenario(write(tmp_path, {"case": "I", "n": 4, "seed": 3}))
+    def test_minimal_case_file(self):
+        sc = scenario_from_dict({"case": "I", "n": 4, "seed": 3})
         assert sc.n == 4
         assert sc.t_end == 2.0
         assert sc.dt == 1e-4
@@ -125,103 +125,107 @@ class TestLoadScenario:
         assert sc.init.overrides == ((0, 10.0),)
         assert sc == build_case("I", 4, seed=3)
 
-    def test_case_two_with_knobs(self, tmp_path):
+    def test_case_two_with_knobs(self):
         raw = {"case": "II", "n": 6, "seed": 1, "t_end": 1.0,
                "network": {"t_z": 0.2, "domination_ratio": 2000.0},
                "oscillator": {"kappa": 0.8}}
-        sc = load_scenario(write(tmp_path, raw))
+        sc = scenario_from_dict(raw)
         assert sc.network.t_z == 0.2
         assert sc.params[0].kappa == 0.8
         assert sc.t_end == 1.0
 
-    def test_unknown_top_key(self, tmp_path):
+    def test_unknown_top_key(self):
         with pytest.raises(ScenarioError, match="'tend'"):
-            load_scenario(write(tmp_path, {"case": "I", "n": 4, "seed": 0,
-                                           "tend": 1.0}))
+            scenario_from_dict({"case": "I", "n": 4, "seed": 0, "tend": 1.0})
 
-    def test_unknown_nested_key(self, tmp_path):
+    def test_unknown_nested_key(self):
         raw = {"case": "I", "n": 4, "seed": 0, "oscillator": {"xj": 1.0}}
         with pytest.raises(ScenarioError, match="'xj'"):
-            load_scenario(write(tmp_path, raw))
+            scenario_from_dict(raw)
 
-    def test_negative_xi_names_field(self, tmp_path):
+    def test_negative_xi_names_field(self):
         raw = {"case": "I", "n": 4, "seed": 0, "oscillator": {"xi": -1.0}}
         with pytest.raises(ValueError, match="xi"):
-            load_scenario(write(tmp_path, raw))
+            scenario_from_dict(raw)
 
-    def test_case_forbids_branches(self, tmp_path):
+    def test_case_forbids_branches(self):
         raw = {"case": "I", "n": 2, "seed": 0,
                "branches": [{"r_v": 1.0}, {"r_v": 1.0}]}
         with pytest.raises(ScenarioError, match="branches"):
-            load_scenario(write(tmp_path, raw))
+            scenario_from_dict(raw)
 
-    def test_missing_seed(self, tmp_path):
+    def test_missing_seed(self):
         with pytest.raises(ScenarioError, match="seed"):
-            load_scenario(write(tmp_path, {"case": "I", "n": 4}))
+            scenario_from_dict({"case": "I", "n": 4})
 
-    def test_explicit_form(self, tmp_path):
+    def test_explicit_form(self):
         raw = {"n": 2, "seed": 5, "t_end": 0.5, "dt": 1e-4,
                "branches": [{"r_v": 1.0}, {"r_v": 2.0, "z_extra": [3.0, 1.0]}],
                "network": {"z_net": [100.0, 0.0], "t_z": 0.1},
                "init": {"norm_bound": 0.5, "overrides": {"2": 4.0}},
                "disturbance": {"inverter": 1, "amplitude": 2.0,
                                "waveform": "constant"}}
-        sc = load_scenario(write(tmp_path, raw))
+        sc = scenario_from_dict(raw)
         assert sc.n == 2
         assert sc.network.z_net == 100.0 + 0j
         assert sc.network.branches[1].z_extra == 3.0 + 1.0j
         assert sc.init.overrides == ((1, 4.0),)
         assert sc.disturbance == DisturbanceSpec(0, 2.0, "constant")
 
-    def test_explicit_needs_network(self, tmp_path):
+    def test_explicit_needs_network(self):
         raw = {"n": 1, "seed": 0, "branches": [{"r_v": 1.0}]}
         with pytest.raises(ScenarioError, match="network"):
-            load_scenario(write(tmp_path, raw))
+            scenario_from_dict(raw)
 
-    def test_branch_count_mismatch(self, tmp_path):
+    def test_branch_count_mismatch(self):
         raw = {"n": 3, "seed": 0, "branches": [{"r_v": 1.0}],
                "network": {"z_net": [1.0, 0.0]}}
         with pytest.raises(ScenarioError, match="branches"):
-            load_scenario(write(tmp_path, raw))
+            scenario_from_dict(raw)
 
-    def test_override_out_of_range(self, tmp_path):
+    def test_override_out_of_range(self):
         raw = {"case": "I", "n": 2, "seed": 0,
                "init": {"overrides": {"9": 1.0}}}
         with pytest.raises(ScenarioError, match="9"):
-            load_scenario(write(tmp_path, raw))
+            scenario_from_dict(raw)
 
-    def test_not_json(self, tmp_path):
+    def test_not_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
-        with pytest.raises(ScenarioError, match="JSON"):
-            load_scenario(path)
+        assert main(["simulate", "--scenario", str(path),
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "is not valid JSON" in err
 
     @pytest.mark.parametrize("constant",
                              ["NaN", "Infinity", "-Infinity", "1e400"])
-    def test_non_finite_constant(self, tmp_path, constant):
+    def test_non_finite_constant(self, tmp_path, capsys, constant):
         path = tmp_path / "nan.json"
         path.write_text('{"case": "I", "n": 2, "seed": 0, '
                         f'"oscillator": {{"xi": {constant}}}}}')
-        with pytest.raises(ScenarioError, match=constant):
-            load_scenario(path)
+        assert main(["simulate", "--scenario", str(path),
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{constant} is not a finite number" in err
 
-    def test_boolean_override_norm(self, tmp_path):
+    def test_boolean_override_norm(self):
         raw = {"case": "I", "n": 2, "seed": 0,
                "init": {"overrides": {"1": True}}}
         with pytest.raises(ScenarioError, match="override for inverter 1"):
-            load_scenario(write(tmp_path, raw))
+            scenario_from_dict(raw)
 
     @pytest.mark.parametrize("z_net, z_extra, field", [
         (True, [0.0, 0.0], "network.z_net"),
         ([100.0, False], [0.0, 0.0], "network.z_net"),
         ([100.0, 0.0], [True, 0.0], r"branches\[1\].z_extra"),
     ])
-    def test_boolean_complex(self, tmp_path, z_net, z_extra, field):
+    def test_boolean_complex(self, z_net, z_extra, field):
         raw = {"n": 1, "seed": 0, "branches": [{"r_v": 1.0,
                                                 "z_extra": z_extra}],
                "network": {"z_net": z_net}}
         with pytest.raises(ScenarioError, match=field):
-            load_scenario(write(tmp_path, raw))
+            scenario_from_dict(raw)
 
     @pytest.mark.parametrize("section, value, where", [
         ("init", 5, "init"),
@@ -232,11 +236,11 @@ class TestLoadScenario:
     ], ids=["init", "oscillator", "network", "init.overrides", "disturbance"])
     def test_section_not_object(self, tmp_path, capsys, section, value,
                                 where):
-        path = write(tmp_path, {"case": "I", "n": 2, "seed": 0,
-                                section: value})
+        raw = {"case": "I", "n": 2, "seed": 0, section: value}
         with pytest.raises(ScenarioError, match=f"{where} must be a JSON "
                            "object"):
-            load_scenario(path)
+            scenario_from_dict(raw)
+        path = write(tmp_path, raw)
         assert main(["simulate", "--scenario", str(path),
                      "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
@@ -247,15 +251,15 @@ class TestLoadScenario:
         ({"seed": 1.9}, "'seed'"),
         ({"disturbance": {"inverter": 1.5, "amplitude": 1.0}}, "'inverter'"),
     ], ids=["n", "seed", "disturbance.inverter"])
-    def test_not_whole_number(self, tmp_path, changes, key):
+    def test_not_whole_number(self, changes, key):
         raw = {"case": "I", "n": 4, "seed": 0, **changes}
         with pytest.raises(ScenarioError, match=f"{key} .* whole number"):
-            load_scenario(write(tmp_path, raw))
+            scenario_from_dict(raw)
 
-    def test_whole_float_accepted(self, tmp_path):
+    def test_whole_float_accepted(self):
         raw = {"case": "I", "n": 4.0, "seed": 3.0,
                "disturbance": {"inverter": 2.0, "amplitude": 1.0}}
-        sc = load_scenario(write(tmp_path, raw))
+        sc = scenario_from_dict(raw)
         assert sc == build_case("I", 4, seed=3,
                                 disturbance=DisturbanceSpec(1, 1.0))
         assert sc.init == InitSpec(seed=3, norm_bound=1.0,
@@ -271,16 +275,16 @@ class TestRoundTrip:
         assert again == sc
         assert scenario_to_dict(again) == raw
 
-    def test_explicit_round_trips(self, tmp_path):
+    def test_explicit_round_trips(self):
         raw = {"n": 2, "seed": 5, "branches": [{"r_v": 1.0}, {"r_v": 2.0}],
                "network": {"z_net": [50.0, 10.0]}}
-        sc = load_scenario(write(tmp_path, raw))
+        sc = scenario_from_dict(raw)
         assert scenario_from_dict(scenario_to_dict(sc)) == sc
 
-    def test_explicit_omega0_sets_network_frequency(self, tmp_path):
+    def test_explicit_omega0_sets_network_frequency(self):
         raw = {"n": 1, "seed": 0, "oscillator": {"omega0": 100.0},
                "branches": [{"l_f": 1e-3}], "network": {"z_net": [50.0, 0.0]}}
-        sc = load_scenario(write(tmp_path, raw))
+        sc = scenario_from_dict(raw)
         assert sc.network.omega_eval == 100.0
         assert sc.network.admittances()[0] == pytest.approx(1 / 0.1j)
 
@@ -648,9 +652,11 @@ class TestCommands:
                      "--out", str(tmp_path / "x")]) == 1
         assert "NaN" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("radius", ["nan", "inf", "1e400", "-1", "0"])
+    @pytest.mark.parametrize("radius",
+                             ["nan", "inf", "1e400", "-1", "0", "1e200"])
     def test_certify_non_finite_radius(self, radius, capsys):
-        # refused up front: without --samples nothing else reads the radius
+        # refused up front: without --samples nothing else reads the radius;
+        # at 1e200 the sampled eigenvalue would overflow to NaN
         for samples in (["--samples", "10"], []):
             assert main(["certify", *samples, "--radius", radius]) == 1
             captured = capsys.readouterr()
@@ -680,6 +686,22 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "samples" in captured.err
+
+    def test_certify_stdout_is_strict_json(self, monkeypatch, capsys):
+        # a NaN that got past the input checks is an error, not a NaN token
+        monkeypatch.setattr(cli, "sampled_lambda_check",
+                            lambda *args: SampledLambdaResult(math.nan, False))
+        assert main(["certify", "--samples", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_certify_too_many_samples(self, capsys):
+        # refused before the ~96 TB of samples are allocated
+        assert main(["certify", "--samples", "1000000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: n_samples must be 1 to ")
 
     def test_certify_reads_only_the_oscillator(self, tmp_path, capsys):
         # a run of 100 000 inverters would record ~64 GB; the certificate
@@ -950,10 +972,11 @@ class TestOneInverter:
     """A single inverter is its own synchronized group."""
 
     def test_explicit_single_inverter_metrics(self, tmp_path):
-        path = write(tmp_path, {"n": 1, "seed": 2, "t_end": 0.1,
-                                "branches": [{"r_f": 0.1, "l_f": 1e-3}],
-                                "network": {"z_net": [50.0, 0.0]}})
-        sc = load_scenario(path)
+        raw = {"n": 1, "seed": 2, "t_end": 0.1,
+               "branches": [{"r_f": 0.1, "l_f": 1e-3}],
+               "network": {"z_net": [50.0, 0.0]}}
+        sc = scenario_from_dict(raw)
+        path = write(tmp_path, raw)
         m = build_metrics(simulate(sc))
         assert m.synchronized is True
         assert m.sync_error_series.shape == (sc.n_steps + 1,)
