@@ -24,8 +24,11 @@ calls, allocating no array and casting no operand.  Its scalar operands are
 0-d arrays of the operand's own dtype: under numpy's scalar promotion rules
 (NEP 50) a Python float or complex is converted afresh on every call, and a
 0-d array goes through the same stride-0 loop.  The bus term g . x goes into
-a 0-d buffer.  ``_Workspace.field`` states the identities by which its
-in-place arithmetic keeps the bits of the allocating form.
+a 0-d buffer.  The field is a closure bound to the workspace's operands once
+per run, and the kernels call ufuncs through module-level aliases, which
+cuts the name lookups around each call.  ``_Workspace._bind_field`` states
+the identities by which its in-place arithmetic keeps the bits of the
+allocating form.
 """
 
 from __future__ import annotations
@@ -216,48 +219,48 @@ def _disturbance_at(d: DisturbanceSpec, omega0: float, t: float) -> complex:
     return d.amplitude * np.exp(1j * omega0 * t)
 
 
+# module-level ufunc aliases: one global lookup per call instead of a global
+# and an attribute lookup
+_add, _multiply, _subtract = np.add, np.multiply, np.subtract
+
+
 class _Workspace:
     """One run's state (adopted and advanced in place), RK4 stages, the
     operands and scratch of the field's local map and the bus buffer, which
     every step of ``simulate`` writes into.  It belongs to one run, never to
     the module, so distinct runs can go on concurrently.  A plain class: a
     dataclass would add ~1 ms to ``import dvocsim``.
+
+    ``field`` is built once per workspace, as a closure over these
+    operands, so that an evaluation loads them from its cells rather than
+    from the workspace; only the coupling vector ``g``, which ``simulate``
+    switches at t_z, is read from the workspace on every call.
     """
 
-    __slots__ = ("y", "yv", "ys", "ysv", "stages", "weights", "xi",
-                 "x_nom_sq2", "neg_kappa_beta", "omega0", "sq", "sq_re",
-                 "sq_im", "gain", "gain_re", "bus", "g", "disturbance")
+    __slots__ = ("y", "ys", "stages", "weights", "gain", "g", "field")
 
     def __init__(self, p: InverterParams, y: np.ndarray, dt: float,
                  disturbance: Optional[DisturbanceSpec]):
         n = len(y)
-        self.y, self.yv = y, y.view(np.float64)
+        self.y = y
         # k1..k4, the stage state and the accumulator
         self.stages = tuple(np.empty(n, dtype=complex) for _ in range(6))
         self.ys = self.stages[4]
-        self.ysv = self.ys.view(np.float64)
         # a Python float operand takes on the state's dtype (NEP 50)
         self.weights = tuple(np.array(w, dtype=complex)
                              for w in (0.5 * dt, dt, dt / 6.0, 2.0))
-        self.xi = np.array(p.xi)
-        self.x_nom_sq2 = np.array(p.x_nom_sq2)
-        self.neg_kappa_beta = np.array(-p.kappa_beta)
-        self.omega0 = p.omega0
-        self.sq = np.empty(2 * n)
-        self.sq_re, self.sq_im = self.sq[0::2], self.sq[1::2]
         self.gain = np.full(n, complex(0.0, p.omega0))
-        self.gain_re = self.gain.real
-        self.bus = np.empty((), dtype=complex)
         self.g: Optional[np.ndarray] = None
-        self.disturbance = disturbance
+        self.field = self._bind_field(p, disturbance)
 
-    def field(self, t: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Coupled derivative h(x_k) + kappa*v_o (+ disturbance on one
-        inverter), written into ``out``.
+    def _bind_field(self, p: InverterParams,
+                    d: Optional[DisturbanceSpec]):
+        """The coupled derivative h(x_k) + kappa*v_o (+ disturbance on one
+        inverter), as ``field(t, x, out)`` writing into ``out``.
 
         ``g`` is the coupling vector kappa*beta*Y/Y_sigma, so g . x =
         kappa*v_o.  ``x`` is a contiguous complex array.  The result has the
-        bits of ``local_map(x, p) + np.dot(g, x)`` by two identities:
+        bits of ``local_map(x, p) + np.dot(g, x)`` by three identities:
 
         * |x|^2 is one multiply of ``x.view(np.float64)`` by itself and one
           add of its even and odd elements, term by term ``x.real**2 +
@@ -268,24 +271,38 @@ class _Workspace:
           whose imaginary part holds omega0: the allocating form adds
           -kappa*beta + j*omega0 to chi cast to complex, and 0.0 + omega0 is
           omega0.
+        * ``g.dot(x, bus)`` runs the routine of ``np.dot(g, x)`` without
+          its ``__array_function__`` dispatch.
         """
+        w = self
+        y, ys, gain = self.y, self.ys, self.gain
         # a view costs about as much as a ufunc call, so the states have
         # theirs built once
-        xv = (self.yv if x is self.y else self.ysv if x is self.ys
-              else x.view(np.float64))
-        gain_re = self.gain_re
-        np.multiply(xv, xv, self.sq)
-        np.add(self.sq_re, self.sq_im, gain_re)
-        np.subtract(self.x_nom_sq2, gain_re, gain_re)
-        np.multiply(self.xi, gain_re, gain_re)
-        np.add(gain_re, self.neg_kappa_beta, gain_re)
-        np.multiply(self.gain, x, out)
-        np.dot(self.g, x, self.bus)
-        np.add(out, self.bus, out)
-        d = self.disturbance
-        if d is not None:
-            out[d.inverter] += _disturbance_at(d, self.omega0, t)
-        return out
+        yv, ysv = y.view(np.float64), ys.view(np.float64)
+        sq = np.empty(2 * len(y))
+        sq_re, sq_im = sq[0::2], sq[1::2]
+        gain_re = gain.real
+        xi = np.array(p.xi)
+        x_nom_sq2 = np.array(p.x_nom_sq2)
+        neg_kappa_beta = np.array(-p.kappa_beta)
+        bus = np.empty((), dtype=complex)
+        omega0 = p.omega0
+
+        def field(t: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+            xv = yv if x is y else ysv if x is ys else x.view(np.float64)
+            _multiply(xv, xv, sq)
+            _add(sq_re, sq_im, gain_re)
+            _subtract(x_nom_sq2, gain_re, gain_re)
+            _multiply(xi, gain_re, gain_re)
+            _add(gain_re, neg_kappa_beta, gain_re)
+            _multiply(gain, x, out)
+            w.g.dot(x, bus)
+            _add(out, bus, out)
+            if d is not None:
+                out[d.inverter] += _disturbance_at(d, omega0, t)
+            return out
+
+        return field
 
 
 def rk4_increment(f, t: float, y: np.ndarray, dt: float,
@@ -302,16 +319,16 @@ def rk4_increment(f, t: float, y: np.ndarray, dt: float,
     half, whole, sixth, two = w.weights
     k1, k2, k3, k4, ys, acc = w.stages
     f(t, y, k1)
-    np.add(y, np.multiply(half, k1, acc), ys)
+    _add(y, _multiply(half, k1, acc), ys)
     f(t + 0.5 * dt, ys, k2)
-    np.add(y, np.multiply(half, k2, acc), ys)
+    _add(y, _multiply(half, k2, acc), ys)
     f(t + 0.5 * dt, ys, k3)
-    np.add(y, np.multiply(whole, k3, acc), ys)
+    _add(y, _multiply(whole, k3, acc), ys)
     f(t + dt, ys, k4)
-    np.add(k1, np.multiply(two, k2, acc), acc)
-    np.add(acc, np.multiply(two, k3, ys), acc)
-    np.add(acc, k4, acc)
-    return np.add(y, np.multiply(sixth, acc, acc), y)
+    _add(k1, _multiply(two, k2, acc), acc)
+    _add(acc, _multiply(two, k3, ys), acc)
+    _add(acc, k4, acc)
+    return _add(y, _multiply(sixth, acc, acc), y)
 
 
 def _first_diverged(rows: np.ndarray) -> Optional[tuple[int, int]]:

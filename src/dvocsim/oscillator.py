@@ -59,6 +59,10 @@ class InverterParams:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.kappa < 0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        if not math.isfinite(self.kappa_beta):
+            raise ValueError(
+                f"kappa = {self.kappa} with beta = {self.beta} makes "
+                "kappa*beta overflow")
 
     @property
     def kappa_beta(self) -> float:

@@ -154,13 +154,14 @@ def sync_error(traj: Trajectory) -> np.ndarray:
     with the higher-numbered ones only, and the per-step maximum is kept
     running.  The result equals the maximum over all ordered pairs exactly,
     since |a - b| == |b - a| and the zero diagonal cannot raise a maximum of
-    non-negative values.
+    non-negative values.  The loop runs on an (N, S) copy of the states, so
+    each inverter's series is contiguous and the reduction over the partners
+    runs along whole rows.
     """
-    x = traj.x
-    out = np.zeros(len(x))
+    xt = traj.x.T.copy()
+    out = np.zeros(len(traj.x))
     for i in range(traj.n - 1):
-        np.maximum(out, np.abs(x[:, i:i + 1] - x[:, i + 1:]).max(axis=1),
-                   out=out)
+        np.maximum(out, np.abs(xt[i] - xt[i + 1:]).max(axis=0), out=out)
     return out
 
 

@@ -150,6 +150,23 @@ def flat_star_rk4(x0, xi, amp_sq, omega0, kappa, beta, branches, z_net,
     return xs, vs, currents
 
 
+def pairwise_max_distance(x):
+    """Per row of an (S, N) complex array, the largest |x_i - x_j| over all
+    ordered pairs i != j, one pair at a time; 0.0 for one column.  The
+    distance is numpy's scalar abs, which rounds as its array abs does
+    (Python's abs(complex) calls libm's hypot, which can differ in the last
+    bit).  A NaN distance propagates, as numpy's maximum does."""
+    out = np.zeros(len(x))
+    for s, row in enumerate(x):
+        for i, a in enumerate(row):
+            for j, b in enumerate(row):
+                if i != j:
+                    d = np.abs(a - b)
+                    if d != d or d > out[s]:
+                        out[s] = d
+    return out
+
+
 def central_difference_jacobian(f, x, h=1e-6):
     """Central finite-difference Jacobian of f: R^2 -> R^2 at x."""
     j = np.zeros((2, 2))

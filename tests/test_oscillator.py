@@ -44,6 +44,12 @@ class TestParams:
         with pytest.raises(ValueError, match="kappa"):
             InverterParams(kappa=-0.1)
 
+    def test_overflowing_kappa_beta_names_kappa(self):
+        with pytest.raises(ValueError, match=r"^kappa = 1e\+308 with beta = "
+                           r"563\.[0-9]+ makes kappa\*beta overflow$"):
+            InverterParams(kappa=1e308)
+        assert InverterParams(kappa=1e300).kappa_beta < math.inf
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["xi", "x_nom_sq2", "omega0", "kappa",
                                        "beta", "r_f", "l_f", "r_v", "x_v"])

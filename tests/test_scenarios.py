@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dvocsim import scenarios
 from dvocsim.engine import InitSpec, Scenario, Trajectory, simulate
@@ -11,6 +13,7 @@ from dvocsim.oscillator import InverterParams
 from dvocsim.scenarios import (build_case, build_metrics, case2_low_indices,
                                fit_decay_rate, predicted_r_star, sync_error,
                                sync_time)
+from oracles import pairwise_max_distance
 
 P = InverterParams()
 W0 = P.omega0
@@ -18,7 +21,9 @@ Z_LINE = complex(0.75 * 0.1153, 0.75 * W0 * 1.05e-3)
 
 
 def fake_traj(t, x):
-    sc = build_case("I", x.shape[1] if x.ndim > 1 else 2, seed=0, t_end=0.01)
+    # the scenario is a placeholder, and case I needs two inverters
+    n = x.shape[1] if x.ndim > 1 else 2
+    sc = build_case("I", max(n, 2), seed=0, t_end=0.01)
     return Trajectory(np.asarray(t, float), np.asarray(x, complex),
                       np.zeros(len(t), complex),
                       np.zeros_like(np.asarray(x, complex)), sc)
@@ -144,6 +149,27 @@ class TestSyncError:
                     want[k] = max(want[k], np.abs(x[k, i] - x[k, j]))
         assert np.array_equal(sync_error(fake_traj(np.arange(s) * 1e-4, x)),
                               want)
+
+    # a small pool of parts makes duplicate points and ties common
+    parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, math.inf,
+                                       -math.inf]),
+                      st.floats(-1e3, 1e3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(complex, st.tuples(st.integers(1, 5), st.integers(1, 6)),
+                  elements=st.builds(complex, parts, parts)))
+    @example(np.array([[math.inf + 0j], [-0.0 + 0j]]))
+    @example(np.array([[0.0 + 0j, -0.0 - 0j], [math.inf, math.inf],
+                       [1.0 - 2.5j, 1.0 - 2.5j]]))
+    def test_equals_all_ordered_pairs_oracle(self, x):
+        # bit for bit; inf - inf gives NaN distances, whose sign and payload
+        # numpy and Python do not agree on, so a NaN is compared as a NaN
+        with np.errstate(invalid="ignore"):
+            got = sync_error(fake_traj(np.arange(len(x)) * 1e-4, x))
+            want = pairwise_max_distance(x)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
     def test_memory_linear_in_inverters(self):
         # the pairwise (S, N, N) tensor would take ~86 MB here
