@@ -81,10 +81,13 @@ def csv_lines(block: np.ndarray, order: np.ndarray) -> bytes:
     x = np.floor(np.log10(a)).astype(np.intp)      # at most one off
     np.minimum(np.maximum(x, -6, out=x), 15, out=x)
     hi, lo = _times_pow10(a, 16 - x)
-    if ((hi <= 1e16) | (hi >= 1e17)).any():    # else 1e16 < hi + lo < 1e17
-        x += (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-        x -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-        hi, lo = _times_pow10(a, 16 - x)
+    # the estimates this product refutes; elsewhere 1e16 < hi + lo < 1e17
+    off = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+    if off.size:
+        h, l = hi[off], lo[off]
+        x[off] += (h > 1e17) | ((h == 1e17) & (l >= 0))
+        x[off] -= (h < 1e16) | ((h == 1e16) & (l < 0))
+        hi[off], lo[off] = _times_pow10(a[off], 16 - x[off])
     # hi >= 1e16 > 2**53 is an even integer, so rint(lo) rounds ties to even;
     # no double rounds up to 10**17 here (the candidates, the largest double
     # below each power of ten, are in the tests)

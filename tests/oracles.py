@@ -167,6 +167,19 @@ def pairwise_max_distance(x):
     return out
 
 
+def all_pairs_max_distance(x):
+    """Per row of an (S, N) complex array, the largest np.abs(x_i - x_j)
+    over all pairs i < j (0.0 for one column), vectorized over rows: each
+    column against the higher-numbered ones, on an (N, S) copy, with a
+    running per-row maximum.  This is the comparison of all pairs that
+    sync_error's screen must reproduce bit for bit, NaN included."""
+    xt = x.T.copy()
+    out = np.zeros(len(x))
+    for i in range(len(xt) - 1):
+        np.maximum(out, np.abs(xt[i] - xt[i + 1:]).max(axis=0), out=out)
+    return out
+
+
 def central_difference_jacobian(f, x, h=1e-6):
     """Central finite-difference Jacobian of f: R^2 -> R^2 at x."""
     j = np.zeros((2, 2))

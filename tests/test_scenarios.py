@@ -13,7 +13,7 @@ from dvocsim.oscillator import InverterParams
 from dvocsim.scenarios import (build_case, build_metrics, case2_low_indices,
                                fit_decay_rate, predicted_r_star, sync_error,
                                sync_time)
-from oracles import pairwise_max_distance
+from oracles import all_pairs_max_distance, pairwise_max_distance
 
 P = InverterParams()
 W0 = P.omega0
@@ -162,6 +162,76 @@ class TestSyncError:
             got = sync_error(fake_traj(np.arange(len(x)) * 1e-4, x))
             want = pairwise_max_distance(x)
         assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    @st.composite
+    def screen_row(draw, n):
+        """One row of n states of a kind built to defeat the screen's
+        bound: duplicates, 1 + k*2**-52 lattices, co-circular and collinear
+        sets, one far outlier, non-finite states, at scales from subnormal
+        to 1e308."""
+        kind = draw(st.sampled_from(["lattice", "duplicates", "circle",
+                                     "line", "outlier", "non-finite"]))
+        scale = draw(st.sampled_from([1.0, 2.0 ** -1074, 1e-310, 1e-300,
+                                      1e300, 1e308]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "lattice":
+            k = rng.integers(0, draw(st.integers(1, 4)), (2, n))
+            x = (1.0 + k[0] * 2.0 ** -52) + 1j * (1.0 + k[1] * 2.0 ** -52)
+            if scale < 1e-300:
+                x = k[0] + 1j * k[1]      # subnormal lattices in 2**-1074
+        elif kind == "duplicates":
+            pool = rng.standard_normal(draw(st.integers(1, 5))) + 1j
+            x = pool[rng.integers(0, len(pool), n)]
+        elif kind == "circle":      # with antipodal pairs
+            quarter = rng.integers(0, 4, n) * (np.pi / 2)
+            x = np.exp(1j * np.where(rng.random(n) < 0.5, quarter,
+                                     rng.uniform(0, 2 * np.pi, n)))
+            x[1::2] = -x[:n // 2 * 2:2]
+        elif kind == "line":
+            x = (0.3 - 0.7j) + (1.0 + 2.0j) * rng.integers(-3, 4, n)
+        elif kind == "outlier":
+            x = 1.0 + 1e-9 * rng.standard_normal(n) + 0j
+            x[rng.integers(0, n)] = 1e6 - 3e6j
+        else:
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            bad = rng.integers(0, n, draw(st.integers(1, 3)))
+            x.real[bad] = rng.choice([np.inf, -np.inf, np.nan], len(bad))
+            x.imag[bad[::2]] = rng.choice([np.inf, np.nan], len(bad[::2]))
+        out = np.empty(n, complex)      # inf * (0 + 0j) would give NaN
+        with np.errstate(over="ignore"):
+            out.real, out.imag = x.real * scale, x.imag * scale
+        return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_screen_equals_all_pairs(self, data):
+        # bit for bit against the full comparison, from the screen's
+        # crossover up to three times it, rows of every kind and one
+        # all-equal row in one trajectory
+        n = data.draw(st.integers(scenarios._SCREEN_MIN_N,
+                                  3 * scenarios._SCREEN_MIN_N))
+        rows = data.draw(st.lists(self.screen_row(n), min_size=1,
+                                  max_size=4))
+        x = np.array(rows + [np.full(n, 0.5j)])
+        with np.errstate(all="ignore"):
+            got = sync_error(fake_traj(np.arange(len(x)) * 1e-4, x))
+            want = all_pairs_max_distance(x)
+        assert got.tobytes() == want.tobytes()
+
+    def test_screen_on_case2_n200(self, monkeypatch):
+        # a real run, bit for bit, with a small share of the pairs compared
+        traj = simulate(build_case("II", 200, seed=3, t_end=0.1))
+        pairs = []
+
+        def counting(xt):
+            pairs.append(len(xt) * (len(xt) - 1) // 2 * xt.shape[1])
+            return scenarios_max_pair_distance(xt)
+        scenarios_max_pair_distance = scenarios._max_pair_distance
+        monkeypatch.setattr(scenarios, "_max_pair_distance", counting)
+        got = sync_error(traj)
+        assert got.tobytes() == all_pairs_max_distance(traj.x).tobytes()
+        assert sum(pairs) < 0.05 * 200 * 199 // 2 * len(traj.t)
 
     def test_memory_linear_in_inverters(self):
         # the pairwise (S, N, N) tensor would take ~86 MB here
