@@ -191,9 +191,9 @@ def sync_error(traj: Trajectory) -> np.ndarray:
     im, re + im and re - im give a lower bound L.  With c the centre of
     the bounding box and R = max_j |x_j - c|, no partner of state k is
     farther than |x_k - c| + R, so a pair longer than L joins two states
-    whose bound reaches L.  The bound is widened by ``_SLACK`` (32 ulp:
-    numpy's complex abs is within ~2 ulp, and with the subtractions and
-    sums the round-off stays below ~16) and by ``_FLOOR`` (the smallest
+    whose bound reaches L.  The bound is widened by ``_SLACK`` (16 ulp of
+    1.0: numpy's complex abs is within ~2 ulp, and with the subtractions
+    and sums the round-off stays below ~7) and by ``_FLOOR`` (the smallest
     normal double, as the relative margin rounds away below it), so no
     pair longer than L is lost.  A step whose states are all equal
     (R == 0) is 0.0.  A step with a non-finite bound (a non-finite state,

@@ -222,12 +222,12 @@ class TestSyncError:
     def test_screen_on_case2_n200(self, monkeypatch):
         # a real run, bit for bit, with a small share of the pairs compared
         traj = simulate(build_case("II", 200, seed=3, t_end=0.1))
+        compare = scenarios._max_pair_distance
         pairs = []
 
         def counting(xt):
             pairs.append(len(xt) * (len(xt) - 1) // 2 * xt.shape[1])
-            return scenarios_max_pair_distance(xt)
-        scenarios_max_pair_distance = scenarios._max_pair_distance
+            return compare(xt)
         monkeypatch.setattr(scenarios, "_max_pair_distance", counting)
         got = sync_error(traj)
         assert got.tobytes() == all_pairs_max_distance(traj.x).tobytes()
