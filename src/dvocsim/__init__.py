@@ -16,8 +16,7 @@ from .network import (BranchParams, NetworkConfig, OscillatorDeath,
                       SynchronizedSteady, ZeroImpedanceError, branch_currents,
                       k_sh, particular_radius, pcc_voltage,
                       synchronized_steady, total_admittance)
-from .oscillator import (InverterParams, chi, jacobian_h, local_map,
-                         sym_lambda_max)
+from .oscillator import InverterParams, chi, jacobian_h, sym_lambda_max
 from .scenarios import (MetricsReport, build_case, build_metrics,
                         fit_decay_rate, sync_error, sync_time)
 
@@ -30,7 +29,7 @@ __all__ = [
     "Scenario", "SimulationDiverged", "SynchronizedSteady", "Trajectory",
     "ZeroImpedanceError", "branch_currents", "build_case", "build_metrics",
     "certificate_margin", "chi", "envelope_check", "error_ball_radius",
-    "fit_decay_rate", "init_random", "jacobian_h", "k_sh", "local_map",
+    "fit_decay_rate", "init_random", "jacobian_h", "k_sh",
     "particular_radius", "pcc_voltage", "rk4_increment",
     "sampled_lambda_check", "simulate", "sym_lambda_max", "sync_error",
     "sync_time", "synchronized_steady", "total_admittance",

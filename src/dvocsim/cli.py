@@ -41,7 +41,8 @@ from .engine import (DisturbanceSpec, InitSpec, Scenario, SimulationDiverged,
                      Trajectory, simulate)
 from .network import BranchParams, NetworkConfig, OscillatorDeath, k_sh
 from .oscillator import InverterParams
-from .scenarios import build_case, build_metrics, predicted_r_star
+from .scenarios import (DEFAULT_WINDOW, build_case, build_metrics,
+                        predicted_r_star)
 
 SCENARIO_KEYS = ("case", "n", "seed", "t_end", "dt", "oscillator", "branches",
                  "network", "init", "disturbance")
@@ -161,8 +162,6 @@ def _parse_disturbance(d: Any, n: int) -> Optional[DisturbanceSpec]:
 def scenario_from_dict(raw: Any) -> Scenario:
     """Strictly parse a scenario dict (case form or explicit form)."""
     _check_keys(_object(raw, "scenario"), SCENARIO_KEYS, "scenario")
-    if "seed" not in raw:
-        raise ScenarioError("missing required key 'seed' in scenario")
     seed = _whole(raw, "seed", "scenario")
     n = _whole(raw, "n", "scenario")
     params = _section(InverterParams, raw.get("oscillator", {}), "oscillator")
@@ -430,7 +429,7 @@ def build_report(scenario: Scenario, cert: CertificateReport,
     """Everything a run produces, as one JSON-ready dict."""
     try:
         metrics = build_metrics(traj)
-    except ValueError:  # a partial trajectory can be shorter than the window
+    except ValueError:  # a run no longer than the window has no metrics
         metrics = None
     ks = k_sh(scenario.network, math.inf)
     r_star = predicted_r_star(scenario)
@@ -519,14 +518,18 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
         diverged = err
         traj = err.trajectory
     write_timeseries(traj, out / "timeseries.csv")
-    _write_json(out / "report.json",
-                build_report(scenario, cert, traj, diverged))
+    report = build_report(scenario, cert, traj, diverged)
+    _write_json(out / "report.json", report)
     if diverged is not None:
         # numbered from 1, as in report.json and the CSV columns
         print(f"error: state of inverter {diverged.inverter + 1} diverged at "
               f"t={diverged.t:.6g} s (last finite norm "
               f"{diverged.last_norm:.6g} pu)", file=sys.stderr)
         return 2
+    if report["metrics"] is None:
+        print(f"note: t_end = {scenario.t_end:.6g} s is not longer than the "
+              f"{DEFAULT_WINDOW:.6g} s averaging window, so report.json has "
+              "no metrics", file=sys.stderr)
     print(f"wrote {out / 'timeseries.csv'} and {out / 'report.json'}",
           file=sys.stderr)
     return 0

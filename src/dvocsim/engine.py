@@ -18,17 +18,18 @@ but distinct scenarios share no mutable state and can be simulated
 concurrently.
 
 The step loop is bound by interpreter overhead, not arithmetic: an N = 4
-state is four complex numbers.  So ``simulate`` builds one workspace per run
-(``_Workspace``) and every step writes into its buffers with ``out=`` ufunc
-calls, allocating no array and casting no operand.  Its scalar operands are
-0-d arrays of the operand's own dtype: under numpy's scalar promotion rules
-(NEP 50) a Python float or complex is converted afresh on every call, and a
-0-d array goes through the same stride-0 loop.  The bus term g . x goes into
-a 0-d buffer.  The field is a closure bound to the workspace's operands once
-per run, and the kernels call ufuncs through module-level aliases, which
-cuts the name lookups around each call.  ``_Workspace._bind_field`` states
-the identities by which its in-place arithmetic keeps the bits of the
-allocating form.
+state is four complex numbers.  So ``simulate`` builds one set of RK4
+buffers per run (``_Workspace``) and one field per admittance segment
+(``_bind_field``), and every step writes into their buffers with ``out=``
+ufunc calls, allocating no array and casting no operand.  The scalar
+operands are 0-d arrays of the operand's own dtype: under numpy's scalar
+promotion rules (NEP 50) a Python float or complex is converted afresh on
+every call, and a 0-d array goes through the same stride-0 loop.  The bus
+term g . x goes into a 0-d buffer.  Each field is a closure over its
+segment's operands, the step that starts at t_z switches to the second one,
+and the kernels call ufuncs through module-level aliases, which cuts the
+name lookups around each call.  ``_bind_field`` states the identities by
+which its in-place arithmetic keeps the bits of the allocating form.
 """
 
 from __future__ import annotations
@@ -225,84 +226,74 @@ _add, _multiply, _subtract = np.add, np.multiply, np.subtract
 
 
 class _Workspace:
-    """One run's state (adopted and advanced in place), RK4 stages, the
-    operands and scratch of the field's local map and the bus buffer, which
-    every step of ``simulate`` writes into.  It belongs to one run, never to
-    the module, so distinct runs can go on concurrently.  A plain class: a
-    dataclass would add ~1 ms to ``import dvocsim``.
-
-    ``field`` is built once per workspace, as a closure over these
-    operands, so that an evaluation loads them from its cells rather than
-    from the workspace; only the coupling vector ``g``, which ``simulate``
-    switches at t_z, is read from the workspace on every call.
+    """One run's RK4 buffers, which every step of ``simulate`` writes into:
+    the stages k1..k4, the stage state and the accumulator, and the 0-d
+    weights.  It belongs to one run, never to the module, so distinct runs
+    can go on concurrently.  A plain class: a dataclass would add ~1 ms to
+    ``import dvocsim``.
     """
 
-    __slots__ = ("y", "ys", "stages", "weights", "gain", "g", "field")
+    __slots__ = ("stages", "weights")
 
-    def __init__(self, p: InverterParams, y: np.ndarray, dt: float,
-                 disturbance: Optional[DisturbanceSpec]):
-        n = len(y)
-        self.y = y
-        # k1..k4, the stage state and the accumulator
+    def __init__(self, n: int, dt: float):
         self.stages = tuple(np.empty(n, dtype=complex) for _ in range(6))
-        self.ys = self.stages[4]
         # a Python float operand takes on the state's dtype (NEP 50)
         self.weights = tuple(np.array(w, dtype=complex)
                              for w in (0.5 * dt, dt, dt / 6.0, 2.0))
-        self.gain = np.full(n, complex(0.0, p.omega0))
-        self.g: Optional[np.ndarray] = None
-        self.field = self._bind_field(p, disturbance)
 
-    def _bind_field(self, p: InverterParams,
-                    d: Optional[DisturbanceSpec]):
-        """The coupled derivative h(x_k) + kappa*v_o (+ disturbance on one
-        inverter), as ``field(t, x, out)`` writing into ``out``.
 
-        ``g`` is the coupling vector kappa*beta*Y/Y_sigma, so g . x =
-        kappa*v_o.  ``x`` is a contiguous complex array.  The result has the
-        bits of ``local_map(x, p) + np.dot(g, x)`` by three identities:
+def _bind_field(p: InverterParams, y: np.ndarray, ys: np.ndarray,
+                g: np.ndarray, d: Optional[DisturbanceSpec]):
+    """The coupled derivative h(x_k) + kappa*v_o (+ disturbance on one
+    inverter), as ``field(t, x, out)`` writing into ``out``.
 
-        * |x|^2 is one multiply of ``x.view(np.float64)`` by itself and one
-          add of its even and odd elements, term by term ``x.real**2 +
-          x.imag**2``.  Not ``(x*x.conj()).real``: numpy's complex multiply
-          uses fused multiply-adds where the CPU has them (AVX-512, say),
-          which changes the trajectory.
-        * chi - kappa*beta is a float add into the real part of ``gain``,
-          whose imaginary part holds omega0: the allocating form adds
-          -kappa*beta + j*omega0 to chi cast to complex, and 0.0 + omega0 is
-          omega0.
-        * ``g.dot(x, bus)`` runs the routine of ``np.dot(g, x)`` without
-          its ``__array_function__`` dispatch.
-        """
-        w = self
-        y, ys, gain = self.y, self.ys, self.gain
-        # a view costs about as much as a ufunc call, so the states have
-        # theirs built once
-        yv, ysv = y.view(np.float64), ys.view(np.float64)
-        sq = np.empty(2 * len(y))
-        sq_re, sq_im = sq[0::2], sq[1::2]
-        gain_re = gain.real
-        xi = np.array(p.xi)
-        x_nom_sq2 = np.array(p.x_nom_sq2)
-        neg_kappa_beta = np.array(-p.kappa_beta)
-        bus = np.empty((), dtype=complex)
-        omega0 = p.omega0
+    The field is a closure over its operands, bound once per admittance
+    segment, so that an evaluation loads them from its cells.  ``y`` and
+    ``ys`` are the run's state and RK4 stage state, whose float views are
+    built here; any other contiguous complex ``x`` gets its view per call.
+    ``g`` is the coupling vector kappa*beta*Y/Y_sigma, so g . x =
+    kappa*v_o.  The result has the bits of the allocating h(x) + np.dot(g,
+    x), with h(x) = (chi(x) - kappa*beta + j*omega0)*x, by three identities:
 
-        def field(t: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-            xv = yv if x is y else ysv if x is ys else x.view(np.float64)
-            _multiply(xv, xv, sq)
-            _add(sq_re, sq_im, gain_re)
-            _subtract(x_nom_sq2, gain_re, gain_re)
-            _multiply(xi, gain_re, gain_re)
-            _add(gain_re, neg_kappa_beta, gain_re)
-            _multiply(gain, x, out)
-            w.g.dot(x, bus)
-            _add(out, bus, out)
-            if d is not None:
-                out[d.inverter] += _disturbance_at(d, omega0, t)
-            return out
+    * |x|^2 is one multiply of ``x.view(np.float64)`` by itself and one add
+      of its even and odd elements, term by term ``x.real**2 + x.imag**2``.
+      Not ``(x*x.conj()).real``: numpy's complex multiply uses fused
+      multiply-adds where the CPU has them (AVX-512, say), which changes the
+      trajectory.
+    * chi - kappa*beta is a float add into the real part of ``gain``, whose
+      imaginary part holds omega0: the allocating form adds -kappa*beta +
+      j*omega0 to chi cast to complex, and 0.0 + omega0 is omega0.
+    * ``g.dot(x, bus)`` runs the routine of ``np.dot(g, x)`` without its
+      ``__array_function__`` dispatch.
+    """
+    # a view costs about as much as a ufunc call, so the states have
+    # theirs built once
+    yv, ysv = y.view(np.float64), ys.view(np.float64)
+    sq = np.empty(2 * len(y))
+    sq_re, sq_im = sq[0::2], sq[1::2]
+    gain = np.full(len(y), complex(0.0, p.omega0))
+    gain_re = gain.real
+    xi = np.array(p.xi)
+    x_nom_sq2 = np.array(p.x_nom_sq2)
+    neg_kappa_beta = np.array(-p.kappa_beta)
+    bus = np.empty((), dtype=complex)
+    omega0 = p.omega0
 
-        return field
+    def field(t: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        xv = yv if x is y else ysv if x is ys else x.view(np.float64)
+        _multiply(xv, xv, sq)
+        _add(sq_re, sq_im, gain_re)
+        _subtract(x_nom_sq2, gain_re, gain_re)
+        _multiply(xi, gain_re, gain_re)
+        _add(gain_re, neg_kappa_beta, gain_re)
+        _multiply(gain, x, out)
+        g.dot(x, bus)
+        _add(out, bus, out)
+        if d is not None:
+            out[d.inverter] += _disturbance_at(d, omega0, t)
+        return out
+
+    return field
 
 
 def rk4_increment(f, t: float, y: np.ndarray, dt: float,
@@ -310,7 +301,7 @@ def rk4_increment(f, t: float, y: np.ndarray, dt: float,
     """One classical 4th-order Runge-Kutta step of dy/dt = f(t, y).
 
     Every simulation step in the package goes through this kernel.  ``w`` is
-    a workspace built for ``y`` and ``dt``, ``f(t, x, out)`` writes the
+    a workspace built for ``len(y)`` and ``dt``, ``f(t, x, out)`` writes the
     derivative at ``x`` into ``out``, and the step is written into ``y`` and
     returned.  The ufunc calls and their order are those of ``y + dt/6*(k1 +
     2*k2 + 2*k3 + k4)`` with Python float weights, which take on y's dtype
@@ -396,10 +387,10 @@ def simulate(scenario: Scenario,
     d = scenario.disturbance
     if d is not None and d.amplitude == 0.0:
         d = None
-    w = _Workspace(p, x, dt, d)
-    g_pre, g_post = (p.kappa_beta * y / y_sigma for y, y_sigma in segments)
-    w.g = g_pre
-    field = w.field
+    w = _Workspace(n, dt)
+    field, field_post = (
+        _bind_field(p, x, w.stages[4], p.kappa_beta * y / y_sigma, d)
+        for y, y_sigma in segments)
 
     # the loop records states only and checks them once per block of rows;
     # the few steps it takes past a divergence must not warn
@@ -408,7 +399,7 @@ def simulate(scenario: Scenario,
             stop = min(start + DIVERGENCE_BLOCK, steps)
             for s in range(start, stop):
                 if s == k:
-                    w.g = g_post
+                    field = field_post
                 xs[s + 1] = rk4_increment(field, s * dt, x, dt, w)
             found = _first_diverged(xs[start + 1:stop + 1])
             if found is not None:

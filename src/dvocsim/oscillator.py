@@ -7,10 +7,11 @@ cycle oscillator in the stationary frame,
 
 which spirals onto the circle of radius sqrt(2)*Xnom at angular frequency
 omega0.  The output-feedback term -kappa*(beta*x - v_o) pulls the state toward
-the (scaled) bus voltage v_o; the local part h(x) = (chi - kappa*beta)*I*x +
-omega0*J*x (``local_map``) is what the contraction certificates in
-:mod:`dvocsim.certificates` analyze.  States are complex alpha + j*beta values
-in per-unit; beta (V/pu) scales them to volts at the network boundary.
+the (scaled) bus voltage v_o.  The local part h(x) = (chi - kappa*beta)*I*x +
+omega0*J*x is what the contraction certificates in :mod:`dvocsim.certificates`
+analyze through its Jacobian (``jacobian_h``); the engine's field evaluates it
+in place.  States are complex alpha + j*beta values in per-unit; beta (V/pu)
+scales them to volts at the network boundary.
 """
 
 from __future__ import annotations
@@ -76,17 +77,6 @@ def chi(x: complex | np.ndarray, params: InverterParams) -> float | np.ndarray:
     its shape.
     """
     return params.xi * (params.x_nom_sq2 - (x.real ** 2 + x.imag ** 2))
-
-
-def local_map(x: complex | np.ndarray,
-              params: InverterParams) -> complex | np.ndarray:
-    """Local map h(x) = (chi(x) - kappa*beta + j*omega0)*x of one inverter.
-
-    The coupled field of every inverter is h(x_k) plus the common bus term
-    kappa*v_o.  ``x`` is a complex state, scalar or array; the result has its
-    shape.
-    """
-    return (chi(x, params) + complex(-params.kappa_beta, params.omega0)) * x
 
 
 def jacobian_h(x: complex | np.ndarray, params: InverterParams) -> np.ndarray:

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: the network
 oracle is a dense linear solve instead of the closed-form admittance average,
 the amplitude oracle is the closed-form logistic solution of the radial ODE,
-and the two-inverter field oracle and the star-network integrator are written
+the local map is the allocating form of the engine's in-place field, and the
+two-inverter field oracle and the star-network integrator are written
 in flat real arithmetic.
 """
 
@@ -36,6 +37,20 @@ def logistic_radius(r0, t, xi=10.0, amp_sq=1.0):
     u0 = r0 * r0
     u = amp_sq * u0 / (u0 + (amp_sq - u0) * math.exp(-2.0 * xi * amp_sq * t))
     return math.sqrt(u)
+
+
+def local_map(x, params):
+    """Local map h(x) = (xi*(2*Xnom^2 - |x|^2) - kappa*beta + j*omega0)*x of
+    one inverter, allocating, with |x|^2 written out as x.real**2 +
+    x.imag**2.
+
+    The coupled field of every inverter is h(x_k) plus the common bus term
+    kappa*v_o.  ``x`` is a complex state, scalar or array; the result has its
+    shape.  The engine's in-place field must give the bits of this form plus
+    ``np.dot(g, x)``.
+    """
+    amp = params.xi * (params.x_nom_sq2 - (x.real ** 2 + x.imag ** 2))
+    return (amp + complex(-params.kappa_beta, params.omega0)) * x
 
 
 def _cmul(a, b):

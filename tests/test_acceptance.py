@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import (central_difference_jacobian, dense_star_solve,
-                     logistic_radius)
+                     local_map, logistic_radius)
 from dvocsim import engine
 from dvocsim.certificates import (certificate_margin, envelope_check,
                                   error_ball_radius)
@@ -21,7 +21,7 @@ from dvocsim.engine import (DisturbanceSpec, InitSpec, Scenario,
 from dvocsim.network import (BranchParams, NetworkConfig, OscillatorDeath,
                              branch_currents, k_sh, particular_radius,
                              pcc_voltage, total_admittance)
-from dvocsim.oscillator import InverterParams, jacobian_h, local_map
+from dvocsim.oscillator import InverterParams, jacobian_h
 from dvocsim.scenarios import build_case, build_metrics, sync_error, sync_time
 
 P = InverterParams()
@@ -181,10 +181,10 @@ def test_criterion_8_numerics(acceptance_log):
 
     errors = []
     for dt in (4e-3, 2e-3, 1e-3):
-        w = engine._Workspace(P, np.array([0.1 + 0j]), dt, None)
+        y, w = np.array([0.1 + 0j]), engine._Workspace(1, dt)
         for i in range(round(0.4 / dt)):
-            rk4_increment(radial, i * dt, w.y, dt, w)
-        errors.append(abs(w.y[0].real - logistic_radius(0.1, 0.4)))
+            rk4_increment(radial, i * dt, y, dt, w)
+        errors.append(abs(y[0].real - logistic_radius(0.1, 0.4)))
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]
     order_ok = all(abs(r - 16.0) <= 3.0 for r in ratios)
 

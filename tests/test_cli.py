@@ -553,6 +553,24 @@ class TestCommands:
         assert report["steady_state"]["oscillator_death"] is False
         assert (out / "timeseries.csv").exists()
 
+    @pytest.mark.parametrize("t_end", ["0.02", "0.04"])
+    def test_run_within_window_says_it_has_no_metrics(self, t_end, tmp_path,
+                                                      capsys):
+        # a complete run no longer than the averaging window exits 0 with
+        # "metrics": null, and says why on stderr
+        out = tmp_path / "run"
+        assert main(["case2", "--set", f"t_end={t_end}",
+                     "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == (f"note: t_end = {t_end} s is not longer than the "
+                          "0.04 s averaging window, so report.json has no "
+                          "metrics")
+        assert err[1].startswith("wrote ") and len(err) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert list(report) == ["scenario", "certificate", "metrics",
+                                "steady_state", "diverged"]
+        assert report["metrics"] is None and report["diverged"] is None
+
     def test_simulate_scenario_file(self, tmp_path):
         path = write(tmp_path, {"case": "I", "n": 2, "seed": 1, "t_end": 0.1})
         out = tmp_path / "sim"

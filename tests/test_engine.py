@@ -41,10 +41,10 @@ def field_at(sc, x, t=0.0):
     kappa*beta*Y/Y_sigma."""
     p = sc.params[0]
     y, y_sigma = sc.network.admittances(t), total_admittance(sc.network, t)
-    w = engine._Workspace(p, np.array(x, dtype=complex), sc.dt,
-                          sc.disturbance)
-    w.g = p.kappa_beta * y / y_sigma
-    return w.field(t, w.y, np.empty(sc.n, dtype=complex))
+    x = np.array(x, dtype=complex)
+    field = engine._bind_field(p, x, np.empty_like(x),
+                               p.kappa_beta * y / y_sigma, sc.disturbance)
+    return field(t, x, np.empty_like(x))
 
 
 class TestValidation:
@@ -192,10 +192,11 @@ class TestDerivCoupled:
 def rk4_run(f, y0, dt, steps):
     """``steps`` in-place RK4 steps from y0 through the kernel simulate uses:
     a workspace built for the complex state, and a field ``f(t, x, out)``."""
-    w = engine._Workspace(P, np.array(y0, dtype=complex, ndmin=1), dt, None)
+    y = np.array(y0, dtype=complex, ndmin=1)
+    w = engine._Workspace(len(y), dt)
     for i in range(steps):
-        assert rk4_increment(f, i * dt, w.y, dt, w) is w.y
-    return w.y
+        assert rk4_increment(f, i * dt, y, dt, w) is y
+    return y
 
 
 def radial(t, x, out):
@@ -245,9 +246,9 @@ class TestRk4Kernel:
 
         # at 7e-5, dt/6 and dt*(1/6) differ in the last bit
         for dt in (1e-4, 1e-3 / 3, 7e-5):
-            w = engine._Workspace(P, y.copy(), dt, None)
+            w = engine._Workspace(len(y), dt)
             with np.errstate(invalid="ignore"):    # 0 * inf in the products
-                got = rk4_increment(field, 0.01, w.y, dt, w)
+                got = rk4_increment(field, 0.01, y.copy(), dt, w)
                 want = reference(0.01, y, dt)
             assert got.tobytes() == want.tobytes()     # same bits
 
@@ -330,12 +331,13 @@ class TestSimulate:
             assert np.allclose(traj.currents[idx], want_i, rtol=1e-12)
         assert rows_pre == 201 and len(traj.t) - rows_pre == 300
 
-    def test_matches_flat_star_oracle(self):
-        # case II, N = 4: start-up impedance dropped mid-run, rotating
-        # disturbance on one inverter
+    @pytest.mark.parametrize("waveform", ["rotating", "constant"])
+    def test_matches_flat_star_oracle(self, waveform):
+        # case II, N = 4: start-up impedance dropped mid-run, disturbance on
+        # one inverter
         sc = scenarios.build_case(
             "II", 4, 17, t_end=0.05, t_z=0.0253,
-            disturbance=DisturbanceSpec(2, 40.0, "rotating"))
+            disturbance=DisturbanceSpec(2, 40.0, waveform))
         traj = simulate(sc)
         p = sc.params[0]
         branches = [(b.r_f, b.l_f, b.r_v, b.x_v,
@@ -345,7 +347,7 @@ class TestSimulate:
             [(v.real, v.imag) for v in traj.x[0]], p.xi, p.x_nom_sq2,
             p.omega0, p.kappa, p.beta, branches,
             (sc.network.z_net.real, sc.network.z_net.imag), sc.network.t_z,
-            sc.dt, sc.n_steps, (2, 40.0, "rotating"))
+            sc.dt, sc.n_steps, (2, 40.0, waveform))
         as_complex = lambda rows: np.array(rows) @ np.array([1.0, 1j])
         for got, want, tol in ((traj.x, as_complex(xs), 1e-12),
                                (traj.v_o, as_complex(vs), 1e-11),
@@ -542,10 +544,10 @@ def per_step_divergence(sc, x0):
     y = sc.network.admittances(math.inf)
     g = p.kappa_beta * y / total_admittance(sc.network, math.inf)
     x = np.array(x0, dtype=complex)
-    w = engine._Workspace(p, x, sc.dt, sc.disturbance)
-    w.g = g
+    w = engine._Workspace(len(x), sc.dt)
+    field = engine._bind_field(p, x, w.stages[4], g, sc.disturbance)
     for s in range(sc.n_steps):
-        rk4_increment(w.field, s * sc.dt, x, sc.dt, w)
+        rk4_increment(field, s * sc.dt, x, sc.dt, w)
         bad = ~(np.abs(x) <= engine.DIVERGENCE_NORM)
         if bad.any():
             return (s + 1) * sc.dt, int(np.argmax(bad)), s + 1

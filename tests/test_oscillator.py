@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import central_difference_jacobian
+from oracles import central_difference_jacobian, local_map
+from dvocsim.engine import _bind_field
 from dvocsim.network import BranchParams
-from dvocsim.oscillator import (InverterParams, chi, jacobian_h, local_map,
-                                sym_lambda_max)
+from dvocsim.oscillator import InverterParams, chi, jacobian_h, sym_lambda_max
 
 P = InverterParams()        # xi=10, 2Xnom^2=1, kappa=1, beta=690*sqrt2/sqrt3
 P_OPEN = InverterParams(kappa=0.0)
@@ -72,6 +72,11 @@ class TestChi:
         assert chi(1 + 1j, P) == -10.0
 
 
+def closure_cell(f, name):
+    """The value a closure ``f`` holds under ``name``."""
+    return f.__closure__[f.__code__.co_freevars.index(name)].cell_contents
+
+
 class TestInPlaceForm:
     """The engine's in-place field writes the bits of the allocating
     ``local_map(x) + g . x``, for finite and non-finite states, given the
@@ -79,7 +84,6 @@ class TestInPlaceForm:
 
     @pytest.mark.parametrize("where", ["state", "stage", "other"])
     def test_same_bits(self, where):
-        from dvocsim.engine import _Workspace
         params = InverterParams(xi=7.5, x_nom_sq2=1.3, kappa=0.7)
         rng = np.random.default_rng(5)
         parts = np.concatenate([rng.normal(0.0, 2.0, 40),
@@ -90,19 +94,20 @@ class TestInPlaceForm:
             x = np.empty(64, dtype=complex)
             x.real, x.imag = rng.choice(pool, 64), rng.choice(pool, 64)
             # only ``at`` holds x, so reading another array's view fails
-            w = _Workspace(params, np.zeros(64, dtype=complex), 1e-4, None)
-            w.g, w.ys[:] = g, 0.0
-            at = {"state": w.y, "stage": w.ys, "other": x.copy()}[where]
+            y, ys = np.zeros(64, dtype=complex), np.zeros(64, dtype=complex)
+            field = _bind_field(params, y, ys, g, None)
+            at = {"state": y, "stage": ys, "other": x.copy()}[where]
             at[:] = x
             out = np.empty(64, dtype=complex)
             with np.errstate(all="ignore"):
                 want_gain = chi(x, params) + complex(-params.kappa_beta,
                                                      params.omega0)
                 want = local_map(x, params) + np.dot(g, x)
-                got = w.field(0.0, at, out)
+                got = field(0.0, at, out)
             assert got is out
             # the gain alone, as a non-finite state makes g . x NaN
-            assert w.gain.tobytes() == want_gain.tobytes()
+            gain = closure_cell(field, "gain")
+            assert gain.tobytes() == want_gain.tobytes()
             assert got.tobytes() == want.tobytes()
 
 
