@@ -25,10 +25,13 @@ from .oscillator import InverterParams, sym_lambda_max
 
 BOUND_SLACK = 1e-9
 ENVELOPE_FLOOR = 1e-12      # pu; round-off floor of envelope_check
-# Peak bytes sampled_lambda_check allocates per state (tracemalloc: 96.0 at
-# 10^5 to 4*10^6 samples); 1 GiB admits 11,184,809 samples and the origin.
-_SAMPLE_BYTES = 96
-_MAX_SAMPLES = 2**30 // _SAMPLE_BYTES - 1
+# States sampled_lambda_check draws and evaluates at once: its temporaries
+# peak at ~96 bytes a state, so ~0.8 MB whatever the sample count
+_SAMPLE_BLOCK = 8192
+# The most samples sampled_lambda_check takes: what 1 GiB admitted when one
+# array held every state (~96 bytes each); in blocks it bounds the run time
+# (~1.2 s on a 2-vCPU host) rather than memory
+_MAX_SAMPLES = 11_184_809
 
 
 class NotContractingError(ValueError):
@@ -70,25 +73,36 @@ def sampled_lambda_check(params: InverterParams, radius: float,
     """Verify the eigenvalue bound on sampled states of norm <= radius.
 
     The origin (the analytic maximizer of the symmetric part's top eigenvalue)
-    is always included ahead of the ``n_samples`` random states, and all of
-    them go through ``sym_lambda_max`` as one complex array.  The radius
-    must keep that function's largest intermediate, ~4*xi*radius^2, finite.
+    is always included ahead of the ``n_samples`` random states.  They go
+    through ``sym_lambda_max`` in blocks of ``_SAMPLE_BLOCK`` states, keeping
+    only the running maximum, so memory stays constant at any sample count.
+    The blocks hold the states that one draw of all of them gives: the
+    angles come from ``PCG64(seed)`` and the radii from a second
+    ``PCG64(seed)`` advanced past the ``n_samples`` angles, as two
+    successive draws of ``default_rng(seed)`` would.  The radius must keep
+    ``sym_lambda_max``'s largest intermediate, ~4*xi*radius^2, finite.
     """
     if not (radius > 0 and math.isfinite(4.0 * params.xi * radius * radius)):
         raise ValueError(f"radius must be finite and > 0, with 4*xi*radius^2 "
                          f"finite (xi = {params.xi}), got {radius}")
     if not 1 <= n_samples <= _MAX_SAMPLES:
-        raise ValueError(f"n_samples must be 1 to {_MAX_SAMPLES:,} (~"
-                         f"{_SAMPLE_BYTES} bytes each), got {n_samples:,}")
+        raise ValueError(f"n_samples must be 1 to {_MAX_SAMPLES:,} "
+                         f"inclusive, got {n_samples:,}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * np.pi, n_samples)
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, n_samples))
-    states = np.zeros(n_samples + 1, dtype=complex)
-    states.real[1:] = r * np.cos(theta)
-    states.imag[1:] = r * np.sin(theta)
-    max_found = float(sym_lambda_max(states, params).max())
+    angles = np.random.Generator(np.random.PCG64(seed))
+    radii = np.random.Generator(np.random.PCG64(seed).advance(n_samples))
+    peak = -np.inf
+    for start in range(0, n_samples + 1, _SAMPLE_BLOCK):
+        states = np.zeros(min(_SAMPLE_BLOCK, n_samples + 1 - start),
+                          dtype=complex)
+        drawn = states[1:] if start == 0 else states    # the origin first
+        theta = angles.uniform(0.0, 2.0 * np.pi, drawn.size)
+        r = radius * np.sqrt(radii.uniform(0.0, 1.0, drawn.size))
+        drawn.real = r * np.cos(theta)
+        drawn.imag = r * np.sin(theta)
+        peak = np.maximum(peak, sym_lambda_max(states, params).max())
+    max_found = float(peak)
     return SampledLambdaResult(
         max_found=max_found,
         ok=max_found <= BOUND_SLACK - certificate_margin(params).margin_c)

@@ -133,11 +133,15 @@ def _parse_init(d: Any, seed: int, n: int) -> InitSpec:
     d = dict(_object(d, "init"))
     overrides = []
     for key, val in _object(d.pop("overrides", {}), "init.overrides").items():
+        # only the canonical ASCII form: int() also reads "1_0", "02", " 2"
+        # and non-ASCII digits, so two keys could name one inverter
         try:
             idx = int(key)
         except ValueError:
+            idx = None
+        if idx is None or str(idx) != key:
             raise ScenarioError(f"init override key '{key}' is not an "
-                                "inverter number") from None
+                                "inverter number")
         if not 1 <= idx <= n:
             raise ScenarioError(f"init override inverter {idx} out of "
                                 f"range 1..{n}")
@@ -246,10 +250,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioError(f"duplicate key '{key}' in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def _strict_json(text: str) -> Any:
-    """JSON without NaN, +/-Infinity or literals that overflow to infinity."""
+    """JSON without NaN, +/-Infinity, literals that overflow to infinity or
+    an object that repeats a key."""
     return json.loads(text, parse_constant=_reject_constant,
-                      parse_float=_finite_float)
+                      parse_float=_finite_float, object_pairs_hook=_unique_keys)
 
 
 def _read_scenario_json(path: str | Path) -> dict:

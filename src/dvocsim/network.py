@@ -82,6 +82,12 @@ class NetworkConfig:
             for t in (0.0, math.inf):
                 if abs(b.impedance_at(self.omega_eval, t, self.t_z)) <= _ZERO_TOL:
                     raise ZeroImpedanceError(f"branch {i + 1} has zero impedance")
+        for t in (0.0, math.inf):
+            if abs(total_admittance(self, t)) <= _ZERO_TOL:
+                when = "t < t_z" if t < self.t_z else "t >= t_z"
+                raise ValueError(f"z_net = {self.z_net} makes the total "
+                                 "admittance sum(Y_i) + 1/z_net zero for "
+                                 f"{when}")
 
     @property
     def n(self) -> int:

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the library's own code paths: the network
 oracle is a dense linear solve instead of the closed-form admittance average,
 the amplitude oracle is the closed-form logistic solution of the radial ODE,
-the local map is the allocating form of the engine's in-place field, and the
-two-inverter field oracle and the star-network integrator are written
-in flat real arithmetic.
+the local map is the allocating form of the engine's in-place field, the
+sampled states are one draw of all of them at once, and the two-inverter
+field oracle and the star-network integrator are written in flat real
+arithmetic.
 """
 
 import math
@@ -51,6 +52,19 @@ def local_map(x, params):
     """
     amp = params.xi * (params.x_nom_sq2 - (x.real ** 2 + x.imag ** 2))
     return (amp + complex(-params.kappa_beta, params.omega0)) * x
+
+
+def sampled_states(radius, n, seed):
+    """The origin followed by ``n`` states of norm <= radius, uniform in the
+    disk, drawn at once: all angles from ``default_rng(seed)``, then all
+    radii from the same generator."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
+    states = np.zeros(n + 1, dtype=complex)
+    states.real[1:] = r * np.cos(theta)
+    states.imag[1:] = r * np.sin(theta)
+    return states
 
 
 def _cmul(a, b):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import sampled_states
 from dvocsim import certificates
 from dvocsim.certificates import (NotContractingError, certificate_margin,
                                   envelope_check, error_ball_radius,
@@ -14,6 +15,7 @@ from dvocsim.oscillator import InverterParams
 
 P = InverterParams()
 C = P.beta - 10.0       # section-IV margin with kappa = 1
+B = certificates._SAMPLE_BLOCK
 
 
 class TestMargin:
@@ -91,16 +93,37 @@ class TestSampledLambda:
         with pytest.raises(ValueError, match=r"4\*xi\*radius\^2 finite"):
             sampled_lambda_check(P, 3e153, 10, 0)
 
-    def test_bytes_per_sample(self):
-        # the budget's per-sample figure is the measured peak
-        n = 100_000
-        tracemalloc.start()
-        try:
-            sampled_lambda_check(P, 2.0, n, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 0.9 <= peak / (certificates._SAMPLE_BYTES * (n + 1)) <= 1.05
+    def test_constant_memory(self):
+        # the states go through in blocks, so the peak is one block's,
+        # whatever the sample count
+        peaks = []
+        for n in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                sampled_lambda_check(P, 2.0, n, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+        assert max(peaks) < 2e6
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("n", [B - 2, B - 1, B, B + 1, 3 * B + 5])
+    def test_blocks_are_one_draw(self, monkeypatch, n, seed):
+        # the blocks hold, in order, the states of one draw of all of them
+        calls = []
+        original = certificates.sym_lambda_max
+
+        def capturing(x, params):
+            calls.append(x.copy())
+            return original(x, params)
+        monkeypatch.setattr(certificates, "sym_lambda_max", capturing)
+        out = sampled_lambda_check(P, 2.0, n, seed)
+        states = sampled_states(2.0, n, seed)
+        assert len(calls) == -(-(n + 1) // B)
+        assert all(len(x) <= B for x in calls)
+        assert np.concatenate(calls).tobytes() == states.tobytes()
+        assert out.max_found == original(states, P).max()
 
     @pytest.mark.parametrize("offset", [1, 10**12])
     def test_sample_budget(self, offset):

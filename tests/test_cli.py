@@ -189,6 +189,36 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="9"):
             scenario_from_dict(raw)
 
+    @pytest.mark.parametrize("key", ["1_0", "\u0663", "02", " 2", "+2"],
+                             ids=["underscore", "arabic-indic", "leading-zero",
+                                  "space", "plus"])
+    def test_override_key_not_canonical(self, key):
+        # int() reads each of these as an inverter number
+        raw = {"case": "I", "n": 12, "seed": 0,
+               "init": {"overrides": {"2": 1.0, key: 3.0}}}
+        with pytest.raises(ScenarioError, match=f"init override key "
+                           f"'{re.escape(key)}' is not an inverter number"):
+            scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"case": "I", "n": 4, "n": 100, "seed": 0, "t_end": 0.01}', "n"),
+        ('{"case": "I", "n": 2, "seed": 0, "init": {"overrides": '
+         '{"2": 1.0, "2": 3.0}}}', "2"),
+    ], ids=["n", "init.overrides"])
+    def test_duplicate_key(self, tmp_path, capsys, text, key):
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        out = tmp_path / "x"
+        assert main(["simulate", "--scenario", str(path),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: duplicate key '{key}' in a JSON object\n"
+        assert not out.exists()
+
+    def test_duplicate_key_in_set_value(self):
+        with pytest.raises(ScenarioError, match="duplicate key 't_z'"):
+            apply_overrides({}, ['network={"t_z": 0.1, "t_z": 0.2}'])
+
     def test_not_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -715,11 +745,25 @@ class TestCommands:
         assert captured.err.startswith("error:")
 
     def test_certify_too_many_samples(self, capsys):
-        # refused before the ~96 TB of samples are allocated
+        # refused before any of the 10^12 samples is drawn
         assert main(["certify", "--samples", "1000000000000"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: n_samples must be 1 to ")
+
+    def test_zero_total_admittance_exit_code(self, tmp_path, capsys):
+        # sum(Y_i) = 2/(2j) = -1j and 1/z_net = 1j: the bus voltage and k_sh
+        # would divide by zero
+        path = write(tmp_path, {
+            "n": 2, "seed": 0, "branches": [{"x_v": 2.0}, {"x_v": 2.0}],
+            "network": {"z_net": [0.0, -1.0], "t_z": 0.0}})
+        out = tmp_path / "x"
+        assert main(["simulate", "--scenario", str(path),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: z_net = ")
+        assert "total admittance sum(Y_i) + 1/z_net zero" in captured.err
+        assert not out.exists()
 
     def test_certify_reads_only_the_oscillator(self, tmp_path, capsys):
         # a run of 100 000 inverters would record ~64 GB; the certificate

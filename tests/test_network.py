@@ -54,6 +54,19 @@ class TestValidation:
             NetworkConfig(branches=(resistive(1.0), BranchParams()),
                           z_net=1 + 0j, omega_eval=OMEGA0)
 
+    @pytest.mark.parametrize("z_extra, z_net, t_z, when", [
+        (0j, -1j, 0.0, "t >= t_z"),
+        (2j, -2j, 0.1, "t < t_z"),      # 4j branches until t_z, 2j after
+        (2j, -1j, 0.1, "t >= t_z"),
+    ], ids=["no-start-up", "before-t_z", "after-t_z"])
+    def test_zero_total_admittance(self, z_extra, z_net, t_z, when):
+        # two 2j branches give sum(Y_i) = -1j; with 1/z_net it sums to 0,
+        # and the bus voltage would divide by it
+        branches = (BranchParams(x_v=2.0, z_extra=z_extra),) * 2
+        with pytest.raises(ValueError, match=rf"z_net = .*zero for {when}"):
+            NetworkConfig(branches=branches, z_net=z_net, omega_eval=OMEGA0,
+                          t_z=t_z)
+
     def test_negative_t_z(self):
         with pytest.raises(ValueError, match="t_z"):
             config([1.0], 1 + 0j, t_z=-1.0)
