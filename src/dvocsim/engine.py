@@ -50,8 +50,11 @@ MAX_DT_OMEGA = 0.2          # resolution guard: > ~31 steps per cycle
 STEP_TOL = 1e-9             # relative tolerance of t_end/dt to a whole number
 # Largest trajectory a run may record, ~32*(S+1)*N bytes for S steps and N
 # inverters (t, x, v_o and the currents).  1 GiB is three times case II with
-# N = 500 at t_end = 2 s (~320 MB), and leaves room for the post-processing
-# and output of such a run on a machine with a few GB of memory.
+# N = 500 at t_end = 2 s (~320 MB).  Post-processing adds 8*S bytes of
+# synchronization error series and the temporaries of one block of 1,024
+# steps (~12 MB at N = 500, at any S), which leaves room for the
+# post-processing and output of such a run on a machine with a few GB of
+# memory.
 MAX_TRAJECTORY_BYTES = 2**30
 
 WAVEFORMS = ("constant", "rotating")

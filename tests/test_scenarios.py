@@ -247,6 +247,48 @@ class TestSyncError:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
+    @pytest.mark.parametrize("n", [4, 60])
+    def test_memory_independent_of_steps(self, n):
+        # beyond the (S,) series it returns, sync_error holds one block of
+        # steps at a time, so eight times the steps take the same memory
+        block = scenarios._STEP_BLOCK
+        rng = np.random.default_rng(n)
+        peaks = []
+        for s in (block, 8 * block):
+            traj = fake_traj(np.arange(s) * 1e-4,
+                             rng.standard_normal((s, n)) + 1j)
+            tracemalloc.start()
+            try:
+                series = sync_error(traj)
+                peaks.append(tracemalloc.get_traced_memory()[1]
+                             - series.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+
+    @pytest.mark.parametrize("n", [3, scenarios._SCREEN_MIN_N])
+    @pytest.mark.parametrize("s", [3, 4, 5, 17])
+    def test_block_boundaries(self, monkeypatch, n, s):
+        # blocks of 4 steps, the last one of a single step at s = 17, with
+        # NaN, inf and all-equal rows on either side of the boundaries, bit
+        # for bit against all pairs
+        monkeypatch.setattr(scenarios, "_STEP_BLOCK", 4)
+        rng = np.random.default_rng(s)
+        x = rng.standard_normal((s, n)) + 1j * rng.standard_normal((s, n))
+        equal, nan, inf = [1, 3, 8, 16], [4, 11, 15], [2, 7, 12, 15]
+        for row in range(s):
+            if row in equal:
+                x[row] = 0.5 - 0.5j
+            if row in nan:
+                x[row, row % n] = complex(np.nan, 1.0)
+            if row in inf:
+                x[row, (row + 1) % n] = complex(-np.inf, 0.0)
+        with np.errstate(all="ignore"):
+            got = sync_error(fake_traj(np.arange(s) * 1e-4, x))
+            want = all_pairs_max_distance(x)
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[[r for r in nan if r < s]]).all()
+
 
 class TestSyncTime:
     t = np.linspace(0, 1, 11)
