@@ -52,9 +52,8 @@ STEP_TOL = 1e-9             # relative tolerance of t_end/dt to a whole number
 # inverters (t, x, v_o and the currents).  1 GiB is three times case II with
 # N = 500 at t_end = 2 s (~320 MB).  Post-processing adds 8*S bytes of
 # synchronization error series and the temporaries of one block of 1,024
-# steps (~12 MB at N = 500, at any S), which leaves room for the
-# post-processing and output of such a run on a machine with a few GB of
-# memory.
+# steps (~12 MB at N = 500, at any S), which leaves room for it and for the
+# output of such a run on a machine with a few GB of memory.
 MAX_TRAJECTORY_BYTES = 2**30
 
 WAVEFORMS = ("constant", "rotating")

@@ -54,9 +54,9 @@ _SCREEN_MIN_N = 32
 _SLACK = 1.0 + 2.0 ** -48
 _FLOOR = 2.0 ** -1022
 # sync_error's steps per block: on case II runs of 10,001 steps at N = 4 and
-# 8, 1,024 took within 0.1 ms of 2,048 and 4,096 and less time than 256,
-# 512 or all steps at once; at N = 500 its tracemalloc peak is half that of
-# 2,048 (11.9 against 23.2 MB)
+# 8, 1,024 was faster than 256, 512 or all steps at once, and within 0.2 ms
+# of 2,048 and 4,096, which at N = 500 (2,001 steps) need twice its
+# tracemalloc peak (23.2 against 11.9 MB)
 _STEP_BLOCK = 1024
 
 
