@@ -7,9 +7,9 @@ current-sharing law set by the branch (virtual) impedances.
 """
 
 from .certificates import (CertificateReport, EnvelopeResult,
-                           NotContractingError, SampledLambdaResult,
-                           certificate_margin, envelope_check,
-                           error_ball_radius, sampled_lambda_check)
+                           NotContractingError, certificate_margin,
+                           envelope_check, error_ball_radius,
+                           sampled_lambda_check)
 from .engine import (DisturbanceSpec, InitSpec, Scenario, SimulationDiverged,
                      Trajectory, init_random, rk4_increment, simulate)
 from .network import (BranchParams, NetworkConfig, OscillatorDeath,
@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchParams", "CertificateReport", "DisturbanceSpec", "EnvelopeResult",
     "InitSpec", "InverterParams", "MetricsReport", "NetworkConfig",
-    "NotContractingError", "OscillatorDeath", "SampledLambdaResult",
-    "Scenario", "SimulationDiverged", "SynchronizedSteady", "Trajectory",
+    "NotContractingError", "OscillatorDeath", "Scenario",
+    "SimulationDiverged", "SynchronizedSteady", "Trajectory",
     "ZeroImpedanceError", "branch_currents", "build_case", "build_metrics",
     "certificate_margin", "chi", "envelope_check", "error_ball_radius",
     "fit_decay_rate", "init_random", "jacobian_h", "k_sh",

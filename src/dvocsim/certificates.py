@@ -23,8 +23,8 @@ import numpy as np
 
 from .oscillator import InverterParams, sym_lambda_max
 
-BOUND_SLACK = 1e-9
 ENVELOPE_FLOOR = 1e-12      # pu; round-off floor of envelope_check
+ENVELOPE_SLACK = 0.05       # relative widening of envelope_check's envelope
 # States sampled_lambda_check draws and evaluates at once: its temporaries
 # peak at ~96 bytes a state, so ~0.8 MB whatever the sample count
 _SAMPLE_BLOCK = 8192
@@ -51,12 +51,6 @@ class CertificateReport:
 
 
 @dataclass(frozen=True)
-class SampledLambdaResult:
-    max_found: float
-    ok: bool
-
-
-@dataclass(frozen=True)
 class EnvelopeResult:
     ok: bool
     first_violation_time: Optional[float] = None
@@ -69,8 +63,9 @@ def certificate_margin(params: InverterParams) -> CertificateReport:
 
 
 def sampled_lambda_check(params: InverterParams, radius: float,
-                         n_samples: int, seed: int) -> SampledLambdaResult:
-    """Verify the eigenvalue bound on sampled states of norm <= radius.
+                         n_samples: int, seed: int) -> float:
+    """Largest symmetric-Jacobian eigenvalue on sampled states of norm <=
+    radius; the certificate bounds it by -margin_c.
 
     The origin (the analytic maximizer of the symmetric part's top eigenvalue)
     is always included ahead of the ``n_samples`` random states.  They go
@@ -102,17 +97,14 @@ def sampled_lambda_check(params: InverterParams, radius: float,
         drawn.real = r * np.cos(theta)
         drawn.imag = r * np.sin(theta)
         peak = np.maximum(peak, sym_lambda_max(states, params).max())
-    max_found = float(peak)
-    return SampledLambdaResult(
-        max_found=max_found,
-        ok=max_found <= BOUND_SLACK - certificate_margin(params).margin_c)
+    return float(peak)
 
 
 def error_ball_radius(d_bar: float, c: float) -> float:
     """Steady separation bound d_bar/c for disturbances with |d| <= d_bar."""
     if not 0 <= d_bar < math.inf:
         raise ValueError(f"d_bar must be finite and >= 0, got {d_bar}")
-    if c <= 0:
+    if not c > 0:
         raise NotContractingError(
             f"error ball needs a positive contraction margin, got c={c}")
     return d_bar / c
@@ -120,9 +112,9 @@ def error_ball_radius(d_bar: float, c: float) -> float:
 
 def envelope_check(t_i: np.ndarray, x_i: np.ndarray,
                    t_j: np.ndarray, x_j: np.ndarray,
-                   c: float, slack: float = 0.05) -> EnvelopeResult:
-    """Check |x_i(t) - x_j(t)| <= exp(-c*t)*|x_i(0) - x_j(0)|*(1 + slack),
-    or at most ``ENVELOPE_FLOOR``.
+                   c: float) -> EnvelopeResult:
+    """Check |x_i(t) - x_j(t)| <= exp(-c*t)*|x_i(0) - x_j(0)|*(1 +
+    ENVELOPE_SLACK), or at most ``ENVELOPE_FLOOR``.
 
     The two series must share one uniform time grid; the states are complex
     alpha + j*beta samples.  Reports the first grid time that exceeds the
@@ -136,7 +128,7 @@ def envelope_check(t_i: np.ndarray, x_i: np.ndarray,
     """
     t_i = np.asarray(t_i, dtype=float)
     t_j = np.asarray(t_j, dtype=float)
-    if c <= 0:
+    if not c > 0:
         raise NotContractingError(
             f"envelope needs a positive contraction rate, got c={c}")
     if t_i.shape != t_j.shape or not np.array_equal(t_i, t_j):
@@ -150,7 +142,7 @@ def envelope_check(t_i: np.ndarray, x_i: np.ndarray,
         if np.max(steps) - np.min(steps) > 1e-9 * max(np.max(np.abs(steps)), 1e-300):
             raise ValueError("time grid is not uniform")
     dist = np.abs(np.asarray(x_i) - np.asarray(x_j))
-    envelope = dist[0] * np.exp(-c * (t_i - t_i[0])) * (1.0 + slack)
+    envelope = dist[0] * np.exp(-c * (t_i - t_i[0])) * (1.0 + ENVELOPE_SLACK)
     bad = np.nonzero(dist > np.maximum(envelope, ENVELOPE_FLOOR))[0]
     if bad.size == 0:
         return EnvelopeResult(ok=True)

@@ -34,9 +34,8 @@ from typing import IO, Any, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from .certificates import (CertificateReport, NotContractingError,
-                           certificate_margin, error_ball_radius,
-                           sampled_lambda_check)
+from .certificates import (NotContractingError, certificate_margin,
+                           error_ball_radius, sampled_lambda_check)
 from .engine import (DisturbanceSpec, InitSpec, Scenario, SimulationDiverged,
                      Trajectory, simulate)
 from .network import BranchParams, NetworkConfig, OscillatorDeath, k_sh
@@ -436,19 +435,20 @@ def write_timeseries(traj: Trajectory, path: str | Path) -> None:
             tmp.close()
 
 
-def build_report(scenario: Scenario, cert: CertificateReport,
-                 traj: Trajectory,
+def build_report(traj: Trajectory,
                  diverged: Optional[SimulationDiverged] = None) -> dict:
     """Everything a run produces, as one JSON-ready dict."""
+    scenario = traj.scenario
     try:
         metrics = build_metrics(traj)
     except ValueError:  # a run no longer than the window has no metrics
         metrics = None
-    ks = k_sh(scenario.network, scenario.params[0].omega0, math.inf)
+    ks = k_sh(scenario.network, scenario.params[0].omega0)
     r_star = predicted_r_star(scenario)
     return {
         "scenario": scenario_to_dict(scenario),
-        "certificate": dataclasses.asdict(cert),
+        "certificate": dataclasses.asdict(
+            certificate_margin(scenario.params[0])),
         "metrics": None if metrics is None else _to_json(
             metrics, "current_amplitudes", "separation"),
         "steady_state": {
@@ -505,8 +505,7 @@ def _cmd_certify(config: argparse.Namespace) -> int:
             pass
     if config.samples > 0:
         found["lambda_max_sampled"] = sampled_lambda_check(
-            params, radius, config.samples,
-            config.seed or 0).max_found
+            params, radius, config.samples, config.seed or 0)
     report = dataclasses.replace(report, **found)
     print(json.dumps(dataclasses.asdict(report), indent=2, allow_nan=False))
     print(f"certificate: {'PASS' if report.passed else 'FAIL'} "
@@ -523,7 +522,6 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
     scenario = scenario_from_dict(apply_overrides(raw, config.overrides))
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cert = certificate_margin(scenario.params[0])
     diverged: Optional[SimulationDiverged] = None
     try:
         traj = simulate(scenario)
@@ -531,7 +529,7 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
         diverged = err
         traj = err.trajectory
     write_timeseries(traj, out / "timeseries.csv")
-    report = build_report(scenario, cert, traj, diverged)
+    report = build_report(traj, diverged)
     _write_json(out / "report.json", report)
     if diverged is not None:
         print(f"error: {diverged}", file=sys.stderr)

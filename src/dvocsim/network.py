@@ -44,19 +44,15 @@ class BranchParams:
     def __post_init__(self) -> None:
         check_finite(self, [f.name for f in fields(self)])
 
-    def impedance_at(self, omega: float, t: float = math.inf,
-                     t_z: float = 0.0) -> complex:
+    def impedance_at(self, omega: float) -> complex:
         """Quasi-static series impedance (line + virtual) at frequency omega.
 
         Z = (r_f + r_v) + j*(omega*l_f + x_v), with r in ohm, l_f in H and the
-        virtual reactance x_v already in ohm; z_extra is added while t < t_z.
+        virtual reactance x_v already in ohm; z_extra is not included.
         """
         if omega <= 0:
             raise ValueError(f"omega must be > 0, got {omega}")
-        z = complex(self.r_f + self.r_v, omega * self.l_f + self.x_v)
-        if t < t_z:
-            z += self.z_extra
-        return z
+        return complex(self.r_f + self.r_v, omega * self.l_f + self.x_v)
 
 
 @dataclass(frozen=True)
@@ -83,10 +79,12 @@ class NetworkConfig:
         return len(self.branches)
 
     def admittances(self, omega: float, t: float = math.inf) -> np.ndarray:
-        """Branch admittances 1/Z_i at frequency omega and time t; raises
-        ZeroImpedanceError naming the first branch whose Z_i is zero."""
-        z = np.array([b.impedance_at(omega, t, self.t_z)
-                      for b in self.branches])
+        """Branch admittances 1/Z_i at frequency omega and time t, with each
+        z_extra in Z_i while t < t_z; raises ZeroImpedanceError naming the
+        first branch whose Z_i is zero."""
+        z = np.array([b.impedance_at(omega) for b in self.branches])
+        if t < self.t_z:
+            z += [b.z_extra for b in self.branches]
         zero = np.flatnonzero(z == 0)
         if zero.size:
             raise ZeroImpedanceError(f"branch {zero[0] + 1} has zero impedance")
@@ -153,16 +151,16 @@ def branch_currents(x: np.ndarray, v: complex | np.ndarray, y: np.ndarray,
     return out
 
 
-def k_sh(cfg: NetworkConfig, omega: float, t: float) -> complex:
+def k_sh(cfg: NetworkConfig, omega: float) -> complex:
     """Synchronized bus-to-internal voltage ratio sum(Y_i)/Y_sigma at
-    frequency omega.
+    frequency omega, with the start-up impedances removed.
 
     Approaches 1 when the branch admittances dominate the downstream
     admittance.  The imaginary part is a model-validity diagnostic; the
     synchronized amplitude depends only on the real part.
     """
-    y_sigma = total_admittance(cfg, omega, t)
-    return complex(cfg.admittances(omega, t).sum()) / y_sigma
+    y_sigma = total_admittance(cfg, omega, math.inf)
+    return complex(cfg.admittances(omega).sum()) / y_sigma
 
 
 def particular_radius(k_sh_real: float, params: InverterParams
@@ -180,21 +178,20 @@ def particular_radius(k_sh_real: float, params: InverterParams
     return math.sqrt(radicand)
 
 
-def synchronized_steady(params: InverterParams, cfg: NetworkConfig,
-                        t: float = math.inf
+def synchronized_steady(params: InverterParams, cfg: NetworkConfig
                         ) -> Union[SynchronizedSteady, OscillatorDeath]:
     """Closed-form synchronized solution: amplitudes of x, bus voltage, currents.
 
-    Evaluated at the oscillators' omega0, by default with start-up impedances
-    removed (t = inf).  The current sharing ratio |I_i| : |I_j| equals
-    |Y_i| : |Y_j| independent of the downstream impedance.
+    Evaluated at the oscillators' omega0 with the start-up impedances removed.
+    The current sharing ratio |I_i| : |I_j| equals |Y_i| : |Y_j| independent
+    of the downstream impedance.
     """
-    ks = k_sh(cfg, params.omega0, t)
+    ks = k_sh(cfg, params.omega0)
     r = particular_radius(ks.real, params)
     if isinstance(r, OscillatorDeath):
         return r
-    y = cfg.admittances(params.omega0, t)
-    y_sigma = total_admittance(cfg, params.omega0, t)
+    y = cfg.admittances(params.omega0)
+    y_sigma = total_admittance(cfg, params.omega0, math.inf)
     scale = params.beta * r
     currents = np.abs(y * cfg.y_net / y_sigma) * scale
     return SynchronizedSteady(

@@ -137,18 +137,19 @@ def build_case(case_id: str, n: int, seed: int, *,
                              r_v=(m - 1.0) * r_line, x_v=(m - 1.0) * x_line)
                 for m in mults]
     z_branch = np.array([b.impedance_at(base.omega0) for b in branches])
-    if case == "II" and zt_multiplier > 1:
+    start_up = case == "II" and zt_multiplier > 1
+    if start_up:
         factors = np.ones(n)
         if zt_jitter:
             factors = np.random.default_rng([seed, 1]).uniform(0.8, 1.2, n)
         branches = [replace(b, z_extra=(zt_multiplier * f - 1.0) * z)
                     for b, f, z in zip(branches, factors, z_branch)]
-    else:
-        t_z = 0.0
 
     y_sum = np.sum(1.0 / z_branch)
     z_net = (load_pu * domination_ratio / abs(y_sum)) * np.exp(1j * load_angle)
     network = NetworkConfig(branches=branches, z_net=complex(z_net), t_z=t_z)
+    if not start_up:    # nothing to remove; t_z is checked all the same
+        network = replace(network, t_z=0.0)
 
     if init is None:
         init = InitSpec(seed=seed, norm_bound=1.0, overrides=((0, 10.0),))
@@ -254,34 +255,29 @@ def _screened(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sync_time(t: np.ndarray, series: np.ndarray,
-              threshold: float = SYNC_THRESHOLD) -> Optional[float]:
-    """First time from which the series stays below threshold, or None."""
-    below = series < threshold
+def sync_time(t: np.ndarray, series: np.ndarray) -> Optional[float]:
+    """First time from which the series stays below SYNC_THRESHOLD, or None."""
+    below = series < SYNC_THRESHOLD
     if not below[-1]:
         return None
-    # last index where the series is still >= threshold
+    # last index where the series is still >= SYNC_THRESHOLD
     above = np.nonzero(~below)[0]
     if len(above) == 0:
         return float(t[0])
     return float(t[above[-1] + 1])
 
 
-def fit_decay_rate(t: np.ndarray, series: np.ndarray,
-                   t_start: Optional[float] = None,
-                   t_stop: Optional[float] = None) -> float:
-    """Exponential decay rate: sign-flipped LSQ slope of log(series) vs t.
+def fit_decay_rate(t: np.ndarray, series: np.ndarray, t_start: float,
+                   t_stop: float) -> float:
+    """Exponential decay rate: sign-flipped LSQ slope of log(series) vs t
+    over t_start <= t <= t_stop.
 
     Non-positive samples are excluded; fewer than 4 usable points in the
     window is an error.
     """
     t = np.asarray(t, dtype=float)
     series = np.asarray(series, dtype=float)
-    mask = series > 0
-    if t_start is not None:
-        mask &= t >= t_start
-    if t_stop is not None:
-        mask &= t <= t_stop
+    mask = (series > 0) & (t >= t_start) & (t <= t_stop)
     if mask.sum() < 4:
         raise ValueError(
             f"decay fit needs at least 4 positive samples, got {mask.sum()}")
@@ -289,17 +285,14 @@ def fit_decay_rate(t: np.ndarray, series: np.ndarray,
     return float(-slope)
 
 
-def build_metrics(traj: Trajectory, *,
-                  window: float = DEFAULT_WINDOW) -> MetricsReport:
+def build_metrics(traj: Trajectory) -> MetricsReport:
     """Post-processing of one run; window quantities average the trailing
-    ``window`` seconds."""
-    if not 0.0 < window < math.inf:
-        raise ValueError(f"window must be finite and > 0, got {window}")
-    if traj.t[-1] - traj.t[0] <= window:
+    ``DEFAULT_WINDOW`` seconds."""
+    if traj.t[-1] - traj.t[0] <= DEFAULT_WINDOW:
         raise ValueError("trajectory is shorter than the averaging window")
     series = sync_error(traj)
-    # the rows with t >= t[-1] - window, as a view
-    sel = slice(np.searchsorted(traj.t, traj.t[-1] - window), None)
+    # the rows with t >= t[-1] - DEFAULT_WINDOW, as a view
+    sel = slice(np.searchsorted(traj.t, traj.t[-1] - DEFAULT_WINDOW), None)
 
     amps = np.sqrt((np.abs(traj.currents[sel]) ** 2).mean(axis=0))
     y = np.abs(traj.scenario.network.admittances(
@@ -331,13 +324,13 @@ def build_metrics(traj: Trajectory, *,
         synchronized=bool((series[sel] < SYNC_THRESHOLD).all()),
         separation=float(series[sel].mean()),
         amplitude=float(np.abs(traj.x[sel, 0]).mean()),
-        fitted_rate=rate, window=window)
+        fitted_rate=rate, window=DEFAULT_WINDOW)
 
 
 def predicted_r_star(scenario: Scenario):
     """Closed-form synchronized amplitude for a scenario (post start-up)."""
     from .network import k_sh
-    ks = k_sh(scenario.network, scenario.params[0].omega0, math.inf)
+    ks = k_sh(scenario.network, scenario.params[0].omega0)
     return particular_radius(ks.real, scenario.params[0])
 
 

@@ -72,7 +72,7 @@ def test_criterion_2_sharing_ratio(acceptance_log, case2_run):
 def test_criterion_3_synchronization(acceptance_log, case2_run):
     _, trajectory, _ = case2_run
     series = sync_error(trajectory)
-    t_sync = sync_time(trajectory.t, series, threshold=1e-3)
+    t_sync = sync_time(trajectory.t, series)
     ok = t_sync is not None
     tail_max = float(series[trajectory.t >= t_sync].max()) if ok else math.inf
     ok = ok and tail_max < 1e-3
@@ -86,8 +86,7 @@ def test_criterion_4_envelope(acceptance_log):
     trajectory = simulate(scenario)
     c = certificate_margin(scenario.params[0]).margin_c
     result = envelope_check(trajectory.t, trajectory.x[:, 0],
-                            trajectory.t, trajectory.x[:, 1],
-                            c=c, slack=0.05)
+                            trajectory.t, trajectory.x[:, 1], c=c)
     d0 = abs(trajectory.x[0, 0] - trajectory.x[0, 1])
     log(acceptance_log, 4, result.ok,
         f"2-inverter distance within exp(-{c:.1f} t) envelope * 1.05 at all "
@@ -107,8 +106,7 @@ def test_criterion_5_particular_solution(acceptance_log):
     z1, z2 = 15.0 * z_pm, 7.875 * z_pm
     y_sum = 1.0 / z1 + 1.0 / z2
     scenario = _two_branch_scenario(z1, z2, complex(200.0 / abs(y_sum)))
-    r_star = particular_radius(
-        k_sh(scenario.network, P.omega0, math.inf).real, P)
+    r_star = particular_radius(k_sh(scenario.network, P.omega0).real, P)
     assert not isinstance(r_star, OscillatorDeath)
     amplitude = build_metrics(simulate(scenario)).amplitude
     rel = abs(amplitude / r_star - 1.0)
@@ -116,7 +114,7 @@ def test_criterion_5_particular_solution(acceptance_log):
 
     # negative radicand: the oscillators die instead of settling on a circle
     dead = _two_branch_scenario(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, t_end=0.3)
-    r_dead = particular_radius(k_sh(dead.network, P.omega0, math.inf).real, P)
+    r_dead = particular_radius(k_sh(dead.network, P.omega0).real, P)
     dead_traj = simulate(dead)
     dead_amp = float(np.abs(dead_traj.x[dead_traj.t > 0.25]).max())
     ok = ok and isinstance(r_dead, OscillatorDeath) and dead_amp < 0.05

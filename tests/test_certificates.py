@@ -50,19 +50,20 @@ class TestMargin:
 class TestSampledLambda:
     def test_bound_holds(self):
         out = sampled_lambda_check(P, radius=2.0, n_samples=1000, seed=3)
-        assert out.ok
-        assert out.max_found <= -C + 1e-9
+        assert type(out) is float
+        assert out <= -C + 1e-9
 
     def test_origin_always_included(self):
         # the origin attains the analytic bound exactly
         out = sampled_lambda_check(P, radius=0.5, n_samples=1, seed=0)
-        assert out.max_found == pytest.approx(-C, abs=1e-12)
+        assert out == pytest.approx(-C, abs=1e-12)
 
     def test_open_loop_positive_lambda(self):
-        out = sampled_lambda_check(InverterParams(kappa=0.0), radius=0.1,
-                                   n_samples=200, seed=1)
-        assert out.max_found > 0.0
-        assert out.ok      # the sampled values still respect the bound
+        params = InverterParams(kappa=0.0)
+        out = sampled_lambda_check(params, radius=0.1, n_samples=200, seed=1)
+        assert out > 0.0
+        # the sampled values still respect the bound -c
+        assert out <= -certificate_margin(params).margin_c + 1e-9
 
     def test_reproducible(self):
         a = sampled_lambda_check(P, 2.0, 64, seed=42)
@@ -89,7 +90,7 @@ class TestSampledLambda:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = sampled_lambda_check(P, 2e153, 10, 0)
-        assert out.ok and math.isfinite(out.max_found)
+        assert math.isfinite(out) and out <= -C + 1e-9
         with pytest.raises(ValueError, match=r"4\*xi\*radius\^2 finite"):
             sampled_lambda_check(P, 3e153, 10, 0)
 
@@ -123,7 +124,7 @@ class TestSampledLambda:
         assert len(calls) == -(-(n + 1) // B)
         assert all(len(x) <= B for x in calls)
         assert np.concatenate(calls).tobytes() == states.tobytes()
-        assert out.max_found == original(states, P).max()
+        assert out == original(states, P).max()
 
     @pytest.mark.parametrize("offset", [1, 10**12])
     def test_sample_budget(self, offset):
@@ -142,7 +143,7 @@ class TestSampledLambda:
 
     def test_max_is_written_out_bound(self):
         out = sampled_lambda_check(P, 2.0, 5000, seed=1)
-        assert out.max_found == P.xi * P.x_nom_sq2 - P.kappa_beta
+        assert out == P.xi * P.x_nom_sq2 - P.kappa_beta
 
     def test_one_array_pass(self, monkeypatch):
         calls = []
@@ -169,9 +170,10 @@ class TestErrorBall:
         assert error_ball_radius(5.0, C) == pytest.approx(0.009036, rel=1e-3)
         assert error_ball_radius(5.0, C) == 5.0 / C
 
-    def test_not_contracting(self):
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
+    def test_not_contracting(self, c):
         with pytest.raises(NotContractingError):
-            error_ball_radius(1.0, 0.0)
+            error_ball_radius(1.0, c)
         with pytest.raises(ValueError, match="d_bar"):
             error_ball_radius(-1.0, C)
 
@@ -196,13 +198,13 @@ class TestEnvelope:
         assert envelope_check(self.t, x_i, self.t, x_j, c=1.0).ok
 
     def test_slower_than_envelope(self):
-        # e^{-2t} > e^{-3t} for every t > 0, so with zero slack the first
-        # violation is the first step after t = 0
+        # e^{-2t} > 1.05*e^{-3t} once t > ln(1.05) = 0.0488, so the first
+        # violation is the first grid step after it
         x_i = np.exp(-2.0 * self.t) + 0j
         x_j = np.zeros_like(x_i)
-        out = envelope_check(self.t, x_i, self.t, x_j, c=3.0, slack=0.0)
+        out = envelope_check(self.t, x_i, self.t, x_j, c=3.0)
         assert not out.ok
-        assert out.first_violation_time == pytest.approx(self.t[1])
+        assert out.first_violation_time == pytest.approx(self.t[5])
 
     def test_round_off_floor(self):
         # synchronized states keep a ~1e-16 pu round-off distance while the
@@ -238,19 +240,20 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="the series are empty"):
             envelope_check(empty, empty + 0j, empty, empty + 0j, c=1.0)
 
-    def test_needs_positive_rate(self):
-        x = np.exp(-self.t) + 0j
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
+    def test_needs_positive_rate(self, c):
+        # the growing separation would pass against a NaN envelope
+        x = np.exp(self.t) + 0j
         with pytest.raises(NotContractingError):
-            envelope_check(self.t, x, self.t, x, c=0.0)
+            envelope_check(self.t, x, self.t, np.zeros_like(x), c=c)
 
-    @given(st.floats(min_value=0.5, max_value=5.0),
-           st.floats(min_value=0.01, max_value=0.2))
+    @given(st.floats(min_value=0.5, max_value=5.0))
     @settings(max_examples=25, deadline=None)
-    def test_envelope_boundary(self, rate, slack):
+    def test_envelope_boundary(self, rate):
         # decay exactly at the stated rate sits inside the slackened envelope
         x_i = np.exp(-rate * self.t) + 0j
         x_j = np.zeros_like(x_i)
-        assert envelope_check(self.t, x_i, self.t, x_j, c=rate, slack=slack).ok
+        assert envelope_check(self.t, x_i, self.t, x_j, c=rate).ok
 
     def test_all_pairs_of_contracting_run(self):
         # every inverter pair of an undisturbed run obeys the rate-c envelope
@@ -262,5 +265,5 @@ class TestEnvelope:
         c = certificate_margin(scenario.params[0]).margin_c
         for i, j in combinations(range(4), 2):
             out = envelope_check(traj.t, traj.x[:, i], traj.t, traj.x[:, j],
-                                 c=c, slack=0.05)
+                                 c=c)
             assert out.ok, (i, j, out.first_violation_time)

@@ -20,7 +20,7 @@ from dvocsim.cli import (SQRT3_OVER_2, ScenarioError, apply_overrides,
                          build_parser, build_report, main, run,
                          scenario_from_dict, scenario_to_dict,
                          write_timeseries)
-from dvocsim.certificates import SampledLambdaResult, certificate_margin
+from dvocsim.certificates import certificate_margin
 from dvocsim.engine import (DisturbanceSpec, InitSpec, SimulationDiverged,
                             simulate)
 from dvocsim.scenarios import build_case, build_metrics
@@ -752,7 +752,7 @@ class TestCommands:
     def test_certify_stdout_is_strict_json(self, monkeypatch, capsys):
         # a NaN that got past the input checks is an error, not a NaN token
         monkeypatch.setattr(cli, "sampled_lambda_check",
-                            lambda *args: SampledLambdaResult(math.nan, False))
+                            lambda *args: math.nan)
         assert main(["certify", "--samples", "10"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -764,6 +764,17 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: n_samples must be 1 to ")
+
+    @pytest.mark.parametrize("argv", [
+        ["case1", "--n", "2"], ["case2"],
+        ["case2", "--set", "network.zt_multiplier=1"]])
+    def test_negative_t_z_exit_code(self, argv, tmp_path, capsys):
+        # refused in every case, also where no start-up impedance is removed
+        out = tmp_path / "x"
+        assert main([*argv, "--set", "t_end=0.05", "--set", "network.t_z=-5",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: t_z must be >= 0, got -5.0\n"
+        assert not out.exists()
 
     def test_zero_total_admittance_exit_code(self, tmp_path, capsys):
         # sum(Y_i) = 2/(2j) = -1j and 1/z_net = 1j: the bus voltage and k_sh
@@ -1008,7 +1019,7 @@ class TestReport:
         sc = build_case("II", 4, seed=2, t_end=0.3)
         traj = simulate(sc)
         cert = certificate_margin(sc.params[0])
-        report = build_report(sc, cert, traj)
+        report = build_report(traj)
         assert report["scenario"] == scenario_to_dict(sc)
         assert report["certificate"]["margin_c"] == cert.margin_c
         assert set(report["metrics"]) >= {"sync_time", "sharing_ratios",

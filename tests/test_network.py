@@ -78,7 +78,7 @@ class TestValidation:
                             z_net=1 + 0j)
         for evaluate in (lambda: cfg.admittances(OMEGA0),
                          lambda: total_admittance(cfg, OMEGA0, 0.0),
-                         lambda: k_sh(cfg, OMEGA0, math.inf)):
+                         lambda: k_sh(cfg, OMEGA0)):
             with pytest.raises(ZeroImpedanceError,
                                match="^branch 2 has zero impedance$"):
                 evaluate()
@@ -94,10 +94,13 @@ class TestValidation:
     def test_zero_total_admittance(self, z_extra, z_net, t_z, when):
         cfg = zero_total_network(z_extra, z_net, t_z)
         t = 0.0 if when == "t < t_z" else math.inf
-        for evaluate in (total_admittance, k_sh):
+        evaluations = [lambda: total_admittance(cfg, OMEGA0, t)]
+        if t == math.inf:       # k_sh is the state after start-up
+            evaluations.append(lambda: k_sh(cfg, OMEGA0))
+        for evaluate in evaluations:
             with pytest.raises(ValueError,
                                match=rf"z_net = .*zero for {when}$"):
-                evaluate(cfg, OMEGA0, t)
+                evaluate()
 
     @ZERO_TOTAL
     def test_zero_total_admittance_at_scenario(self, z_extra, z_net, t_z,
@@ -142,6 +145,22 @@ class TestTotalAdmittance:
                      z_extras=[199 + 0j, 199 + 0j])
         assert total_admittance(cfg, OMEGA0, 0.0) == pytest.approx(1.01 + 0j)
         assert total_admittance(cfg, OMEGA0, 1.0) == pytest.approx(3.0 + 0j)
+
+    def test_startup_segment_bits(self):
+        # z_extra joins the impedance, not the admittance, and only while
+        # t < t_z; t_z = 0 has no start-up segment, even at t = 0.0
+        branches = (BranchParams(r_f=0.1, l_f=2e-3, r_v=1.3, x_v=-0.7,
+                                 z_extra=3.1 - 0.2j),
+                    BranchParams(r_v=0.9, z_extra=5j))
+        z = np.array([b.impedance_at(OMEGA0) for b in branches])
+        extra = np.array([b.z_extra for b in branches])
+        before, after = 1.0 / (z + extra), 1.0 / z
+        cfg = NetworkConfig(branches, z_net=40 + 3j, t_z=0.25)
+        for t, want in ((0.0, before), (0.2499, before), (0.25, after),
+                        (math.inf, after)):
+            assert cfg.admittances(OMEGA0, t).tobytes() == want.tobytes()
+        cfg = NetworkConfig(branches, z_net=40 + 3j, t_z=0.0)
+        assert cfg.admittances(OMEGA0, 0.0).tobytes() == after.tobytes()
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="t"):
@@ -241,11 +260,11 @@ class TestDenseOracleSpot:
 class TestKsh:
     def test_no_load_limit(self):
         cfg = config([1.0, 1.0], 1e12 + 0j)
-        assert k_sh(cfg, OMEGA0, 0.0) == pytest.approx(1.0, abs=1e-11)
+        assert k_sh(cfg, OMEGA0) == pytest.approx(1.0, abs=1e-11)
 
     def test_half(self):
         cfg = config([1.0, 1.0], 0.5 + 0j)   # sumY = 2, Y_net = 2
-        assert k_sh(cfg, OMEGA0, 0.0) == pytest.approx(0.5 + 0j)
+        assert k_sh(cfg, OMEGA0) == pytest.approx(0.5 + 0j)
 
     @given(st.lists(rl_impedance, min_size=1, max_size=5), rl_impedance)
     @settings(max_examples=50, deadline=None)
@@ -254,15 +273,15 @@ class TestKsh:
         cfg = NetworkConfig(tuple(BranchParams(r_v=z.real, x_v=z.imag)
                                   for z in zs),
                             z_net=z_net)
-        k = k_sh(cfg, OMEGA0, 0.0)
+        k = k_sh(cfg, OMEGA0)
         assert 0.0 < abs(k) < 1.0
 
     def test_monotone_to_one_along_ray(self):
         cfg0 = config([1.0, 2.0], 1.0 + 0j)
-        prev = abs(1.0 - k_sh(cfg0, OMEGA0, 0.0))
+        prev = abs(1.0 - k_sh(cfg0, OMEGA0))
         for scale in (10.0, 100.0, 1000.0, 1e4):
             cfg = config([1.0, 2.0], scale * (1.0 + 0j))
-            gap = abs(1.0 - k_sh(cfg, OMEGA0, 0.0))
+            gap = abs(1.0 - k_sh(cfg, OMEGA0))
             assert gap < prev
             prev = gap
         assert prev < 1e-3
@@ -310,7 +329,7 @@ class TestSynchronizedSteady:
     def test_v_pcc_amplitude(self):
         cfg = config([1.0, 1.0], 200.0 + 0j)
         steady = synchronized_steady(P, cfg)
-        k = k_sh(cfg, OMEGA0, math.inf)
+        k = k_sh(cfg, OMEGA0)
         assert steady.v_pcc_amplitude == pytest.approx(
             abs(k) * P.beta * steady.r_star, rel=1e-12)
 

@@ -126,6 +126,19 @@ class TestBuildCase:
         with pytest.raises(ValueError, match=f"^{knob} must be"):
             build_case("II", 4, 0, **{knob: value})
 
+    # without a start-up impedance t_z echoes as 0.0, but it is still checked
+    @pytest.mark.parametrize("t_z, message", [
+        (-5.0, r"^t_z must be >= 0, got -5\.0$"),
+        (math.nan, "^t_z must be finite, got nan$"),
+        (math.inf, "^t_z must be finite, got inf$"),
+    ], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("case, zt_multiplier", [
+        ("I", 200.0), ("II", 1.0), ("II", 200.0)])
+    def test_t_z_checked_in_every_case(self, case, zt_multiplier, t_z,
+                                       message):
+        with pytest.raises(ValueError, match=message):
+            build_case(case, 4, 0, t_z=t_z, zt_multiplier=zt_multiplier)
+
     def test_negative_seed_before_jitter_draw(self):
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             build_case("II", 4, -1, zt_jitter=True)
@@ -309,54 +322,57 @@ class TestSyncTime:
     def test_decaying(self):
         series = np.array([1.0, 0.5, 0.2, 0.09, 0.04, 2e-3, 8e-4, 5e-4,
                            3e-4, 2e-4, 1e-4])
-        assert sync_time(self.t, series, 1e-3) == pytest.approx(0.6)
+        assert sync_time(self.t, series) == pytest.approx(0.6)
 
     def test_never(self):
-        assert sync_time(self.t, np.full(11, 0.5), 1e-3) is None
+        assert sync_time(self.t, np.full(11, 0.5)) is None
 
     def test_dip_and_recover_not_counted(self):
         series = np.array([1.0, 1e-5, 1.0, 1e-5, 1e-5, 1e-5, 1e-5, 1e-5,
                            1e-5, 1e-5, 1e-5])
-        assert sync_time(self.t, series, 1e-3) == pytest.approx(0.3)
+        assert sync_time(self.t, series) == pytest.approx(0.3)
 
     def test_synced_from_start(self):
-        assert sync_time(self.t, np.full(11, 1e-6), 1e-3) == 0.0
+        assert sync_time(self.t, np.full(11, 1e-6)) == 0.0
 
 
 class TestFitDecayRate:
     def test_exact_exponential(self):
         t = np.arange(0, 1.0, 1e-3)
-        rate = fit_decay_rate(t, np.exp(-5.0 * t))
+        rate = fit_decay_rate(t, np.exp(-5.0 * t), t[0], t[-1])
         assert rate == pytest.approx(5.0, abs=1e-6)
 
     def test_constant_series(self):
         t = np.linspace(0, 1, 50)
-        assert fit_decay_rate(t, np.full(50, 0.7)) == pytest.approx(0.0, abs=1e-9)
+        rate = fit_decay_rate(t, np.full(50, 0.7), t[0], t[-1])
+        assert rate == pytest.approx(0.0, abs=1e-9)
 
     def test_nonpositive_excluded(self):
         t = np.linspace(0, 1, 101)
         series = np.exp(-3.0 * t)
         series[::7] = 0.0
-        assert fit_decay_rate(t, series) == pytest.approx(3.0, abs=1e-6)
+        rate = fit_decay_rate(t, series, t[0], t[-1])
+        assert rate == pytest.approx(3.0, abs=1e-6)
 
     def test_too_few_points(self):
         t = np.linspace(0, 1, 10)
         series = np.zeros(10)
         series[:3] = 1.0
         with pytest.raises(ValueError, match="4"):
-            fit_decay_rate(t, series)
+            fit_decay_rate(t, series, t[0], t[-1])
 
     def test_window(self):
         t = np.linspace(0, 2, 201)
         series = np.where(t < 1.0, np.exp(-2.0 * t), np.exp(-2.0) * np.exp(-8.0 * (t - 1.0)))
-        assert fit_decay_rate(t, series, t_start=1.0) == pytest.approx(8.0, rel=1e-6)
+        rate = fit_decay_rate(t, series, t_start=1.0, t_stop=t[-1])
+        assert rate == pytest.approx(8.0, rel=1e-6)
 
 
 class TestAmplitude:
     def test_zero_trajectory(self):
-        sc = build_case("I", 2, seed=0, t_end=0.01)
+        sc = build_case("I", 2, seed=0, t_end=0.05)
         traj = simulate(sc, x0=np.zeros(2, complex))
-        assert build_metrics(traj, window=0.005).amplitude == 0.0
+        assert build_metrics(traj).amplitude == 0.0
 
     def test_open_loop_limit_cycle(self):
         params = (InverterParams(kappa=0.0),)
@@ -369,13 +385,13 @@ class TestAmplitude:
         assert build_metrics(traj).amplitude == pytest.approx(1.0, abs=1e-6)
 
     def test_rotation_invariance(self):
-        t = np.arange(6) * 1e-4
-        x = (0.5 + 0.1j) * np.exp(1j * W0 * t)[:, None] * np.ones((6, 2))
+        # 0.05 s, longer than the 0.04 s averaging window
+        t = np.arange(501) * 1e-4
+        x = (0.5 + 0.1j) * np.exp(1j * W0 * t)[:, None] * np.ones((501, 2))
         traj = fake_traj(t, x)
         rotated = fake_traj(t, x * np.exp(1j * 1.1))
-        # the window must be shorter than the 5e-4 s trajectory
-        assert build_metrics(traj, window=4e-4).amplitude == pytest.approx(
-            build_metrics(rotated, window=4e-4).amplitude, rel=1e-14)
+        assert build_metrics(traj).amplitude == pytest.approx(
+            build_metrics(rotated).amplitude, rel=1e-14)
 
 
 class TestSharingReport:
@@ -403,20 +419,15 @@ class TestSharingReport:
         assert rep.sharing_ratios[1] == pytest.approx(0.5, rel=1e-6)
 
     def test_not_synchronized_flag(self):
-        sc = build_case("I", 3, seed=1, t_end=0.01)
-        rep = build_metrics(simulate(sc), window=0.005)
+        # synchronized from t = 0.0137 s, inside the window [0.01, 0.05] s
+        sc = build_case("I", 3, seed=1, t_end=0.05)
+        rep = build_metrics(simulate(sc))
         assert not rep.synchronized
 
     def test_window_too_long(self):
         sc = build_case("I", 3, seed=1, t_end=0.01)
         with pytest.raises(ValueError, match="window"):
-            build_metrics(simulate(sc), window=0.02)
-
-    @pytest.mark.parametrize("window", [-0.005, 0.0, math.nan, math.inf])
-    def test_window_not_positive_finite(self, window):
-        sc = build_case("I", 3, seed=1, t_end=0.01)
-        with pytest.raises(ValueError, match="window must be finite and > 0"):
-            build_metrics(simulate(sc), window=window)
+            build_metrics(simulate(sc))
 
 
 @pytest.fixture(scope="module")
@@ -477,7 +488,7 @@ class TestKshDeskValue:
     def test_case2_full_scale_k_sh(self):
         # no reference value exists; check the formula against config pieces
         sc = build_case("II", 33, seed=0)
-        ks = k_sh(sc.network, W0, math.inf)
+        ks = k_sh(sc.network, W0)
         y = sc.network.admittances(W0, math.inf)
         want = y.sum() / (y.sum() + 1 / sc.network.z_net)
         assert ks == pytest.approx(want, rel=1e-12)
