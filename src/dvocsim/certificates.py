@@ -131,6 +131,9 @@ def envelope_check(t_i: np.ndarray, x_i: np.ndarray,
     if not c > 0:
         raise NotContractingError(
             f"envelope needs a positive contraction rate, got c={c}")
+    if c == math.inf:       # -c*0.0 at the first grid time is NaN
+        raise ValueError(
+            f"envelope needs a finite contraction rate, got c={c}")
     if t_i.shape != t_j.shape or not np.array_equal(t_i, t_j):
         raise ValueError("trajectories are on different time grids")
     if len(t_i) != len(x_i) or len(t_j) != len(x_j):

@@ -323,7 +323,8 @@ def _rows_per_call(n: int) -> int:
 
 def _format_rows(traj: Trajectory, start: int, stop: int, fh: IO[bytes]) -> None:
     """Rows ``start:stop`` of the time series, written to ``fh`` a few rows
-    (about _CSV_CHUNK_VALUES values) at a time."""
+    (about _CSV_CHUNK_VALUES values) at a time, with the currents of each
+    few rows computed there."""
     # imported here: only the writer needs the kernel, so importing the
     # package does not build its tables (or compile it, without a .pyc)
     from ._csvtext import csv_lines
@@ -339,8 +340,8 @@ def _format_rows(traj: Trajectory, start: int, stop: int, fh: IO[bytes]) -> None
     step = _rows_per_call(n)
     for first in range(start, stop, step):
         rows = slice(first, min(first + step, stop))
-        x, v_o = traj.x[rows], traj.v_o[rows]
-        re, im = traj.currents[rows].real, traj.currents[rows].imag
+        x, v_o, currents = traj.x[rows], traj.v_o[rows], traj.currents(rows)
+        re, im = currents.real, currents.imag
         block = np.empty((len(x), 6 * n + 3))
         block[:, 0] = traj.t[rows]
         block[:, 1:i - 2:2] = x.real
@@ -479,7 +480,17 @@ def _oscillator_for(config: argparse.Namespace) -> InverterParams:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    """``payload`` as strict JSON with an indent of 2, encoded into the file
+    piece by piece rather than as one string; a payload that cannot be
+    encoded (a NaN, say) leaves no file."""
+    fh = path.open("w")
+    try:
+        with fh:
+            json.dump(payload, fh, indent=2, allow_nan=False)
+            fh.write("\n")
+    except BaseException:
+        path.unlink()
+        raise
 
 
 def _cmd_certify(config: argparse.Namespace) -> int:

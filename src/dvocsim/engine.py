@@ -9,13 +9,14 @@ assembled as
 
 with the identical bus term for every k, which is the structure the
 synchronization certificate relies on.  All inverters advance with classical
-RK4; the step loop records states only, and the bus voltage and branch
-currents are computed from the recorded states afterwards.  Fixed stepping
-keeps runs bit-exact for a given scenario and seed; start-up impedance
-removal is aligned to the step boundary at or after t_z, which splits a run
-into two segments with constant admittances.  A run is strictly sequential,
-but distinct scenarios share no mutable state and can be simulated
-concurrently.
+RK4; the step loop records states only, and the bus voltage is computed
+from the recorded states afterwards.  The branch currents are not recorded:
+``Trajectory.currents`` computes those of the rows its reader asks for.
+Fixed stepping keeps runs bit-exact for a given scenario and seed; start-up
+impedance removal is aligned to the step boundary at or after t_z, which
+splits a run into two segments with constant admittances.  A run is
+strictly sequential, but distinct scenarios share no mutable state and can
+be simulated concurrently.
 
 The step loop is bound by interpreter overhead, not arithmetic: an N = 4
 state is four complex numbers.  So ``simulate`` builds one set of RK4
@@ -48,12 +49,14 @@ DIVERGENCE_NORM = 100.0     # pu, far outside any modeled regime
 DIVERGENCE_BLOCK = 64       # steps recorded between two divergence checks
 MAX_DT_OMEGA = 0.2          # resolution guard: > ~31 steps per cycle
 STEP_TOL = 1e-9             # relative tolerance of t_end/dt to a whole number
-# Largest trajectory a run may record, ~32*(S+1)*N bytes for S steps and N
-# inverters (t, x, v_o and the currents).  1 GiB is three times case II with
-# N = 500 at t_end = 2 s (~320 MB).  Post-processing adds 8*S bytes of
-# synchronization error series and the temporaries of one block of 1,024
-# steps (~12 MB at N = 500, at any S), which leaves room for it and for the
-# output of such a run on a machine with a few GB of memory.
+# Largest trajectory a run may record, (16*N + 24)*(S+1) bytes for S steps
+# and N inverters (t, x and v_o).  1 GiB admits case II with N = 500 up to
+# t_end = 13.38 s, over six times the ~160 MB of N = 500 at t_end = 2 s.
+# Post-processing adds 8*S bytes of synchronization error series, 32*S bytes
+# of it as the list of Python floats report.json is encoded from, and the
+# temporaries of one block of sync_error's states and of the output's rows
+# (a few MB at any S), which leaves room for it and for the output of such a
+# run on a machine with a few GB of memory.
 MAX_TRAJECTORY_BYTES = 2**30
 
 WAVEFORMS = ("constant", "rotating")
@@ -128,7 +131,7 @@ def check_grid(n: int, t_end: float, dt: float) -> None:
     if abs(steps - round(steps)) > STEP_TOL * steps:
         raise ValueError(
             f"t_end = {t_end} is not a whole multiple of dt = {dt}")
-    size = 32 * n * (round(steps) + 1)     # integer: no overflow for any n
+    size = (16 * n + 24) * (round(steps) + 1)  # integer: no overflow
     if size > MAX_TRAJECTORY_BYTES:
         raise ValueError(
             f"n = {n}, t_end = {t_end} and dt = {dt} would record "
@@ -188,19 +191,54 @@ class Scenario:
         return round(self.t_end / self.dt)
 
 
+def _segments(scenario: Scenario) -> tuple:
+    """The admittances ``(y, y_sigma)`` before t_z and at or after it."""
+    net, omega0 = scenario.network, scenario.params[0].omega0
+    return tuple((net.admittances(omega0, t), total_admittance(net, omega0, t))
+                 for t in (0.0, math.inf))
+
+
 @dataclass(eq=False)
 class Trajectory:
-    """Uniform-grid time series of states, bus voltage and branch currents."""
+    """Uniform-grid time series of states and bus voltage; ``currents``
+    computes the branch currents of any rows."""
 
     t: np.ndarray           # (S+1,), s
     x: np.ndarray           # (S+1, N) complex, pu
     v_o: np.ndarray         # (S+1,) complex, V
-    currents: np.ndarray    # (S+1, N) complex, A
     scenario: Scenario = field(repr=False)
+    segments: tuple = field(repr=False)     # _segments(scenario), once a run
 
     @property
     def n(self) -> int:
         return self.x.shape[1]
+
+    def currents(self, rows: slice = slice(None)) -> np.ndarray:
+        """Branch currents of the consecutive rows ``rows``, (rows, N)
+        complex, A.
+
+        The rows before ``k = searchsorted(t, t_z)`` take the first
+        segment's admittances and the rest the second's, as ``v_o`` does.
+        ``branch_currents`` is elementwise and broadcasts ``y`` one row at a
+        time, so any rows get the bits of the same rows of the whole run,
+        with one exception that is avoided here: at N = 1 a lone row is one
+        complex multiply by y, which numpy does in its scalar loop, without
+        the fused multiply-adds of its vector loop.  So the rows are
+        computed with one more row on each side where their segment has it.
+        """
+        span = range(len(self.t))[rows]
+        if span.step != 1:
+            raise ValueError(f"rows must be consecutive, got step {span.step}")
+        start, stop = span.start, max(span.start, span.stop)
+        lo, hi = max(start - 1, 0), min(stop + 1, len(self.t))
+        k = int(np.searchsorted(self.t, self.scenario.network.t_z))
+        k = min(max(k, lo), hi)
+        beta = self.scenario.params[0].beta
+        out = np.empty((hi - lo, self.n), dtype=complex)
+        for a, b, (y, _) in zip((lo, k), (k, hi), self.segments):
+            branch_currents(self.x[a:b], self.v_o[a:b], y, beta,
+                            out=out[a - lo:b - lo])
+        return out[start - lo:stop - lo]
 
 
 def init_random(scenario: Scenario) -> np.ndarray:
@@ -333,21 +371,16 @@ def _first_diverged(rows: np.ndarray) -> Optional[tuple[int, int]]:
 
 def _trajectory(scenario: Scenario, t: np.ndarray, xs: np.ndarray,
                 k: int, segments) -> Trajectory:
-    """The trajectory of the recorded states ``xs``, with the bus voltage and
-    branch currents computed from them.
-
-    Rows before ``k`` see the first of ``segments``' admittances
-    ``(y, y_sigma)``, the rest the second's.  Both arrays are filled in
-    place, one segment at a time, with no (rows, N) temporary.
-    """
+    """The trajectory of the recorded states ``xs``, with the bus voltage
+    computed from them one segment at a time: rows before ``k`` see the
+    first of ``segments``' admittances ``(y, y_sigma)``, the rest the
+    second's."""
     beta = scenario.params[0].beta
     vs = np.empty(len(xs), dtype=complex)
-    cs = np.empty(xs.shape, dtype=complex)
     k = min(k, len(xs))
     for rows, (y, y_sigma) in zip((slice(0, k), slice(k, len(xs))), segments):
         vs[rows] = pcc_voltage(xs[rows], y, y_sigma, beta)
-        branch_currents(xs[rows], vs[rows], y, beta, out=cs[rows])
-    return Trajectory(t, xs, vs, cs, scenario)
+    return Trajectory(t, xs, vs, scenario, segments)
 
 
 def simulate(scenario: Scenario,
@@ -380,10 +413,8 @@ def simulate(scenario: Scenario,
 
     # the start-up extra impedance makes the admittances piecewise constant:
     # steps [0, k) start before t_z, steps [k, steps) at or after it
-    net = scenario.network
-    segments = [(net.admittances(p.omega0, t),
-                 total_admittance(net, p.omega0, t)) for t in (0.0, math.inf)]
-    k = int(np.searchsorted(t_grid, net.t_z))
+    segments = _segments(scenario)
+    k = int(np.searchsorted(t_grid, scenario.network.t_z))
     d = scenario.disturbance
     if d is not None and d.amplitude == 0.0:
         d = None

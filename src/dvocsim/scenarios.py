@@ -53,10 +53,12 @@ DEFAULT_WINDOW = 0.04       # s; two cycles at 50 Hz
 _SCREEN_MIN_N = 32
 _SLACK = 1.0 + 2.0 ** -48
 _FLOOR = 2.0 ** -1022
-# sync_error's steps per block: on case II runs of 10,001 steps at N = 4 and
-# 8, 1,024 was faster than 256, 512 or all steps at once, and within 0.2 ms
-# of 2,048 and 4,096, which at N = 500 (2,001 steps) need twice its
-# tracemalloc peak (23.2 against 11.9 MB)
+# sync_error's states and most steps per block: a block is min(1,024,
+# 2**17 // N) steps, at least one, so 1,024 up to N = 128.  On case II runs
+# of 10,001 steps at N = 4 and 8, 1,024 steps were faster than 256, 512 or
+# all steps at once, and within 0.2 ms of 2,048 and 4,096; a block of 1,024
+# steps held 11.9 MB at N = 500, and one of 2**17 states holds 2 MB a copy.
+_BLOCK_STATES = 2**17
 _STEP_BLOCK = 1024
 
 
@@ -205,16 +207,18 @@ def sync_error(traj: Trajectory) -> np.ndarray:
     duplicates (after synchronization a step holds a few distinct values
     among hundreds of states) and compares the pairs left.
 
-    The steps are taken in blocks of ``_STEP_BLOCK``, whose maxima are
-    written into one (S,) series.  Every quantity above is per step (the
-    extremes, the bound, the candidate groups, the dropped duplicates), so
-    the blocks change no bit, and the memory beyond the series is
-    O(_STEP_BLOCK*N) at any S.
+    The steps are taken in blocks of ``_STEP_BLOCK`` steps or
+    ``_BLOCK_STATES`` states, whichever is fewer, whose maxima are written
+    into one (S,) series.  Every quantity above is per step (the extremes,
+    the bound, the candidate groups, the dropped duplicates), so the blocks
+    change no bit, and the memory beyond the series is O(_BLOCK_STATES) at
+    any S and N.
     """
     x = traj.x
     out = np.empty(len(x))
-    for start in range(0, len(x), _STEP_BLOCK):
-        part = x[start:start + _STEP_BLOCK]
+    block = max(1, min(_STEP_BLOCK, _BLOCK_STATES // traj.n))
+    for start in range(0, len(x), block):
+        part = x[start:start + block]
         out[start:start + len(part)] = (
             _max_pair_distance(part.T.copy()) if traj.n < _SCREEN_MIN_N
             else _screened(part))
@@ -291,10 +295,11 @@ def build_metrics(traj: Trajectory) -> MetricsReport:
     if traj.t[-1] - traj.t[0] <= DEFAULT_WINDOW:
         raise ValueError("trajectory is shorter than the averaging window")
     series = sync_error(traj)
-    # the rows with t >= t[-1] - DEFAULT_WINDOW, as a view
+    # the rows with t >= t[-1] - DEFAULT_WINDOW, the only ones whose
+    # currents are computed
     sel = slice(np.searchsorted(traj.t, traj.t[-1] - DEFAULT_WINDOW), None)
 
-    amps = np.sqrt((np.abs(traj.currents[sel]) ** 2).mean(axis=0))
+    amps = np.sqrt((np.abs(traj.currents(sel)) ** 2).mean(axis=0))
     y = np.abs(traj.scenario.network.admittances(
         traj.scenario.params[0].omega0))
     ratios = error = None

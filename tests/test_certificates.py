@@ -247,6 +247,15 @@ class TestEnvelope:
         with pytest.raises(NotContractingError):
             envelope_check(self.t, x, self.t, np.zeros_like(x), c=c)
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_rate_refused(self):
+        # -inf*0.0 at the first grid time would make the envelope NaN, with
+        # numpy's invalid-value warning, an error here
+        x = np.exp(-self.t) + 0j
+        with pytest.raises(ValueError, match="c=inf") as excinfo:
+            envelope_check(self.t, x, self.t, np.zeros_like(x), c=math.inf)
+        assert not isinstance(excinfo.value, NotContractingError)
+
     @given(st.floats(min_value=0.5, max_value=5.0))
     @settings(max_examples=25, deadline=None)
     def test_envelope_boundary(self, rate):

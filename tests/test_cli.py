@@ -24,6 +24,7 @@ from dvocsim.certificates import certificate_margin
 from dvocsim.engine import (DisturbanceSpec, InitSpec, SimulationDiverged,
                             simulate)
 from dvocsim.scenarios import build_case, build_metrics
+from fakes import given_currents
 
 
 def write(tmp_path, payload, name="scenario.json"):
@@ -42,13 +43,14 @@ def _trajectory(name):
         return simulate(build_case("II", 100, seed=0, t_end=0.02))
     if name == "edge_values":            # values formatted by "%.17g" itself
         traj = simulate(build_case("II", 4, seed=7, t_end=0.2))
+        currents = traj.currents()
         edges = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 1e20)
         for k, v in enumerate(edges):
             row = 333 * k                # in several ranges of the writer
             traj.x[row, k % 4] = complex(v, -v)
-            traj.currents[row, 1] = complex(v, 0.25)  # no inf - inf in i_b
-            traj.currents[row + 1, 2] = complex(-0.5, v)
-        return traj
+            currents[row, 1] = complex(v, 0.25)  # no inf - inf in i_b
+            currents[row + 1, 2] = complex(-0.5, v)
+        return given_currents(traj, currents)
     return simulate(scenario_from_dict(
         {"n": 1, "seed": 2, "t_end": 0.1,
          "branches": [{"r_f": 0.1, "l_f": 1e-3}],
@@ -76,10 +78,11 @@ def _per_value_csv(name):
     for k in range(n):
         cols += [traj.x[:, k].real, traj.x[:, k].imag]
     cols += [traj.v_o.real, traj.v_o.imag]
+    currents = traj.currents()
     for k in range(n):
-        cols += [traj.currents[:, k].real, traj.currents[:, k].imag]
+        cols += [currents[:, k].real, currents[:, k].imag]
     for k in range(n):
-        re, im = traj.currents[:, k].real, traj.currents[:, k].imag
+        re, im = currents[:, k].real, currents[:, k].imag
         cols += [re, -0.5 * re + SQRT3_OVER_2 * im,
                  -0.5 * re - SQRT3_OVER_2 * im]
     return (",".join(header) + "\n" + "".join(
@@ -368,7 +371,7 @@ class TestWriteTimeseries:
         assert np.array_equal(data[:, 1], traj.x[:, 0].real)
         assert np.array_equal(data[:, 4], traj.x[:, 1].imag)
         assert np.array_equal(data[:, 5], traj.v_o.real)
-        assert np.array_equal(data[:, 7], traj.currents[:, 0].real)
+        assert np.array_equal(data[:, 7], traj.currents()[:, 0].real)
 
     # the call size is the writer's default, one row per call or more than
     # the whole series: calls end inside and at the edges of forked ranges
@@ -423,10 +426,11 @@ class TestWriteTimeseries:
         with path.open() as f:
             rows = list(csv.reader(f))
         header = rows[0]
+        currents = traj.currents()
         for k in range(2):
             i = header.index(f"i_a_{k + 1}")
             got = tuple(float(v) for v in rows[1][i:i + 3])
-            alpha, beta = traj.currents[0, k].real, traj.currents[0, k].imag
+            alpha, beta = currents[0, k].real, currents[0, k].imag
             # amplitude-invariant inverse Clarke transform
             want = (alpha,
                     -0.5 * alpha + math.sqrt(3) / 2 * beta,
@@ -657,6 +661,34 @@ class TestCommands:
             simulate(scenario_from_dict(raw))
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"error: {diverged.value}"]
+
+    def test_report_bytes_are_one_string_encoding(self, tmp_path):
+        # written piece by piece, with the bytes of json.dumps as one string
+        traj = simulate(build_case("II", 4, seed=5, t_end=0.1))
+        report = build_report(traj)
+        path = tmp_path / "report.json"
+        cli._write_json(path, report)
+        assert path.read_bytes() == (json.dumps(
+            report, indent=2, allow_nan=False) + "\n").encode()
+
+    def test_report_with_nan_leaves_no_file(self, tmp_path, monkeypatch,
+                                            capsys):
+        # the encoder raises in the middle of the file: the part written
+        # goes, and so does the report of an earlier run in the directory
+        real = cli.build_report
+
+        def build_report_with_nan(traj, diverged=None):
+            report = real(traj, diverged)
+            report["metrics"]["separation"] = math.nan
+            return report
+        monkeypatch.setattr(cli, "build_report", build_report_with_nan)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "report.json").write_text("{}\n")
+        assert main(["case2", "--set", "t_end=0.05", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "JSON compliant" in err
+        assert sorted(p.name for p in out.iterdir()) == ["timeseries.csv"]
 
     def test_report_without_current_is_strict_json(self, tmp_path, capsys):
         # every state starts at the origin and stays there: no current flows

@@ -101,14 +101,15 @@ class TestValidation:
             make()
 
     def test_oversized_trajectory_rejected(self):
-        # 2 inverters * 1e10 steps would record ~640 GB
+        # 2 inverters and 1e10 steps would record t, x and v_o: 56 bytes a
+        # step, ~560 GB
         with pytest.raises(ValueError, match="n = 2, t_end = 1000000.0 and "
-                           "dt = 0.0001 would record"):
+                           "dt = 0.0001 would record 560,000,000,056 bytes"):
             make_scenario(t_end=1e6)
 
     def test_size_limit_boundary(self):
-        per_inverter = 32 * (2000 + 1)       # bytes per inverter, 2000 steps
-        n_max = engine.MAX_TRAJECTORY_BYTES // per_inverter
+        # (16*n + 24) bytes a row for t, x and v_o, 2000 steps
+        n_max = (engine.MAX_TRAJECTORY_BYTES // (2000 + 1) - 24) // 16
         engine.check_grid(n_max, 0.2, 1e-4)
         with pytest.raises(ValueError, match=f"n = {n_max + 1}"):
             engine.check_grid(n_max + 1, 0.2, 1e-4)
@@ -299,7 +300,7 @@ class TestSimulate:
         b = simulate(sc)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.v_o, b.v_o)
-        assert np.array_equal(a.currents, b.currents)
+        assert np.array_equal(a.currents(), b.currents())
 
     def test_permutation_symmetry(self):
         sc = make_scenario(n=3, seed=2, t_end=0.05)
@@ -317,6 +318,7 @@ class TestSimulate:
         y_pre = sc.network.admittances(W0, 0.0)
         y_post = sc.network.admittances(W0, math.inf)
         rows_pre = 0
+        currents = traj.currents()
         for idx in range(len(traj.t)):
             y = y_pre if traj.t[idx] < 0.02005 else y_post
             rows_pre += y is y_pre
@@ -324,7 +326,7 @@ class TestSimulate:
             want = P.beta * np.dot(y, traj.x[idx]) / y_sigma
             assert traj.v_o[idx] == pytest.approx(want, rel=1e-12)
             want_i = (P.beta * traj.x[idx] - traj.v_o[idx]) * y
-            assert np.allclose(traj.currents[idx], want_i, rtol=1e-12)
+            assert np.allclose(currents[idx], want_i, rtol=1e-12)
         assert rows_pre == 201 and len(traj.t) - rows_pre == 300
 
     @pytest.mark.parametrize("waveform", ["rotating", "constant"])
@@ -347,7 +349,7 @@ class TestSimulate:
         as_complex = lambda rows: np.array(rows) @ np.array([1.0, 1j])
         for got, want, tol in ((traj.x, as_complex(xs), 1e-12),
                                (traj.v_o, as_complex(vs), 1e-11),
-                               (traj.currents, as_complex(cs), 1e-9)):
+                               (traj.currents(), as_complex(cs), 1e-9)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
@@ -410,16 +412,18 @@ class TestSimulate:
             sys.setswitchinterval(interval)
         for sc, traj in zip(runs, got):
             want = simulate(sc)
-            for name in ("x", "v_o", "currents"):
-                assert np.array_equal(getattr(traj, name), getattr(want, name))
+            for a, b in ((traj.x, want.x), (traj.v_o, want.v_o),
+                         (traj.currents(), want.currents())):
+                assert np.array_equal(a, b)
 
     def test_later_run_leaves_earlier_trajectory(self):
         sc = make_scenario(n=3, seed=5, t_end=0.02)
         first = simulate(sc)
-        kept = [a.copy() for a in (first.t, first.x, first.v_o, first.currents)]
+        kept = [a.copy() for a in (first.t, first.x, first.v_o,
+                                   first.currents())]
         simulate(sc)
         simulate(make_scenario(n=3, seed=6, t_end=0.02))
-        for a, b in zip(kept, (first.t, first.x, first.v_o, first.currents)):
+        for a, b in zip(kept, (first.t, first.x, first.v_o, first.currents())):
             assert np.array_equal(a, b)
 
     def test_x0_left_unchanged(self):
@@ -458,7 +462,7 @@ def python_scalar_run(sc):
     t_z.
 
     Returns the recorded states and the bus voltage and branch currents
-    computed from them, one impedance segment at a time like ``simulate``.
+    computed from them (``per_segment``).
     """
     p, d, dt = sc.params[0], sc.disturbance, sc.dt
     t_grid = np.arange(sc.n_steps + 1) * dt
@@ -488,12 +492,23 @@ def python_scalar_run(sc):
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         xs.append(x)
     xs = np.array(xs)
+    return (xs, *per_segment(sc, t_grid, xs))
+
+
+def per_segment(sc, t, xs):
+    """The bus voltage and branch currents of the states ``xs`` at times
+    ``t``, one whole impedance segment at a time."""
+    p = sc.params[0]
+    k_z = int(np.searchsorted(t, sc.network.t_z))
+    segments = [(sc.network.admittances(p.omega0, t),
+                 total_admittance(sc.network, p.omega0, t))
+                for t in (0.0, math.inf)]
     rows = (slice(0, k_z), slice(k_z, None))
     v_o = np.concatenate([pcc_voltage(xs[r], y, y_sigma, p.beta)
                           for r, (y, y_sigma) in zip(rows, segments)])
     currents = np.concatenate([branch_currents(xs[r], v_o[r], y, p.beta)
                                for r, (y, _) in zip(rows, segments)])
-    return xs, v_o, currents
+    return v_o, currents
 
 
 class TestPythonScalarReference:
@@ -518,7 +533,7 @@ class TestPythonScalarReference:
         # bytes, not values: -0.0 == 0.0 would pass np.array_equal
         assert traj.x.tobytes() == xs.tobytes()
         assert traj.v_o.tobytes() == v_o.tobytes()
-        assert traj.currents.tobytes() == currents.tobytes()
+        assert traj.currents().tobytes() == currents.tobytes()
 
 
 # grows towards the circle |x| = sqrt(2e4) ~ 141 > DIVERGENCE_NORM: the norm
@@ -590,11 +605,74 @@ class TestDivergence:
         assert err.last_norm == np.abs(err.trajectory.x[-1]).max()
 
 
+def row_slices(length, k):
+    """Every one-row slice of ``length`` rows, slices that end at, start at
+    and straddle row k, the whole run, empty and negative-bound slices, and
+    the CSV writer's calls of 527 rows (N = 4)."""
+    yield from (slice(i, i + 1) for i in range(length))
+    for a, b in ((0, k), (k, None), (k - 1, k), (k, k + 1), (k - 1, k + 1),
+                 (k - 7, k + 5), (1, k + 1), (k - 1, length - 1), (0, None),
+                 (None, None), (k, k), (-3, None), (None, -3), (5, 2)):
+        yield slice(a, b)
+    yield from (slice(s, s + 527) for s in range(0, length, 527))
+
+
+class TestCurrents:
+    """The trajectory records no currents: ``currents`` computes those of
+    any consecutive rows, on either side of the segment boundary k =
+    searchsorted(t, t_z).  Every slice must have the bytes of the same rows
+    of the whole run, and the whole run those of ``python_scalar_run``."""
+
+    @pytest.mark.parametrize("sc", [
+        scenarios.build_case("II", 4, 3, t_end=0.2, t_z=0.1,
+                             disturbance=DisturbanceSpec(1, 5.0, "rotating")),
+        scenarios.build_case("II", 100, 3, t_end=0.01, t_z=0.005),
+        make_scenario(n=1, t_end=0.02, t_z=0.01, z_extras=[30.0 + 20.0j]),
+        # the second segment is the last row alone
+        make_scenario(n=1, t_end=0.02, t_z=0.02, z_extras=[30.0 + 20.0j]),
+    ], ids=["n4-tz-mid-run", "n100-tz-mid-run", "n1-tz-mid-run",
+            "n1-tz-last-row"])
+    def test_slices_match_whole_run_and_reference(self, sc):
+        traj = simulate(sc)
+        whole = traj.currents()
+        assert whole.tobytes() == python_scalar_run(sc)[2].tobytes()
+        k = int(np.searchsorted(traj.t, sc.network.t_z))
+        assert 0 < k < len(traj.t)
+        for rows in row_slices(len(traj.t), k):
+            got = traj.currents(rows)
+            assert got.shape == whole[rows].shape, rows
+            assert got.tobytes() == whole[rows].tobytes(), rows
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("step", [50, 250],
+                             ids=["before-t_z", "after-t_z"])
+    def test_diverged_partial_trajectory(self, n, step):
+        # inverter n crosses DIVERGENCE_NORM at ``step``; t_z is at row 100
+        x0 = [crossing_norm(step + 2), 1j * crossing_norm(step)][-n:]
+        sc = make_scenario(n=n, params=(GROWING,) * n, t_end=0.03, t_z=0.01,
+                           z_extras=[30.0 + 20.0j, 5.0 + 0j][:n])
+        with pytest.raises(SimulationDiverged) as excinfo:
+            simulate(sc, x0=np.array(x0))
+        traj = excinfo.value.trajectory
+        assert len(traj.t) == step + 1
+        v_o, want = per_segment(sc, traj.t, traj.x)
+        assert traj.v_o.tobytes() == v_o.tobytes()
+        assert traj.currents().tobytes() == want.tobytes()
+        k = min(100, len(traj.t) - 1)
+        for rows in row_slices(len(traj.t), k):
+            assert traj.currents(rows).tobytes() == want[rows].tobytes(), rows
+
+    def test_rows_must_be_consecutive(self):
+        traj = simulate(make_scenario(n=2, t_end=0.01))
+        with pytest.raises(ValueError, match="consecutive"):
+            traj.currents(slice(0, 10, 2))
+
+
 class TestMemory:
     @pytest.mark.parametrize("n, t_end", [(4, 1.0), (100, 0.1)])
     def test_peak_near_trajectory_size(self, n, t_end):
-        # v_o and the currents are filled in place after the loop: no
-        # (steps, n) temporary on top of the recorded trajectory
+        # v_o is filled in place after the loop and the currents are not
+        # recorded: no (steps, n) array on top of the recorded states
         simulate(scenarios.build_case("II", 4, 1, t_end=0.01))   # warm-up
         sc = scenarios.build_case("II", n, 1, t_end=t_end)
         tracemalloc.start()
@@ -603,5 +681,8 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        size = sum(a.nbytes for a in (traj.t, traj.x, traj.v_o, traj.currents))
+        size = sum(a.nbytes for a in (traj.t, traj.x, traj.v_o))
         assert peak <= 1.35 * size
+        wide = [name for name, v in vars(traj).items()
+                if isinstance(v, np.ndarray) and v.ndim > 1]
+        assert wide == ["x"]

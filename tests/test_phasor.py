@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dvocsim.cli import write_timeseries
-from dvocsim.engine import Trajectory
+from dvocsim.engine import Trajectory, _segments
 from dvocsim.network import (BranchParams, NetworkConfig, ZeroImpedanceError,
                              branch_currents)
 from dvocsim.scenarios import build_case
+from fakes import given_currents
 
 OMEGA0 = 2 * math.pi * 50
 
@@ -47,9 +48,11 @@ def phase_rows(tmp_path, currents):
     """CSV rows of a one-inverter trajectory with the given branch currents."""
     currents = np.asarray(currents, dtype=complex)
     t = np.arange(len(currents)) * 1e-4
-    traj = Trajectory(t, currents[:, None] / 500.0,
-                      np.zeros(len(t), complex), currents[:, None],
-                      build_case("I", 2, seed=0, t_end=0.01))
+    sc = build_case("I", 2, seed=0, t_end=0.01)
+    traj = given_currents(Trajectory(t, currents[:, None] / 500.0,
+                                     np.zeros(len(t), complex), sc,
+                                     _segments(sc)),
+                          currents[:, None])
     path = tmp_path / "ts.csv"
     write_timeseries(traj, path)
     with path.open() as f:

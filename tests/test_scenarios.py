@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dvocsim import scenarios
+from dvocsim import engine, scenarios
 from dvocsim.engine import InitSpec, Scenario, Trajectory, simulate
 from dvocsim.network import BranchParams, NetworkConfig, OscillatorDeath, k_sh
 from dvocsim.oscillator import InverterParams
@@ -25,8 +25,7 @@ def fake_traj(t, x):
     n = x.shape[1] if x.ndim > 1 else 2
     sc = build_case("I", max(n, 2), seed=0, t_end=0.01)
     return Trajectory(np.asarray(t, float), np.asarray(x, complex),
-                      np.zeros(len(t), complex),
-                      np.zeros_like(np.asarray(x, complex)), sc)
+                      np.zeros(len(t), complex), sc, engine._segments(sc))
 
 
 class TestBuildCase:
@@ -292,6 +291,21 @@ class TestSyncError:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
+    def test_block_memory_independent_of_inverters(self):
+        # a block holds at most _BLOCK_STATES states: 128 steps at N = 1024
+        # peak at ~3.4 MB (tracemalloc), where a block of 1,024 steps took
+        # ~26 MB
+        rng = np.random.default_rng(1)
+        traj = fake_traj(np.arange(1024) * 1e-4,
+                         rng.standard_normal((1024, 1024)) + 0j)
+        tracemalloc.start()
+        try:
+            sync_error(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     @pytest.mark.parametrize("n", [3, scenarios._SCREEN_MIN_N])
     @pytest.mark.parametrize("s", [3, 4, 5, 17])
     def test_block_boundaries(self, monkeypatch, n, s):
@@ -299,21 +313,34 @@ class TestSyncError:
         # NaN, inf and all-equal rows on either side of the boundaries, bit
         # for bit against all pairs
         monkeypatch.setattr(scenarios, "_STEP_BLOCK", 4)
-        rng = np.random.default_rng(s)
-        x = rng.standard_normal((s, n)) + 1j * rng.standard_normal((s, n))
-        equal, nan, inf = [1, 3, 8, 16], [4, 11, 15], [2, 7, 12, 15]
-        for row in range(s):
-            if row in equal:
-                x[row] = 0.5 - 0.5j
-            if row in nan:
-                x[row, row % n] = complex(np.nan, 1.0)
-            if row in inf:
-                x[row, (row + 1) % n] = complex(-np.inf, 0.0)
-        with np.errstate(all="ignore"):
-            got = sync_error(fake_traj(np.arange(s) * 1e-4, x))
-            want = all_pairs_max_distance(x)
-        assert got.tobytes() == want.tobytes()
-        assert np.isnan(got[[r for r in nan if r < s]]).all()
+        check_blocks(n, s)
+
+    @pytest.mark.parametrize("n", [3, scenarios._SCREEN_MIN_N])
+    @pytest.mark.parametrize("s", [3, 4, 5, 17])
+    def test_block_boundaries_by_states(self, monkeypatch, n, s):
+        # the same blocks of 4 steps, set by their count of states
+        monkeypatch.setattr(scenarios, "_BLOCK_STATES", 4 * n + 1)
+        check_blocks(n, s)
+
+
+def check_blocks(n, s):
+    """sync_error of s steps of n states against all pairs, bit for bit,
+    with NaN, inf and all-equal rows at rows 1 to 16."""
+    rng = np.random.default_rng(s)
+    x = rng.standard_normal((s, n)) + 1j * rng.standard_normal((s, n))
+    equal, nan, inf = [1, 3, 8, 16], [4, 11, 15], [2, 7, 12, 15]
+    for row in range(s):
+        if row in equal:
+            x[row] = 0.5 - 0.5j
+        if row in nan:
+            x[row, row % n] = complex(np.nan, 1.0)
+        if row in inf:
+            x[row, (row + 1) % n] = complex(-np.inf, 0.0)
+    with np.errstate(all="ignore"):
+        got = sync_error(fake_traj(np.arange(s) * 1e-4, x))
+        want = all_pairs_max_distance(x)
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got[[r for r in nan if r < s]]).all()
 
 
 class TestSyncTime:
