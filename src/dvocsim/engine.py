@@ -207,13 +207,17 @@ class Trajectory:
     x: np.ndarray           # (S+1, N) complex, pu
     v_o: np.ndarray         # (S+1,) complex, V
     scenario: Scenario = field(repr=False)
-    segments: tuple = field(repr=False)     # _segments(scenario), once a run
+    segments: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # once a run, so that the CSV writer's forked children share them
+        self.segments = _segments(self.scenario)
 
     @property
     def n(self) -> int:
         return self.x.shape[1]
 
-    def currents(self, rows: slice = slice(None)) -> np.ndarray:
+    def currents(self, rows: slice) -> np.ndarray:
         """Branch currents of the consecutive rows ``rows``, (rows, N)
         complex, A.
 
@@ -380,7 +384,7 @@ def _trajectory(scenario: Scenario, t: np.ndarray, xs: np.ndarray,
     k = min(k, len(xs))
     for rows, (y, y_sigma) in zip((slice(0, k), slice(k, len(xs))), segments):
         vs[rows] = pcc_voltage(xs[rows], y, y_sigma, beta)
-    return Trajectory(t, xs, vs, scenario, segments)
+    return Trajectory(t, xs, vs, scenario)
 
 
 def simulate(scenario: Scenario,

@@ -5,14 +5,13 @@ from dvocsim.engine import Trajectory
 
 
 class _GivenCurrents(Trajectory):
-    def currents(self, rows=slice(None)):
+    def currents(self, rows):
         return self.given[rows]
 
 
 def given_currents(traj, currents):
     """``traj`` with ``currents``, an (S+1, N) complex array, in place of
     the currents its states and bus voltage give."""
-    fake = _GivenCurrents(traj.t, traj.x, traj.v_o, traj.scenario,
-                          traj.segments)
+    fake = _GivenCurrents(traj.t, traj.x, traj.v_o, traj.scenario)
     fake.given = currents
     return fake

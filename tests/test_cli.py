@@ -43,7 +43,7 @@ def _trajectory(name):
         return simulate(build_case("II", 100, seed=0, t_end=0.02))
     if name == "edge_values":            # values formatted by "%.17g" itself
         traj = simulate(build_case("II", 4, seed=7, t_end=0.2))
-        currents = traj.currents()
+        currents = traj.currents(slice(None))
         edges = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 1e20)
         for k, v in enumerate(edges):
             row = 333 * k                # in several ranges of the writer
@@ -78,7 +78,7 @@ def _per_value_csv(name):
     for k in range(n):
         cols += [traj.x[:, k].real, traj.x[:, k].imag]
     cols += [traj.v_o.real, traj.v_o.imag]
-    currents = traj.currents()
+    currents = traj.currents(slice(None))
     for k in range(n):
         cols += [currents[:, k].real, currents[:, k].imag]
     for k in range(n):
@@ -371,7 +371,7 @@ class TestWriteTimeseries:
         assert np.array_equal(data[:, 1], traj.x[:, 0].real)
         assert np.array_equal(data[:, 4], traj.x[:, 1].imag)
         assert np.array_equal(data[:, 5], traj.v_o.real)
-        assert np.array_equal(data[:, 7], traj.currents()[:, 0].real)
+        assert np.array_equal(data[:, 7], traj.currents(slice(None))[:, 0].real)
 
     # the call size is the writer's default, one row per call or more than
     # the whole series: calls end inside and at the edges of forked ranges
@@ -426,7 +426,7 @@ class TestWriteTimeseries:
         with path.open() as f:
             rows = list(csv.reader(f))
         header = rows[0]
-        currents = traj.currents()
+        currents = traj.currents(slice(None))
         for k in range(2):
             i = header.index(f"i_a_{k + 1}")
             got = tuple(float(v) for v in rows[1][i:i + 3])

@@ -300,7 +300,7 @@ class TestSimulate:
         b = simulate(sc)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.v_o, b.v_o)
-        assert np.array_equal(a.currents(), b.currents())
+        assert np.array_equal(a.currents(slice(None)), b.currents(slice(None)))
 
     def test_permutation_symmetry(self):
         sc = make_scenario(n=3, seed=2, t_end=0.05)
@@ -318,7 +318,7 @@ class TestSimulate:
         y_pre = sc.network.admittances(W0, 0.0)
         y_post = sc.network.admittances(W0, math.inf)
         rows_pre = 0
-        currents = traj.currents()
+        currents = traj.currents(slice(None))
         for idx in range(len(traj.t)):
             y = y_pre if traj.t[idx] < 0.02005 else y_post
             rows_pre += y is y_pre
@@ -349,7 +349,7 @@ class TestSimulate:
         as_complex = lambda rows: np.array(rows) @ np.array([1.0, 1j])
         for got, want, tol in ((traj.x, as_complex(xs), 1e-12),
                                (traj.v_o, as_complex(vs), 1e-11),
-                               (traj.currents(), as_complex(cs), 1e-9)):
+                               (traj.currents(slice(None)), as_complex(cs), 1e-9)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
@@ -413,17 +413,17 @@ class TestSimulate:
         for sc, traj in zip(runs, got):
             want = simulate(sc)
             for a, b in ((traj.x, want.x), (traj.v_o, want.v_o),
-                         (traj.currents(), want.currents())):
+                         (traj.currents(slice(None)), want.currents(slice(None)))):
                 assert np.array_equal(a, b)
 
     def test_later_run_leaves_earlier_trajectory(self):
         sc = make_scenario(n=3, seed=5, t_end=0.02)
         first = simulate(sc)
         kept = [a.copy() for a in (first.t, first.x, first.v_o,
-                                   first.currents())]
+                                   first.currents(slice(None)))]
         simulate(sc)
         simulate(make_scenario(n=3, seed=6, t_end=0.02))
-        for a, b in zip(kept, (first.t, first.x, first.v_o, first.currents())):
+        for a, b in zip(kept, (first.t, first.x, first.v_o, first.currents(slice(None)))):
             assert np.array_equal(a, b)
 
     def test_x0_left_unchanged(self):
@@ -533,7 +533,7 @@ class TestPythonScalarReference:
         # bytes, not values: -0.0 == 0.0 would pass np.array_equal
         assert traj.x.tobytes() == xs.tobytes()
         assert traj.v_o.tobytes() == v_o.tobytes()
-        assert traj.currents().tobytes() == currents.tobytes()
+        assert traj.currents(slice(None)).tobytes() == currents.tobytes()
 
 
 # grows towards the circle |x| = sqrt(2e4) ~ 141 > DIVERGENCE_NORM: the norm
@@ -634,7 +634,7 @@ class TestCurrents:
             "n1-tz-last-row"])
     def test_slices_match_whole_run_and_reference(self, sc):
         traj = simulate(sc)
-        whole = traj.currents()
+        whole = traj.currents(slice(None))
         assert whole.tobytes() == python_scalar_run(sc)[2].tobytes()
         k = int(np.searchsorted(traj.t, sc.network.t_z))
         assert 0 < k < len(traj.t)
@@ -657,7 +657,7 @@ class TestCurrents:
         assert len(traj.t) == step + 1
         v_o, want = per_segment(sc, traj.t, traj.x)
         assert traj.v_o.tobytes() == v_o.tobytes()
-        assert traj.currents().tobytes() == want.tobytes()
+        assert traj.currents(slice(None)).tobytes() == want.tobytes()
         k = min(100, len(traj.t) - 1)
         for rows in row_slices(len(traj.t), k):
             assert traj.currents(rows).tobytes() == want[rows].tobytes(), rows

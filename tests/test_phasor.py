@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dvocsim.cli import write_timeseries
-from dvocsim.engine import Trajectory, _segments
+from dvocsim.engine import Trajectory
 from dvocsim.network import (BranchParams, NetworkConfig, ZeroImpedanceError,
                              branch_currents)
 from dvocsim.scenarios import build_case
@@ -50,8 +50,7 @@ def phase_rows(tmp_path, currents):
     t = np.arange(len(currents)) * 1e-4
     sc = build_case("I", 2, seed=0, t_end=0.01)
     traj = given_currents(Trajectory(t, currents[:, None] / 500.0,
-                                     np.zeros(len(t), complex), sc,
-                                     _segments(sc)),
+                                     np.zeros(len(t), complex), sc),
                           currents[:, None])
     path = tmp_path / "ts.csv"
     write_timeseries(traj, path)

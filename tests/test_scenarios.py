@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dvocsim import engine, scenarios
+from dvocsim import scenarios
 from dvocsim.engine import InitSpec, Scenario, Trajectory, simulate
 from dvocsim.network import BranchParams, NetworkConfig, OscillatorDeath, k_sh
 from dvocsim.oscillator import InverterParams
@@ -25,7 +25,7 @@ def fake_traj(t, x):
     n = x.shape[1] if x.ndim > 1 else 2
     sc = build_case("I", max(n, 2), seed=0, t_end=0.01)
     return Trajectory(np.asarray(t, float), np.asarray(x, complex),
-                      np.zeros(len(t), complex), sc, engine._segments(sc))
+                      np.zeros(len(t), complex), sc)
 
 
 class TestBuildCase:
