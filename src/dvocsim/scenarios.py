@@ -276,8 +276,9 @@ def fit_decay_rate(t: np.ndarray, series: np.ndarray, t_start: float,
     """Exponential decay rate: sign-flipped LSQ slope of log(series) vs t
     over t_start <= t <= t_stop.
 
-    Non-positive samples are excluded; fewer than 4 usable points in the
-    window is an error.
+    Non-positive samples are excluded. Fewer than 4 usable points, an
+    infinite sample or times whose squared spread is 0 or overflows are
+    errors. The centered closed form uses elementwise ops, no LAPACK.
     """
     t = np.asarray(t, dtype=float)
     series = np.asarray(series, dtype=float)
@@ -285,8 +286,18 @@ def fit_decay_rate(t: np.ndarray, series: np.ndarray, t_start: float,
     if mask.sum() < 4:
         raise ValueError(
             f"decay fit needs at least 4 positive samples, got {mask.sum()}")
-    slope, _ = np.polyfit(t[mask], np.log(series[mask]), 1)
-    return float(-slope)
+    logs = np.log(series[mask])
+    if not np.isfinite(logs).all():
+        raise ValueError("decay fit needs a finite series in the window")
+    tw = t[mask]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tc = tw - tw.mean()
+        stt = (tc * tc).sum()
+    if not 0.0 < stt < np.inf:
+        raise ValueError("decay fit needs t spread over at least two finite "
+                         f"times in the window, got sum of squares {stt}")
+    lc = logs - logs.mean()
+    return float(-(tc * lc).sum() / stt)
 
 
 def build_metrics(traj: Trajectory) -> MetricsReport:

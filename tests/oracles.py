@@ -4,12 +4,13 @@ Everything here deliberately avoids the library's own code paths: the network
 oracle is a dense linear solve instead of the closed-form admittance average,
 the amplitude oracle is the closed-form logistic solution of the radial ODE,
 the local map is the allocating form of the engine's in-place field, the
-sampled states are one draw of all of them at once, and the two-inverter
+sampled states are one draw of all of them at once, the two-inverter
 field oracle and the star-network integrator are written in flat real
-arithmetic.
+arithmetic, and the least-squares slope is exact rational arithmetic.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -207,6 +208,22 @@ def all_pairs_max_distance(x):
     for i in range(len(xt) - 1):
         np.maximum(out, np.abs(xt[i] - xt[i + 1:]).max(axis=0), out=out)
     return out
+
+
+def exact_lsq_slope(t, y):
+    """Exact least-squares slope of y against t, as a Fraction.
+
+    Every float of ``t`` and ``y`` is taken at its exact binary value, and
+    the normal equations are solved without rounding:
+    slope = (n*sum(t*y) - sum(t)*sum(y)) / (n*sum(t*t) - sum(t)**2).
+    """
+    t = [Fraction(float(v)) for v in t]
+    y = [Fraction(float(v)) for v in y]
+    n = len(t)
+    st, sy = sum(t), sum(y)
+    sty = sum(a * b for a, b in zip(t, y))
+    stt = sum(a * a for a in t)
+    return (n * sty - st * sy) / (n * stt - st * st)
 
 
 def central_difference_jacobian(f, x, h=1e-6):

@@ -1,19 +1,22 @@
+import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dvocsim import scenarios
+from dvocsim import cli, scenarios
 from dvocsim.engine import InitSpec, Scenario, Trajectory, simulate
 from dvocsim.network import BranchParams, NetworkConfig, OscillatorDeath, k_sh
 from dvocsim.oscillator import InverterParams
 from dvocsim.scenarios import (build_case, build_metrics, case2_low_indices,
                                fit_decay_rate, predicted_r_star, sync_error,
                                sync_time)
-from oracles import all_pairs_max_distance, pairwise_max_distance
+from oracles import (all_pairs_max_distance, exact_lsq_slope,
+                     pairwise_max_distance)
 
 P = InverterParams()
 W0 = P.omega0
@@ -343,6 +346,21 @@ def check_blocks(n, s):
     assert np.isnan(got[[r for r in nan if r < s]]).all()
 
 
+def slope_tolerance(t, y, slope):
+    """First-order bound on the rounding error of the centered slope
+    sum(tc*lc) / sum(tc*tc), doubled: the means carry n*u*max|t| and
+    n*u*max|y|, each difference, product and sum u relative per term
+    (u = 2**-53)."""
+    u, n = 2.0 ** -53, len(t)
+    tc, lc = t - t.mean(), y - y.mean()
+    stt = (tc * tc).sum()
+    num = (n * u * np.abs(y).max() * np.abs(tc).sum()
+           + n * u * np.abs(t).max() * np.abs(lc).sum()
+           + (n + 2) * u * np.abs(tc * lc).sum())
+    den = 2 * n * u * np.abs(t).max() * np.abs(tc).sum() + (n + 2) * u * stt
+    return 2.0 * (num + abs(slope) * den) / stt
+
+
 class TestSyncTime:
     t = np.linspace(0, 1, 11)
 
@@ -393,6 +411,73 @@ class TestFitDecayRate:
         series = np.where(t < 1.0, np.exp(-2.0 * t), np.exp(-2.0) * np.exp(-8.0 * (t - 1.0)))
         rate = fit_decay_rate(t, series, t_start=1.0, t_stop=t[-1])
         assert rate == pytest.approx(8.0, rel=1e-6)
+
+    def test_infinite_sample(self):
+        t = np.linspace(0, 1, 10)
+        series = np.exp(-t)
+        series[5] = np.inf
+        with pytest.raises(ValueError, match="finite series"):
+            fit_decay_rate(t, series, t[0], t[-1])
+
+    def test_one_distinct_time(self):
+        t = np.full(10, 0.5)
+        with pytest.raises(ValueError, match="needs t spread"):
+            fit_decay_rate(t, np.exp(-np.arange(10.0)), 0.0, 1.0)
+
+    @pytest.mark.parametrize("t0, t1", [(1e300, 2e300), (1e308, 1.7e308)])
+    def test_huge_times(self, t0, t1):
+        # the squared deviations (and near 1e308 the sum of the times)
+        # overflow
+        t = np.linspace(t0, t1, 10)
+        with pytest.raises(ValueError, match="needs t spread"):
+            fit_decay_rate(t, np.exp(-np.arange(10.0)), t0, t1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_exact_slope(self, data):
+        """The fit is minus the exact least-squares slope of the float logs
+        of the positive window samples, within the first-order rounding
+        bound of the centered formula (``slope_tolerance``)."""
+        n = data.draw(st.integers(4, 60))
+        k = np.sort(data.draw(st.lists(st.integers(0, 10_000), min_size=n,
+                                       max_size=n, unique=True)))
+        t = data.draw(st.floats(0, 10)) + data.draw(st.floats(1e-6, 1)) * k
+        s = (t - t[0]) / (t[-1] - t[0])
+        y = np.full(n, data.draw(st.floats(-40, 3)))
+        if not data.draw(st.booleans()):  # else a constant series
+            rate = data.draw(st.floats(0, 600))
+            noise = data.draw(arrays(float, n, elements=st.floats(-1, 1)))
+            y = y - rate * s + data.draw(st.floats(0, 2)) * noise
+        series = np.exp(y)
+        drop = data.draw(arrays(bool, n))
+        series[drop] = data.draw(st.sampled_from([0.0, -1.0, -np.inf, np.nan]))
+        i, j = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                         max_size=2)))
+        mask = (series > 0) & (t >= t[i]) & (t <= t[j])
+        if mask.sum() < 4:
+            with pytest.raises(ValueError, match="at least 4"):
+                fit_decay_rate(t, series, t[i], t[j])
+            return
+        tw, logs = t[mask], np.log(series[mask])
+        want = -exact_lsq_slope(tw, logs)
+        got = fit_decay_rate(t, series, t[i], t[j])
+        assert abs(Fraction(got) - want) <= slope_tolerance(tw, logs,
+                                                         float(want))
+
+    def test_no_lapack(self, monkeypatch, tmp_path):
+        """A run's decay fit calls neither np.polyfit nor np.linalg.lstsq,
+        the LAPACK routine under it."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the decay fit called LAPACK")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        traj = simulate(build_case("II", 4, seed=5, t_end=0.2))
+        assert build_metrics(traj).fitted_rate > 0
+        assert cli.main(["case2", "--n", "4", "--seed", "5", "--set",
+                         "t_end=0.2", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["metrics"]["fitted_rate"] > 0
 
 
 class TestAmplitude:
