@@ -22,15 +22,18 @@ The step loop is bound by interpreter overhead, not arithmetic: an N = 4
 state is four complex numbers.  So ``simulate`` builds one set of RK4
 buffers per run (``_Workspace``) and one field per admittance segment
 (``_bind_field``), and every step writes into their buffers with ``out=``
-ufunc calls, allocating no array and casting no operand.  The scalar
-operands are 0-d arrays of the operand's own dtype: under numpy's scalar
-promotion rules (NEP 50) a Python float or complex is converted afresh on
-every call, and a 0-d array goes through the same stride-0 loop.  The bus
-term g . x goes into a 0-d buffer.  Each field is a closure over its
-segment's operands, the step that starts at t_z switches to the second one,
-and the kernels call ufuncs through module-level aliases, which cuts the
-name lookups around each call.  ``_bind_field`` states the identities by
-which its in-place arithmetic keeps the bits of the allocating form.
+ufunc calls, allocating no array and casting no operand.  The field writes
+the half-step increment (dt/2)*dx/dt, its constants scaled by dt/2 once per
+segment, so each RK4 stage state is one add and a step makes 38 numpy calls
+(34 ufunc calls and 4 dots).  The scalar operands are 0-d arrays of the
+operand's own dtype: under numpy's scalar promotion rules (NEP 50) a Python
+float or complex is converted afresh on every call, and a 0-d array goes
+through the same stride-0 loop.  The bus term g . x goes into a 0-d
+buffer.  Each field is a closure over its segment's operands, the step that
+starts at t_z switches to the second one, and the kernels call ufuncs
+through module-level aliases, which cuts the name lookups around each call.
+``_bind_field`` and ``rk4_increment`` state the identities by which their
+in-place arithmetic keeps the bits of the allocating form.
 """
 
 from __future__ import annotations
@@ -264,48 +267,52 @@ def _disturbance_at(d: DisturbanceSpec, omega0: float, t: float) -> complex:
 
 # module-level ufunc aliases: one global lookup per call instead of a global
 # and an attribute lookup
-_add, _multiply, _subtract = np.add, np.multiply, np.subtract
+_add, _multiply = np.add, np.multiply
 
 
 class _Workspace:
     """One run's RK4 buffers, which every step of ``simulate`` writes into:
-    the stages k1..k4, the stage state and the accumulator, and the 0-d
-    weights.  It belongs to one run, never to the module, so distinct runs
-    can go on concurrently.  A plain class: a dataclass would add ~1 ms to
-    ``import dvocsim``.
+    the half-step increments a1..a4, the stage state and the accumulator,
+    and the 0-d weights 2 and 1/3.  It belongs to one run, never to the
+    module, so distinct runs can go on concurrently.  A plain class: a
+    dataclass would add ~1 ms to ``import dvocsim``.
     """
 
     __slots__ = ("stages", "weights")
 
-    def __init__(self, n: int, dt: float):
+    def __init__(self, n: int):
         self.stages = tuple(np.empty(n, dtype=complex) for _ in range(6))
         # a Python float operand takes on the state's dtype (NEP 50)
-        self.weights = tuple(np.array(w, dtype=complex)
-                             for w in (0.5 * dt, dt, dt / 6.0, 2.0))
+        self.weights = tuple(np.array(w, dtype=complex) for w in (2.0, 1 / 3))
 
 
 def _bind_field(p: InverterParams, y: np.ndarray, ys: np.ndarray,
-                g: np.ndarray, d: Optional[DisturbanceSpec]):
-    """The coupled derivative h(x_k) + kappa*v_o (+ disturbance on one
-    inverter), as ``field(t, x, out)`` writing into ``out``.
+                g: np.ndarray, d: Optional[DisturbanceSpec], h: float):
+    """The half-step increment h*F of the coupled field F(x_k) = (chi(x_k)
+    - kappa*beta + j*omega0)*x_k + kappa*v_o (+ disturbance on one
+    inverter), with h = dt/2, as ``field(t, x, out)`` writing into ``out``.
 
     The field is a closure over its operands, bound once per admittance
-    segment, so that an evaluation loads them from its cells.  ``y`` and
-    ``ys`` are the run's state and RK4 stage state, whose float views are
-    built here; any other contiguous complex ``x`` gets its view per call.
-    ``g`` is the coupling vector kappa*beta*Y/Y_sigma, so g . x =
-    kappa*v_o.  The result has the bits of the allocating h(x) + np.dot(g,
-    x), with h(x) = (chi(x) - kappa*beta + j*omega0)*x, by three identities:
+    segment with its constants scaled by h, so that an evaluation loads them
+    from its cells.  ``y`` and ``ys`` are the run's state and RK4 stage
+    state, whose float views are built here; any other contiguous complex
+    ``x`` gets its view per call.  ``g`` is the coupling vector
+    kappa*beta*Y/Y_sigma, so g . x = kappa*v_o.  ``InverterParams`` keeps
+    xi*x_nom_sq2 and kappa*beta finite, so c0 = h*(xi*x_nom_sq2 -
+    kappa*beta) is.  The result has the bits of the allocating
+    ((-h*xi)*|x|^2 + c0 + j*(h*omega0))*x + np.dot(h*g, x) (+ h*d(t)) by
+    three identities:
 
     * |x|^2 is one multiply of ``x.view(np.float64)`` by itself and one add
       of its even and odd elements, term by term ``x.real**2 + x.imag**2``.
       Not ``(x*x.conj()).real``: numpy's complex multiply uses fused
       multiply-adds where the CPU has them (AVX-512, say), which changes the
       trajectory.
-    * chi - kappa*beta is a float add into the real part of ``gain``, whose
-      imaginary part holds omega0: the allocating form adds -kappa*beta +
-      j*omega0 to chi cast to complex, and 0.0 + omega0 is omega0.
-    * ``g.dot(x, bus)`` runs the routine of ``np.dot(g, x)`` without its
+    * the real gain is a float multiply and add into the real part of
+      ``gain``, whose imaginary part holds h*omega0: the allocating form
+      adds c0 + j*h*omega0 to a float array cast to complex, and 0.0 +
+      h*omega0 is h*omega0.
+    * ``g_h.dot(x, bus)`` runs the routine of ``np.dot(g_h, x)`` without its
       ``__array_function__`` dispatch.
     """
     # a view costs about as much as a ufunc call, so the states have
@@ -313,11 +320,11 @@ def _bind_field(p: InverterParams, y: np.ndarray, ys: np.ndarray,
     yv, ysv = y.view(np.float64), ys.view(np.float64)
     sq = np.empty(2 * len(y))
     sq_re, sq_im = sq[0::2], sq[1::2]
-    gain = np.full(len(y), complex(0.0, p.omega0))
+    gain = np.full(len(y), complex(0.0, h * p.omega0))
     gain_re = gain.real
-    xi = np.array(p.xi)
-    x_nom_sq2 = np.array(p.x_nom_sq2)
-    neg_kappa_beta = np.array(-p.kappa_beta)
+    neg_hxi = np.array(-h * p.xi)
+    c0 = np.array(h * (p.xi * p.x_nom_sq2 - p.kappa_beta))
+    g_h = h * g
     bus = np.empty((), dtype=complex)
     omega0 = p.omega0
 
@@ -325,14 +332,13 @@ def _bind_field(p: InverterParams, y: np.ndarray, ys: np.ndarray,
         xv = yv if x is y else ysv if x is ys else x.view(np.float64)
         _multiply(xv, xv, sq)
         _add(sq_re, sq_im, gain_re)
-        _subtract(x_nom_sq2, gain_re, gain_re)
-        _multiply(xi, gain_re, gain_re)
-        _add(gain_re, neg_kappa_beta, gain_re)
+        _multiply(neg_hxi, gain_re, gain_re)
+        _add(gain_re, c0, gain_re)
         _multiply(gain, x, out)
-        g.dot(x, bus)
+        g_h.dot(x, bus)
         _add(out, bus, out)
         if d is not None:
-            out[d.inverter] += _disturbance_at(d, omega0, t)
+            out[d.inverter] += h * _disturbance_at(d, omega0, t)
         return out
 
     return field
@@ -340,28 +346,36 @@ def _bind_field(p: InverterParams, y: np.ndarray, ys: np.ndarray,
 
 def rk4_increment(f, t: float, y: np.ndarray, dt: float,
                   w: _Workspace) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step of dy/dt = f(t, y).
+    """One classical 4th-order Runge-Kutta step of dy/dt = F(t, y).
 
     Every simulation step in the package goes through this kernel.  ``w`` is
-    a workspace built for ``len(y)`` and ``dt``, ``f(t, x, out)`` writes the
-    derivative at ``x`` into ``out``, and the step is written into ``y`` and
-    returned.  The ufunc calls and their order are those of ``y + dt/6*(k1 +
-    2*k2 + 2*k3 + k4)`` with Python float weights, which take on y's dtype
-    (NEP 50) as the 0-d weights do, so are the bits.
+    a workspace built for ``len(y)``, ``f(t, x, out)`` writes the half-step
+    increment (dt/2)*F(t, x) into ``out``, and the step is written into
+    ``y`` and returned.  With a_i = (dt/2)*k_i the classical step y +
+    dt/6*(k1 + 2*k2 + 2*k3 + k4) is y + (a1 + 2*a2 + 2*a3 + a4)/3, and the
+    stage states y + dt/2*k1, y + dt/2*k2 and y + dt*k3 are y + a1, y + a2
+    and y + 2*a3.  a3 is doubled in place, exactly for a finite a3, so the
+    step is
+
+        y + (1/3)*((a1 + 2*a2) + 2*a3 + a4)
+
+    in that order, each weight a 0-d complex array.  A Python float weight
+    takes on y's dtype (NEP 50) as the 0-d weights do, so the bits are
+    those of the same expression with Python floats.
     """
-    half, whole, sixth, two = w.weights
-    k1, k2, k3, k4, ys, acc = w.stages
-    f(t, y, k1)
-    _add(y, _multiply(half, k1, acc), ys)
-    f(t + 0.5 * dt, ys, k2)
-    _add(y, _multiply(half, k2, acc), ys)
-    f(t + 0.5 * dt, ys, k3)
-    _add(y, _multiply(whole, k3, acc), ys)
-    f(t + dt, ys, k4)
-    _add(k1, _multiply(two, k2, acc), acc)
-    _add(acc, _multiply(two, k3, ys), acc)
-    _add(acc, k4, acc)
-    return _add(y, _multiply(sixth, acc, acc), y)
+    two, third = w.weights
+    a1, a2, a3, a4, ys, acc = w.stages
+    f(t, y, a1)
+    _add(y, a1, ys)
+    f(t + 0.5 * dt, ys, a2)
+    _add(y, a2, ys)
+    f(t + 0.5 * dt, ys, a3)
+    _add(y, _multiply(two, a3, a3), ys)
+    f(t + dt, ys, a4)
+    _add(a1, _multiply(two, a2, acc), acc)
+    _add(acc, a3, acc)
+    _add(acc, a4, acc)
+    return _add(y, _multiply(third, acc, acc), y)
 
 
 def _first_diverged(rows: np.ndarray) -> Optional[tuple[int, int]]:
@@ -422,9 +436,10 @@ def simulate(scenario: Scenario,
     d = scenario.disturbance
     if d is not None and d.amplitude == 0.0:
         d = None
-    w = _Workspace(n, dt)
+    w = _Workspace(n)
     field, field_post = (
-        _bind_field(p, x, w.stages[4], p.kappa_beta * y / y_sigma, d)
+        _bind_field(p, x, w.stages[4], p.kappa_beta * y / y_sigma, d,
+                    0.5 * dt)
         for y, y_sigma in segments)
 
     # the loop records states only and checks them once per block of rows;

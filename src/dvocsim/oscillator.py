@@ -60,6 +60,10 @@ class InverterParams:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.kappa < 0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        if not math.isfinite(self.xi * self.x_nom_sq2):
+            raise ValueError(
+                f"xi = {self.xi} with x_nom_sq2 = {self.x_nom_sq2} makes "
+                "xi*x_nom_sq2 overflow")
         if not math.isfinite(self.kappa_beta):
             raise ValueError(
                 f"kappa = {self.kappa} with beta = {self.beta} makes "

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the library's own code paths: the network
 oracle is a dense linear solve instead of the closed-form admittance average,
 the amplitude oracle is the closed-form logistic solution of the radial ODE,
-the local map is the allocating form of the engine's in-place field, the
-sampled states are one draw of all of them at once, the two-inverter
+the local increment is the allocating form of the engine's in-place field,
+the sampled states are one draw of all of them at once, the two-inverter
 field oracle and the star-network integrator are written in flat real
 arithmetic, and the least-squares slope is exact rational arithmetic.
 """
@@ -48,11 +48,24 @@ def local_map(x, params):
 
     The coupled field of every inverter is h(x_k) plus the common bus term
     kappa*v_o.  ``x`` is a complex state, scalar or array; the result has its
-    shape.  The engine's in-place field must give the bits of this form plus
-    ``np.dot(g, x)``.
+    shape.
     """
     amp = params.xi * (params.x_nom_sq2 - (x.real ** 2 + x.imag ** 2))
     return (amp + complex(-params.kappa_beta, params.omega0)) * x
+
+
+def local_increment(x, params, h):
+    """Half-step increment h*h(x) of the local map, allocating, in the
+    arithmetic of the engine's field: the constants are scaled once,
+    c0 = h*(xi*2*Xnom^2 - kappa*beta), and the gain is
+    (-h*xi)*|x|^2 + c0 + j*h*omega0.
+
+    The engine's in-place field for the step h = dt/2 must give the bits of
+    this form plus ``np.dot(h*g, x)``.
+    """
+    c0 = h * (params.xi * params.x_nom_sq2 - params.kappa_beta)
+    amp = (-h * params.xi) * (x.real ** 2 + x.imag ** 2)
+    return (amp + complex(c0, h * params.omega0)) * x
 
 
 def sampled_states(radius, n, seed):

@@ -173,14 +173,15 @@ def test_criterion_7_error_ball_linearity(acceptance_log):
 def test_criterion_8_numerics(acceptance_log):
     # 4th-order convergence of the production RK4 kernel on the radial ODE,
     # stepped in place as simulate steps: the radius is a 1-element complex
-    # state in a run workspace
-    def radial(t, x, out):
-        r = x.real
-        out[:] = P.xi * (P.x_nom_sq2 - r * r) * r
-
+    # state in a run workspace, and the field writes the half-step increment
+    # (dt/2)*dr/dt
     errors = []
     for dt in (4e-3, 2e-3, 1e-3):
-        y, w = np.array([0.1 + 0j]), engine._Workspace(1, dt)
+        def radial(t, x, out, h=0.5 * dt):
+            r = x.real
+            out[:] = h * (P.xi * (P.x_nom_sq2 - r * r) * r)
+
+        y, w = np.array([0.1 + 0j]), engine._Workspace(1)
         for i in range(round(0.4 / dt)):
             rk4_increment(radial, i * dt, y, dt, w)
         errors.append(abs(y[0].real - logistic_radius(0.1, 0.4)))

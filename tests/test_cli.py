@@ -567,6 +567,23 @@ class TestCommands:
         params = json.loads(capsys.readouterr().out)["params"]
         assert list(params) == ["xi", "x_nom_sq2", "omega0", "kappa", "beta"]
 
+    @pytest.mark.parametrize("args", [
+        ["certify", "--set", "xi=1e300", "--set", "x_nom_sq2=1e10"],
+        ["case2", "--n", "2", "--set", "oscillator.xi=1e300",
+         "--set", "oscillator.x_nom_sq2=1e10"],
+    ], ids=["certify", "case2"])
+    def test_overflowing_xi_x_nom_sq2_refused(self, args, tmp_path, capsys):
+        # refused before a report is printed or a file is written
+        out = tmp_path / "run"
+        if args[0] != "certify":
+            args = args + ["--out", str(out)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "xi = 1e+300 with x_nom_sq2 = 10000000000.0 makes " \
+               "xi*x_nom_sq2 overflow" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_certify_rejects_branch_keys(self, capsys):
         assert main(["certify", "--set", "r_f=0.1"]) == 1
         assert "'r_f'" in capsys.readouterr().err

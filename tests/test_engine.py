@@ -7,7 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import flat_star_rk4, flat_two_inverter_field, logistic_radius
+from hypothesis import given, settings, strategies as st
+
+from oracles import (flat_star_rk4, flat_two_inverter_field, local_increment,
+                     logistic_radius)
 from dvocsim import engine, scenarios
 from dvocsim.engine import (DisturbanceSpec, InitSpec, Scenario,
                             SimulationDiverged, init_random, rk4_increment,
@@ -37,13 +40,13 @@ def make_scenario(n=2, z_net=50.0 + 0j, t_end=0.2, dt=1e-4, seed=1,
 
 def field_at(sc, x, t=0.0):
     """The engine's coupled field at time t, with that step's coupling vector
-    kappa*beta*Y/Y_sigma."""
+    kappa*beta*Y/Y_sigma: its increment for h = 1, which is the derivative."""
     p = sc.params[0]
     y = sc.network.admittances(p.omega0, t)
     y_sigma = total_admittance(sc.network, p.omega0, t)
     x = np.array(x, dtype=complex)
     field = engine._bind_field(p, x, np.empty_like(x),
-                               p.kappa_beta * y / y_sigma, sc.disturbance)
+                               p.kappa_beta * y / y_sigma, sc.disturbance, 1.0)
     return field(t, x, np.empty_like(x))
 
 
@@ -186,13 +189,24 @@ class TestDerivCoupled:
         assert np.abs(residual - residual[0]).max() <= 1e-12
 
 
+def half_step(f, dt):
+    """The derivative ``f(t, x, out)`` as the kernel takes it: a field that
+    writes the half-step increment (dt/2)*f into ``out``."""
+    def increment(t, x, out):
+        f(t, x, out)
+        np.multiply(0.5 * dt, out, out)
+    return increment
+
+
 def rk4_run(f, y0, dt, steps):
-    """``steps`` in-place RK4 steps from y0 through the kernel simulate uses:
-    a workspace built for the complex state, and a field ``f(t, x, out)``."""
+    """``steps`` in-place RK4 steps of dy/dt = f from y0 through the kernel
+    simulate uses: a workspace built for the complex state, and the
+    derivative ``f(t, x, out)`` scaled to the half-step increment."""
     y = np.array(y0, dtype=complex, ndmin=1)
-    w = engine._Workspace(len(y), dt)
+    w = engine._Workspace(len(y))
+    field = half_step(f, dt)
     for i in range(steps):
-        assert rk4_increment(f, i * dt, y, dt, w) is y
+        assert rk4_increment(field, i * dt, y, dt, w) is y
     return y
 
 
@@ -230,20 +244,21 @@ class TestRk4Kernel:
         (np.array([complex(math.inf, 1.0), -0.5 - 0.5j]), lambda t, v: v),
     ], ids=["complex", "complex-array", "complex-array-non-finite"])
     def test_same_result_as_python_float_weights(self, y, f):
-        # the kernel's arithmetic with every weight a Python float
+        # the kernel's arithmetic with every weight a Python float, on the
+        # half-step increments a_i = (dt/2)*k_i
         def reference(t, y, dt):
-            k1 = f(t, y)
-            k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
-            k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
-            k4 = f(t + dt, y + dt * k3)
-            return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            h = 0.5 * dt
+            a1 = h * f(t, y)
+            a2 = h * f(t + 0.5 * dt, y + a1)
+            a3 = 2.0 * (h * f(t + 0.5 * dt, y + a2))
+            a4 = h * f(t + dt, y + a3)
+            return y + (1 / 3) * ((a1 + 2.0 * a2) + a3 + a4)
 
-        def field(t, x, out):
-            out[:] = f(t, x)
-
-        # at 7e-5, dt/6 and dt*(1/6) differ in the last bit
         for dt in (1e-4, 1e-3 / 3, 7e-5):
-            w = engine._Workspace(len(y), dt)
+            def field(t, x, out):
+                out[:] = (0.5 * dt) * f(t, x)
+
+            w = engine._Workspace(len(y))
             with np.errstate(invalid="ignore"):    # 0 * inf in the products
                 got = rk4_increment(field, 0.01, y.copy(), dt, w)
                 want = reference(0.01, y, dt)
@@ -346,6 +361,46 @@ class TestSimulate:
             p.omega0, p.kappa, p.beta, branches,
             (sc.network.z_net.real, sc.network.z_net.imag), sc.network.t_z,
             sc.dt, sc.n_steps, (2, 40.0, waveform))
+        as_complex = lambda rows: np.array(rows) @ np.array([1.0, 1j])
+        for got, want, tol in ((traj.x, as_complex(xs), 1e-12),
+                               (traj.v_o, as_complex(vs), 1e-11),
+                               (traj.currents(slice(None)), as_complex(cs), 1e-9)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           net_seed=st.integers(0, 2**32 - 1),
+           steps=st.integers(2, 120), t_z_frac=st.floats(0.01, 0.99),
+           disturbance=st.sampled_from([None, "constant", "rotating"]))
+    def test_matches_flat_star_oracle_on_random_networks(
+            self, n, seed, net_seed, steps, t_z_frac, disturbance):
+        # random star networks with a start-up impedance dropped inside the
+        # run, with and without either disturbance waveform
+        rng = np.random.default_rng(net_seed)
+        branches = [BranchParams(r_f=rng.uniform(0.01, 0.5),
+                                 l_f=rng.uniform(1e-4, 3e-3),
+                                 r_v=rng.uniform(0.0, 2.0),
+                                 x_v=rng.uniform(0.0, 2.0),
+                                 z_extra=complex(*rng.uniform(0.0, 200.0, 2)))
+                    for _ in range(n)]
+        z_net = complex(rng.uniform(5.0, 100.0), rng.uniform(0.0, 50.0))
+        dt = 1e-4
+        t_z = t_z_frac * steps * dt
+        d = (None if disturbance is None else
+             DisturbanceSpec(int(rng.integers(n)), rng.uniform(0.0, 50.0),
+                             disturbance))
+        sc = make_scenario(n=n, z_net=z_net, t_end=steps * dt, dt=dt,
+                           seed=seed, t_z=t_z, branches=branches,
+                           disturbance=d)
+        traj = simulate(sc)
+        p = sc.params[0]
+        xs, vs, cs = flat_star_rk4(
+            [(v.real, v.imag) for v in traj.x[0]], p.xi, p.x_nom_sq2,
+            p.omega0, p.kappa, p.beta,
+            [(b.r_f, b.l_f, b.r_v, b.x_v, (b.z_extra.real, b.z_extra.imag))
+             for b in branches], (z_net.real, z_net.imag), t_z, dt, steps,
+            None if d is None else (d.inverter, d.amplitude, d.waveform))
         as_complex = lambda rows: np.array(rows) @ np.array([1.0, 1j])
         for got, want, tol in ((traj.x, as_complex(xs), 1e-12),
                                (traj.v_o, as_complex(vs), 1e-11),
@@ -457,39 +512,40 @@ class TestSimulate:
 def python_scalar_run(sc):
     """Reference step loop: the engine's arithmetic in its order, with every
     scalar operand a Python float or complex that numpy promotes per call.
-    Each step allocates, and its field is ``local_map(x) + np.dot(g, x)``
-    written out, with g switched at the first step that starts at or after
-    t_z.
+    Each step allocates, and its field is the half-step increment
+    ``local_increment(x, h) + np.dot(h*g, x)`` for h = dt/2, with g switched
+    at the first step that starts at or after t_z.
 
     Returns the recorded states and the bus voltage and branch currents
     computed from them (``per_segment``).
     """
     p, d, dt = sc.params[0], sc.disturbance, sc.dt
+    h = 0.5 * dt
     t_grid = np.arange(sc.n_steps + 1) * dt
     k_z = int(np.searchsorted(t_grid, sc.network.t_z))
     segments = [(sc.network.admittances(p.omega0, t),
                  total_admittance(sc.network, p.omega0, t))
                 for t in (0.0, math.inf)]
 
-    def field(t, x, g):
-        dx = ((p.xi * (p.x_nom_sq2 - (x.real ** 2 + x.imag ** 2))
-               + complex(-p.kappa_beta, p.omega0)) * x + np.dot(g, x))
+    def field(t, x, g_h):
+        a = local_increment(x, p, h) + np.dot(g_h, x)
         if d is not None:
-            dx[d.inverter] += (complex(d.amplitude) if d.waveform == "constant"
-                               else d.amplitude * np.exp(1j * p.omega0 * t))
-        return dx
+            a[d.inverter] += h * (complex(d.amplitude)
+                                  if d.waveform == "constant"
+                                  else d.amplitude * np.exp(1j * p.omega0 * t))
+        return a
 
     x = init_random(sc)
     xs = [x]
     for s in range(sc.n_steps):
         y, y_sigma = segments[0 if s < k_z else 1]
-        g = p.kappa_beta * y / y_sigma
+        g_h = h * (p.kappa_beta * y / y_sigma)
         t = s * dt
-        k1 = field(t, x, g)
-        k2 = field(t + 0.5 * dt, x + (0.5 * dt) * k1, g)
-        k3 = field(t + 0.5 * dt, x + (0.5 * dt) * k2, g)
-        k4 = field(t + dt, x + dt * k3, g)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a1 = field(t, x, g_h)
+        a2 = field(t + 0.5 * dt, x + a1, g_h)
+        a3 = 2.0 * field(t + 0.5 * dt, x + a2, g_h)
+        a4 = field(t + dt, x + a3, g_h)
+        x = x + (1 / 3) * ((a1 + 2.0 * a2) + a3 + a4)
         xs.append(x)
     xs = np.array(xs)
     return (xs, *per_segment(sc, t_grid, xs))
@@ -536,6 +592,29 @@ class TestPythonScalarReference:
         assert traj.currents(slice(None)).tobytes() == currents.tobytes()
 
 
+class TestStepCalls:
+    def test_ufunc_calls_per_step(self, monkeypatch):
+        # the field and the kernel call ufuncs through module-level aliases,
+        # which they look up as globals: a step is 10 calls in the kernel and
+        # 6 in each of its 4 field evaluations, besides the 4 dots
+        calls = []
+
+        def counted(ufunc):
+            def call(*args, **kwargs):
+                calls.append(ufunc)
+                return ufunc(*args, **kwargs)
+            return call
+
+        aliases = {name: value for name, value in vars(engine).items()
+                   if isinstance(value, np.ufunc)}
+        assert {"_add", "_multiply"} <= set(aliases)
+        for name, value in aliases.items():
+            monkeypatch.setattr(engine, name, counted(value))
+        sc = scenarios.build_case("II", 4, 1, t_end=0.01)
+        simulate(sc)
+        assert len(calls) == 34 * sc.n_steps
+
+
 # grows towards the circle |x| = sqrt(2e4) ~ 141 > DIVERGENCE_NORM: the norm
 # crosses 100 at a step set by the initial norm, without overflow
 GROWING = InverterParams(xi=0.01, x_nom_sq2=2e4, kappa=0.0)
@@ -556,8 +635,9 @@ def per_step_divergence(sc, x0):
     y = sc.network.admittances(p.omega0, math.inf)
     g = p.kappa_beta * y / total_admittance(sc.network, p.omega0, math.inf)
     x = np.array(x0, dtype=complex)
-    w = engine._Workspace(len(x), sc.dt)
-    field = engine._bind_field(p, x, w.stages[4], g, sc.disturbance)
+    w = engine._Workspace(len(x))
+    field = engine._bind_field(p, x, w.stages[4], g, sc.disturbance,
+                               0.5 * sc.dt)
     for s in range(sc.n_steps):
         rk4_increment(field, s * sc.dt, x, sc.dt, w)
         bad = ~(np.abs(x) <= engine.DIVERGENCE_NORM)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import central_difference_jacobian, local_map
+from oracles import central_difference_jacobian, local_increment, local_map
 from dvocsim.engine import _bind_field
 from dvocsim.network import BranchParams
 from dvocsim.oscillator import InverterParams, chi, jacobian_h, sym_lambda_max
@@ -50,6 +50,13 @@ class TestParams:
             InverterParams(kappa=1e308)
         assert InverterParams(kappa=1e300).kappa_beta < math.inf
 
+    def test_overflowing_amplitude_gain_names_xi_and_x_nom_sq2(self):
+        # xi*x_nom_sq2 would make margin_c -inf and the field's gain overflow
+        with pytest.raises(ValueError, match=r"^xi = 1e\+300 with x_nom_sq2 = "
+                           r"10000000000\.0 makes xi\*x_nom_sq2 overflow$"):
+            InverterParams(xi=1e300, x_nom_sq2=1e10)
+        assert InverterParams(xi=1e300, x_nom_sq2=1.0).xi < math.inf
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["xi", "x_nom_sq2", "omega0", "kappa",
                                        "beta", "r_f", "l_f", "r_v", "x_v"])
@@ -79,12 +86,13 @@ def closure_cell(f, name):
 
 class TestInPlaceForm:
     """The engine's in-place field writes the bits of the allocating
-    ``local_map(x) + g . x``, for finite and non-finite states, given the
-    run's state, its stage state or any other array."""
+    ``local_increment(x, h) + np.dot(h*g, x)``, for finite and non-finite
+    states, given the run's state, its stage state or any other array."""
 
     @pytest.mark.parametrize("where", ["state", "stage", "other"])
     def test_same_bits(self, where):
         params = InverterParams(xi=7.5, x_nom_sq2=1.3, kappa=0.7)
+        h = 0.5 * 7e-5
         rng = np.random.default_rng(5)
         parts = np.concatenate([rng.normal(0.0, 2.0, 40),
                                 [0.0, -0.0, 1e-300, -1e300]])
@@ -95,14 +103,16 @@ class TestInPlaceForm:
             x.real, x.imag = rng.choice(pool, 64), rng.choice(pool, 64)
             # only ``at`` holds x, so reading another array's view fails
             y, ys = np.zeros(64, dtype=complex), np.zeros(64, dtype=complex)
-            field = _bind_field(params, y, ys, g, None)
+            field = _bind_field(params, y, ys, g, None, h)
             at = {"state": y, "stage": ys, "other": x.copy()}[where]
             at[:] = x
             out = np.empty(64, dtype=complex)
             with np.errstate(all="ignore"):
-                want_gain = chi(x, params) + complex(-params.kappa_beta,
-                                                     params.omega0)
-                want = local_map(x, params) + np.dot(g, x)
+                want_gain =((-h * params.xi) * (x.real ** 2 + x.imag ** 2)
+                             + complex(h * (params.xi * params.x_nom_sq2
+                                            - params.kappa_beta),
+                                       h * params.omega0))
+                want = local_increment(x, params, h) + np.dot(h * g, x)
                 got = field(0.0, at, out)
             assert got is out
             # the gain alone, as a non-finite state makes g . x NaN
