@@ -1,66 +1,135 @@
 """The CSV text of float64 blocks, exactly as ``"%.17g"`` writes each value,
-in one numpy pass per block instead of one dtoa call per value."""
+in one numpy pass per block instead of one dtoa call per value, into the
+buffers of a ``Workspace``."""
 
 from __future__ import annotations
 
 import numpy as np
 
 # 10**k is an exact double for k <= 22; the Veltkamp constant splits a double
-# into two halves of 26 bits
+# into two halves of 26 bits.  The uint64 arithmetic below takes positive
+# Python ints, which keep the array's dtype at less cost per call than a
+# numpy scalar built there
 _U64 = np.uint64
 _VELTKAMP = 2.0 ** 27 + 1.0
 _POW10 = np.array([float(10 ** k) for k in range(23)])
 _POW10_HI = _VELTKAMP * _POW10 - (_VELTKAMP * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 _ASCII_ZEROS = _U64(0x3030303030303030)             # "00000000"
-_BYTE = np.arange(32)
-# column p of word w: the bytes of a 24-byte string below byte p, and a "."
-# at byte p (rows are the string's three little-endian words)
-_BELOW = np.where(_BYTE[:24] < _BYTE[:24, None], 0xFF, 0).astype(
+# the first word of a slot, under the digits shifted in after it: the
+# separator "," then "0"s; xor-ing _MINUS turns its second byte into "-"
+_LEAD = _U64(0x303030303030302C)
+_MINUS = _U64(0x1D00)
+_SLOT = 24                          # bytes a value's text is laid out in
+_BYTE = np.arange(_SLOT)
+# column p of word w: the bytes of a slot below byte p, and a "." at byte p
+# (rows are the slot's three little-endian words)
+_BELOW = np.where(_BYTE < _BYTE[:, None], 0xFF, 0).astype(
     np.uint8).view("<u8").T.copy()
-_DOT = np.where(_BYTE[:24] == _BYTE[:24, None], ord("."), 0).astype(
+_DOT = np.where(_BYTE == _BYTE[:, None], ord("."), 0).astype(
     np.uint8).view("<u8").T.copy()
-# row r < 25 keeps the first r bytes of a 32-byte slot and its separator
-# (byte 28), row 25 + r also the exponent (bytes 24-27): 0xFF bytes in the
-# slot's four little-endian words
-_KEEP = (_BYTE < np.arange(25)[:, None]) | (_BYTE == 28)
-_KEEP = np.concatenate([_KEEP, _KEEP | ((_BYTE >= 24) & (_BYTE < 28))])
-_KEEP = np.where(_KEEP, 0xFF, 0).astype(np.uint8).view("<u8")
+# the exponents of the values below 1e-4, by decimal exponent + 6
+_EXPONENT = np.frombuffer(b"e-06e-05", "V4")
 
 
-def _digits8(x: np.ndarray) -> np.ndarray:
-    """The eight ASCII digits of each ``x < 10**8``, the first in the lowest
-    byte: four-, two- and one-digit lanes split in place (SWAR)."""
-    hi = x // _U64(10000)
-    x = hi | ((x - hi * _U64(10000)) << _U64(32))
-    hi = ((x * _U64(5243)) >> _U64(19)) & _U64(0x7F0000007F)     # n // 100
-    x = hi | ((x - hi * _U64(100)) << _U64(16))
-    hi = ((x * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)  # n // 10
-    return hi | ((x - hi * _U64(10)) << _U64(8)) | _ASCII_ZEROS
+class Workspace:
+    """Every buffer of ``csv_lines`` for blocks of up to ``rows`` rows of
+    ``columns`` distinct columns, laid out in the column order ``order``.
+
+    The caller writes the block into ``block``; a call writes only into the
+    other buffers, so it allocates nothing that grows with the block, and its
+    text is a view of ``text`` that the next call overwrites.  A plain class,
+    as the engine's workspace is.
+    """
+
+    __slots__ = ("block", "width", "at", "f", "i", "b", "u", "exp2",
+                 "slot", "slot4", "slot24", "gathered", "starts", "lengths",
+                 "offsets", "text", "text24")
+
+    def __init__(self, rows: int, columns: int, order: np.ndarray):
+        n = rows * columns
+        self.block = np.empty((rows, columns))
+        self.width = len(order)
+        # output slot j of a call holds value at[j] of the block
+        self.at = (np.arange(0, n, columns)[:, None] + order).ravel()
+        m = len(self.at)
+        # the intermediates, flat: a call of k values views the first r*k
+        # elements of one as r rows of k, so that every row is contiguous
+        self.f = np.empty(8 * n)
+        self.i = np.empty(7 * n, np.intp)
+        self.b = np.empty(3 * n, bool)
+        self.u = np.empty(11 * n, _U64)
+        self.exp2 = np.empty(2 * n, np.int32)
+        # value v's text in bytes 24*v .. 24*v + 23, written as three words
+        self.slot = np.empty((n, 3), _U64)
+        self.slot4 = np.ndarray((_SLOT * n - 3,), "V4", self.slot,
+                                strides=(1,))
+        self.slot24 = self.slot.view("V24").reshape(n)
+        self.gathered = np.empty(m, "V24")
+        self.starts = self.gathered.view(np.uint8).reshape(m, _SLOT)[
+            ::self.width, 0]                # the separator before each row
+        self.lengths = np.empty(m, np.intp)
+        self.offsets = np.zeros(m + 1, np.intp)
+        # output slot j is written at text[offsets[j]:][:24], over the
+        # unused bytes of slot j - 1; a text takes up to 25 bytes with its
+        # separator, and a "\n" follows the last
+        self.text = np.empty((_SLOT + 1) * m + 1, np.uint8)
+        self.text24 = np.ndarray((len(self.text) - _SLOT + 1,), "V24",
+                                 self.text, strides=(1,))
 
 
-def _trailing_zero_digits(digits: np.ndarray) -> np.ndarray:
-    """The number of trailing "0"s among the eight ASCII digits of each word:
-    once the "0"s are cleared, its zero bytes above the highest set bit (the
-    float conversion keeps that bit, as no byte is above 9)."""
-    return (64 - np.frexp((digits ^ _ASCII_ZEROS).astype(float))[1]) >> 3
+def _digits8(x: np.ndarray, hi: np.ndarray) -> None:
+    """Each ``x < 10**8`` into its eight decimal digits in place, as byte
+    values 0-9, the first in the lowest byte: four-, two- and one-digit
+    lanes split in place (SWAR), ``hi`` the scratch.  Each split writes
+    lo << s | hi for x = hi*b + lo as (x << s) - hi*((b << s) - 1)."""
+    np.floor_divide(x, 10000, out=hi)
+    x <<= 32
+    hi *= (10000 << 32) - 1
+    x -= hi
+    np.multiply(x, 5243, out=hi)                        # n // 100
+    hi >>= 19
+    hi &= 0x7F0000007F
+    x <<= 16
+    hi *= (100 << 16) - 1
+    x -= hi
+    np.multiply(x, 103, out=hi)                         # n // 10
+    hi >>= 10
+    hi &= 0x000F000F000F000F
+    x <<= 8
+    hi *= (10 << 8) - 1
+    x -= hi
 
 
-def _times_pow10(a: np.ndarray, q: np.ndarray) -> tuple:
-    """``hi + lo == a * 10**q`` exactly: Dekker's product of doubles."""
-    a_hi = _VELTKAMP * a
-    a_hi -= a_hi - a
-    a_lo = a - a_hi
-    p_hi, p_lo = _POW10_HI.take(q), _POW10_LO.take(q)
-    hi = a * _POW10.take(q)
-    return hi, ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+def _times_pow10(a: np.ndarray, q: np.ndarray, hi: np.ndarray,
+                 lo: np.ndarray, scratch) -> None:
+    """``hi + lo == a * 10**q`` exactly: Dekker's product of doubles, with
+    the four arrays of ``scratch``."""
+    a_hi, a_lo, p_hi, p_lo = scratch
+    np.multiply(a, _VELTKAMP, out=a_hi)
+    np.subtract(a_hi, a, out=a_lo)
+    a_hi -= a_lo
+    np.subtract(a, a_hi, out=a_lo)
+    _POW10.take(q, out=hi, mode="clip")
+    hi *= a
+    _POW10_HI.take(q, out=p_hi, mode="clip")
+    _POW10_LO.take(q, out=p_lo, mode="clip")
+    np.multiply(a_hi, p_hi, out=lo)
+    lo -= hi
+    a_hi *= p_lo
+    lo += a_hi
+    p_hi *= a_lo
+    lo += p_hi
+    a_lo *= p_lo
+    lo += a_lo
 
 
-def csv_lines(block: np.ndarray, order: np.ndarray) -> bytes:
-    """Rows of a C-contiguous float64 block as CSV text: each value exactly
+def csv_lines(w: Workspace, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of ``w.block`` as CSV text: each value exactly
     as ``"%.17g"`` gives it, "," between values and "\\n" after each row.
     Row r's values are ``block[r, order]``, so a column that ``order``
-    repeats is formatted once.
+    repeats is formatted once.  The text is a view of ``w``, valid until
+    its next call.
 
     Values with 1e-6 < |v| < 1e16 are formatted here.  Their 17 significant
     digits are the integer nearest (ties to even) to |v| * 10**(16 - x), x
@@ -68,80 +137,158 @@ def csv_lines(block: np.ndarray, order: np.ndarray) -> bytes:
     error; an estimate of x that this product refutes is corrected.  The
     layout follows %g: fixed notation for x >= -4, d.ddde-0x below, trailing
     zeros and a bare point dropped.  Every other value (zeros, subnormals,
-    nan, inf, |v| <= 1e-6 or >= 1e16) goes through ``"%.17g"`` itself.  Each
-    value fills a 32-byte slot (text, exponent, separator) whose unused
-    bytes are zeroed; the output's slots are gathered from them in
-    ``order``, and the zero bytes are deleted.
+    nan, inf, |v| <= 1e-6 or >= 1e16) goes through ``"%.17g"`` itself.
+
+    Each value is laid out in a 24-byte slot: the separator, then its text;
+    the bytes after the text are left as they are.  The output's slots are
+    gathered from them in ``order``, and each is written where the text
+    before it ends, over the unused bytes of the slot before: so no byte is
+    deleted and no slot is masked.
     """
-    n = block.size
-    values = block.ravel()
-    a = np.abs(values)
-    fast = (a > 1e-6) & (a < 1e16)
-    a[~fast] = 1.0
-    x = np.floor(np.log10(a)).astype(np.intp)      # at most one off
-    np.minimum(np.maximum(x, -6, out=x), 15, out=x)
-    hi, lo = _times_pow10(a, 16 - x)
+    k = rows * w.block.shape[1]
+    values = w.block.reshape(-1)[:k]
+    f = w.f[:8 * k].reshape(8, k)
+    a, t, hi, lo, *scratch = f
+    mask, neg, sci = w.b[:3 * k].reshape(3, k)
+    # no ufunc below mixes dtypes: numpy would cast through a buffer
+    x, q, sh, p, used, keep, minus = w.i[:7 * k].reshape(7, k)
+    exp2 = w.exp2[:2 * k].reshape(2, k)
+    u = w.u[:11 * k].reshape(11, k)
+    digits, d, bits, rbits, lead, carry, text = (
+        u[0:2], u[2], u[3], u[4], u[5], u[6:8], u[8:11])
+
+    np.abs(values, out=a)
+    np.greater(a, 1e-6, out=mask)
+    np.less(a, 1e16, out=neg)
+    mask &= neg
+    np.logical_not(mask, out=mask)              # nan is slow too
+    slow = mask.nonzero()[0]
+    a[slow] = 1.0
+    np.log10(a, out=t)
+    np.floor(t, out=t)
+    np.copyto(x, t, casting="unsafe")           # at most one off
+    np.minimum(x, 15, out=x)
+    np.maximum(x, -6, out=x)
+    np.subtract(16, x, out=q)
+    _times_pow10(a, q, hi, lo, scratch)
     # the estimates this product refutes; elsewhere 1e16 < hi + lo < 1e17
-    off = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+    np.less_equal(hi, 1e16, out=mask)
+    np.greater_equal(hi, 1e17, out=neg)
+    mask |= neg
+    off = mask.nonzero()[0]
     if off.size:
         h, l = hi[off], lo[off]
         x[off] += (h > 1e17) | ((h == 1e17) & (l >= 0))
         x[off] -= (h < 1e16) | ((h == 1e16) & (l < 0))
-        hi[off], lo[off] = _times_pow10(a[off], 16 - x[off])
+        h, l, *sub = np.empty((6, off.size))
+        _times_pow10(a[off], 16 - x[off], h, l, sub)
+        hi[off], lo[off] = h, l
     # hi >= 1e16 > 2**53 is an even integer, so rint(lo) rounds ties to even;
     # no double rounds up to 10**17 here (the candidates, the largest double
     # below each power of ten, are in the tests)
-    d = hi.astype(_U64) + np.rint(lo).astype(np.int64).astype(_U64)
-    lead = d // _U64(10 ** 16)
-    d -= lead * _U64(10 ** 16)
-    high = d // _U64(10 ** 8)           # np.divmod of uint64 is ~7x slower
-    first, last = digits = _digits8(np.array([high, d - high * _U64(10 ** 8)]))
-    zeros_first, zeros = _trailing_zero_digits(digits)
-    zeros += (zeros == 8) * zeros_first
+    np.copyto(d, hi, casting="unsafe")
+    np.rint(lo, out=lo)
+    np.copyto(q, lo, casting="unsafe")
+    d += q.view(_U64)
+    np.floor_divide(d, 10 ** 16, out=lead)
+    np.multiply(lead, 10 ** 16, out=bits)
+    d -= bits
+    np.floor_divide(d, 10 ** 8, out=digits[0])  # np.divmod: ~7x slower
+    np.multiply(digits[0], 10 ** 8, out=bits)
+    np.subtract(d, bits, out=digits[1])
+    _digits8(digits, carry)
+    # trailing zero digits: a word's zero bytes above its highest set bit
+    # (the float conversion keeps that bit, as no byte is above 9)
+    float_digits = f[:2]
+    np.copyto(float_digits, digits, casting="unsafe")
+    np.frexp(float_digits, out=(float_digits, exp2))
+    np.subtract(64, exp2, out=exp2)
+    exp2 >>= 3
+    zeros_first, zeros = exp2
+    np.not_equal(zeros, 8, out=mask)
+    np.copyto(zeros_first, 0, where=mask)
+    zeros += zeros_first
 
-    # the text: sh bytes of "-" (if negative) and leading "0"s (fixed
-    # notation below 1), the 17 digits, a "." inserted at byte p; it ends
-    # after the last significant digit, or at p if no fraction is left
-    neg = np.signbit(values)
-    sci = x < -4
-    sh = np.where(sci, 0, np.maximum(-x, 0)) + neg
-    text = np.empty((3, n), _U64)       # little-endian words of the text
-    text[0] = (lead | _U64(ord("0"))) | (first << _U64(8))
-    text[1] = (first >> _U64(56)) | (last << _U64(8))
-    text[2] = last >> _U64(56)
-    bits = (8 * sh).astype(_U64)
-    carry = (text[:2] >> _U64(1)) >> (_U64(63) - bits)   # no shift by 64
+    # the text: the separator, "-" (if negative) and leading "0"s (fixed
+    # notation below 1), sh bytes in all, the 17 digits, a "." inserted at
+    # byte p; it ends after the last significant digit, or at p if no
+    # fraction is left
+    first, last = digits
+    np.left_shift(first, 8, out=text[0])
+    text[0] |= lead
+    np.right_shift(first, 56, out=text[1])
+    np.left_shift(last, 8, out=text[2])
+    text[1] |= text[2]
+    np.right_shift(last, 56, out=text[2])
+    text |= _ASCII_ZEROS
+    np.signbit(values, out=neg)
+    np.copyto(minus, neg)
+    np.less(x, -4, out=sci)
+    np.negative(x, out=sh)
+    np.maximum(sh, 0, out=sh)
+    np.copyto(sh, 0, where=sci)
+    sh += minus
+    sh += 1
+    np.multiply(sh, 8, out=bits.view(np.intp))
+    np.subtract(64, bits, out=rbits)
+    np.right_shift(text[:2], rbits, out=carry)
     text <<= bits
     text[1:] |= carry
-    # "-" and "0"s into the bytes shifted in ("0" | digit is that digit)
-    text[0] |= np.where(neg, _U64(0x303030303030302D), _ASCII_ZEROS)
-    p = neg + np.maximum(x, 0) + 1
-    used = sh + 17 - zeros
-    keep = np.where(used <= p, p, used + 1)     # the length of the text
-    below = _BELOW.take(p, axis=1)
-    after = text & ~below
+    # "," "-" and "0"s into the bytes shifted in ("0" | digit is that digit)
+    np.multiply(minus.view(_U64), _MINUS, out=lead)
+    lead ^= _LEAD
+    text[0] |= lead
+    np.maximum(x, 0, out=p)
+    p += minus
+    p += 2
+    np.copyto(used, zeros)
+    np.subtract(sh, used, out=used)
+    used += 17
+    np.add(used, 1, out=keep)               # the length of the slot's text
+    np.less_equal(used, p, out=mask)
+    np.copyto(keep, p, where=mask)
+    # digits, d, bits, rbits and lead are spent
+    below, after = u[0:3], u[3:6]
+    np.take(_BELOW, p, axis=1, out=below, mode="clip")
+    np.invert(below, out=after)
+    after &= text
     text &= below
-    text |= _DOT.take(p, axis=1)
-    after[2] = after[2] << _U64(8) | after[1] >> _U64(56)  # one byte up
-    after[1] = after[1] << _U64(8) | after[0] >> _U64(56)
-    after[0] <<= _U64(8)
-    # one row per slot (the gather below copies 32 contiguous bytes a value):
-    # the text, then "e-0", the exponent's digit and "," in the fourth word
-    slot = np.empty((n, 4), "<u8")
-    np.bitwise_or(text, after, out=slot.T[:3])
-    slot[:, 3] = ((ord("0") - x).astype(_U64) << _U64(24)) | _U64(0x2C00302D65)
-    keep += 25 * sci
+    text |= np.take(_DOT, p, axis=1, out=below, mode="clip")
+    np.right_shift(after[:2], 56, out=carry)  # the bytes from p,
+    after <<= 8                               # one byte up
+    after[1:] |= carry
+    np.bitwise_or(text, after, out=w.slot[:k].T)
+    # "e-0x" after the text below 1e-4
+    small = sci.nonzero()[0]
+    if small.size:
+        w.slot4[_SLOT * small + keep[small]] = _EXPONENT[x[small] + 6]
+        keep[small] += 4
 
-    slow = np.flatnonzero(~fast)
+    long = {}
     if slow.size:
         texts = (b"%.17g\0" * slow.size
                  % tuple(values[slow].tolist())).split(b"\0")[:-1]
-        slot[slow, :3] = np.frombuffer(
-            b"".join(t.ljust(24, b"\0") for t in texts),
-            "<u8").reshape(-1, 3)
-        keep[slow] = [len(t) for t in texts]
-    slot &= _KEEP.take(keep, axis=0)    # no kept byte is 0
-    at = (np.arange(0, n, block.shape[1])[:, None] + order).ravel()
-    canvas = slot.take(at, axis=0).view(np.uint8)
-    canvas[len(order) - 1::len(order), 28] = ord("\n")
-    return canvas.tobytes().translate(None, b"\0")
+        w.slot.view(np.uint8).reshape(-1, _SLOT)[slow, 1:] = np.frombuffer(
+            b"".join(s[:_SLOT - 1].ljust(_SLOT - 1) for s in texts),
+            np.uint8).reshape(-1, _SLOT - 1)
+        keep[slow] = [len(s) + 1 for s in texts]
+        # a text of 24 bytes ends after its slot: its last byte is written
+        # into the output after the slots
+        long = {v: s[-1] for v, s in zip(slow.tolist(), texts)
+                if len(s) == _SLOT}
+
+    m = rows * w.width
+    at = w.at[:m]
+    np.take(w.slot24, at, out=w.gathered[:m], mode="clip")
+    w.starts[:rows] = ord("\n")
+    lengths = np.take(keep, at, out=w.lengths[:m], mode="clip")
+    offsets = w.offsets[:m + 1]
+    np.cumsum(lengths, out=offsets[1:])
+    w.text24[offsets[:m]] = w.gathered[:m]
+    end = offsets[m]
+    for v, byte in long.items():            # in each column showing it
+        row, column = divmod(v, w.block.shape[1])
+        for j in np.flatnonzero(w.at[:w.width] == column).tolist():
+            w.text[offsets[row * w.width + j + 1] - 1] = byte
+    w.text[end] = ord("\n")
+    return w.text[1:end + 1]

@@ -294,11 +294,13 @@ def apply_overrides(raw: dict, sets: Sequence[str]) -> dict:
 # outputs
 
 
-# values per call of the CSV kernel (at least one row): each call has ~140 us
-# of fixed cost, which more values per call spread thinner, but its
-# temporaries peak at ~320 bytes a value (5 MB here); in the benchmark's
-# wide-n100, 8192 and 16384 values ran alike, and 32768 ran no faster and
-# raised the peak RSS by 6 MB
+# values per call of the CSV kernel (at least one row): each call has
+# ~200-300 us of fixed cost, which more values per call spread thinner, but
+# each formatting process holds ~290 bytes a value of buffers (4.7 MB here),
+# and touches each of their pages once a write; over the 1,001 rows at
+# N = 100 a pass took 106, 95, 90, 87 and 85 ms at 8192, 12288, 16384, 24576
+# and 32768 values, and in the benchmark's wide-n100 24576 ran no faster
+# than 16384 (wall_rel 1.178 against 1.167, 4 pairs)
 _CSV_CHUNK_VALUES = 16384
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0     # inverse Clarke transform
@@ -324,10 +326,11 @@ def _rows_per_call(n: int) -> int:
 def _format_rows(traj: Trajectory, start: int, stop: int, fh: IO[bytes]) -> None:
     """Rows ``start:stop`` of the time series, written to ``fh`` a few rows
     (about _CSV_CHUNK_VALUES values) at a time, with the currents of each
-    few rows computed there."""
+    few rows computed there.  The block and the kernel's buffers are
+    allocated once, here, for the whole range."""
     # imported here: only the writer needs the kernel, so importing the
     # package does not build its tables (or compile it, without a .pyc)
-    from ._csvtext import csv_lines
+    from ._csvtext import Workspace, csv_lines
     n = traj.n
     columns = 7 * n + 3
     # the block holds each distinct column once: i_a_k is i_alpha_k, so the
@@ -337,12 +340,14 @@ def _format_rows(traj: Trajectory, start: int, stop: int, fh: IO[bytes]) -> None
     order[i + 2 * n::3] = np.arange(i, i + 2 * n, 2)
     order[i + 2 * n + 1::3] = np.arange(i + 2 * n, i + 4 * n, 2)
     order[i + 2 * n + 2::3] = np.arange(i + 2 * n + 1, i + 4 * n, 2)
-    step = _rows_per_call(n)
+    step = min(_rows_per_call(n), stop - start)
+    w = Workspace(step, 6 * n + 3, order)
+    products = np.empty((step, n))
     for first in range(start, stop, step):
         rows = slice(first, min(first + step, stop))
         x, v_o, currents = traj.x[rows], traj.v_o[rows], traj.currents(rows)
         re, im = currents.real, currents.imag
-        block = np.empty((len(x), 6 * n + 3))
+        block, product = w.block[:len(x)], products[:len(x)]
         block[:, 0] = traj.t[rows]
         block[:, 1:i - 2:2] = x.real
         block[:, 2:i - 2:2] = x.imag
@@ -350,9 +355,13 @@ def _format_rows(traj: Trajectory, start: int, stop: int, fh: IO[bytes]) -> None
         block[:, i - 1] = v_o.imag
         block[:, i:i + 2 * n:2] = re
         block[:, i + 1:i + 2 * n:2] = im
-        block[:, i + 2 * n::2] = -0.5 * re + SQRT3_OVER_2 * im
-        block[:, i + 2 * n + 1::2] = -0.5 * re - SQRT3_OVER_2 * im
-        fh.write(csv_lines(block, order))
+        # -0.5*re + SQRT3_OVER_2*im and -0.5*re - SQRT3_OVER_2*im
+        np.multiply(im, SQRT3_OVER_2, out=product)
+        np.multiply(re, -0.5, out=block[:, i + 2 * n::2])
+        block[:, i + 2 * n::2] += product
+        np.multiply(re, -0.5, out=block[:, i + 2 * n + 1::2])
+        block[:, i + 2 * n + 1::2] -= product
+        fh.write(csv_lines(w, len(x)))
 
 
 def _format_in_child(traj: Trajectory, start: int, stop: int,
@@ -385,14 +394,17 @@ def write_timeseries(traj: Trajectory, path: str | Path) -> None:
     directory; this process writes the header and range 0, then appends each
     child's file in row order, so the bytes do not depend on the number of
     ranges.  Nothing is forked with one usable CPU, one kernel call, no
-    ``os.fork`` or other threads running (``fork`` is unsafe then).
-    Each process formats a few rows at a time and files are copied in
-    chunks, so memory is O(columns + _CSV_CHUNK_VALUES) whatever the number
-    of steps; the output directory briefly holds up to one more CSV's worth
-    of temporary data.
+    ``os.fork`` or other threads running (``fork`` is unsafe then).  Where
+    ``os.sched_setaffinity`` exists, range k is formatted on CPU k (round
+    robin) of this process's affinity mask.
+    Each process formats a few rows at a time into buffers it allocates
+    once, and files are copied in chunks, so memory is O(columns +
+    _CSV_CHUNK_VALUES) whatever the number of steps; the output directory
+    briefly holds up to one more CSV's worth of temporary data.
 
     Raises OSError naming ``path`` when a child fails; every child has been
-    reaped when this returns or raises.
+    reaped, and this process's affinity mask restored, when this returns or
+    raises.
     """
     n = traj.n
     header = ["t"]
@@ -408,16 +420,27 @@ def write_timeseries(traj: Trajectory, path: str | Path) -> None:
         parts = max(1, min(_usable_cpus(), calls))
     edges = [min(steps, calls * k // parts * step) for k in range(parts + 1)]
     ranges = list(zip(edges[:-1], edges[1:]))
+    # each range on a CPU of its own, round robin over this process's mask:
+    # left to the scheduler, two forked processes may share one CPU for
+    # their first ~0.3-1 s, which is all of a write of this size
+    mask = set()
+    if parts > 1 and hasattr(os, "sched_setaffinity"):
+        mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
 
     temps: list[IO[bytes]] = []
     pids: list[int] = []        # children not yet reaped, in row order
     try:
-        for start, stop in ranges[1:]:
+        for k, (start, stop) in enumerate(ranges[1:], 1):
             temps.append(tempfile.TemporaryFile(dir=Path(path).parent))
             pid = os.fork()
             if pid == 0:
                 _format_in_child(traj, start, stop, temps[-1])
             pids.append(pid)
+            if cpus:
+                os.sched_setaffinity(pid, {cpus[k % len(cpus)]})
+        if cpus:
+            os.sched_setaffinity(0, {cpus[0]})
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
             _format_rows(traj, *ranges[0], fh)
@@ -430,6 +453,8 @@ def write_timeseries(traj: Trajectory, path: str | Path) -> None:
                 tmp.seek(0)
                 shutil.copyfileobj(tmp, fh)
     finally:
+        if mask:
+            os.sched_setaffinity(0, mask)
         for pid in pids:
             os.waitpid(pid, 0)
         for tmp in temps:

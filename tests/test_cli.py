@@ -418,6 +418,40 @@ class TestWriteTimeseries:
         assert len(forks) == 2
         assert_no_children()
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity on this platform")
+    @pytest.mark.parametrize("fails", ["none", "child", "range_0"])
+    def test_affinity_pinned_and_restored(self, tmp_path, monkeypatch,
+                                          fails):
+        mask = os.sched_getaffinity(0)
+        cpus = sorted(mask)
+        forks = count_forks(monkeypatch, 3)
+        pins = []
+        real_setaffinity = os.sched_setaffinity
+
+        def setaffinity(pid, cpu_set):
+            pins.append((pid == 0, set(cpu_set)))
+            real_setaffinity(pid, cpu_set)
+        monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+        if fails != "none":
+            fail_rows(monkeypatch, lambda start: (start == 0)
+                      == (fails == "range_0"))
+        path = tmp_path / "ts.csv"
+        traj = _trajectory("case2_partial_block")
+        if fails == "none":
+            write_timeseries(traj, path)
+            assert path.read_bytes() == _per_value_csv("case2_partial_block")
+        else:
+            with pytest.raises((OSError, RuntimeError)):
+                write_timeseries(traj, path)
+        assert os.sched_getaffinity(0) == mask
+        assert_no_children()
+        # children 1 and 2, then this process for range 0, then its mask
+        assert len(forks) == 2
+        assert pins == [(False, {cpus[1 % len(cpus)]}),
+                        (False, {cpus[2 % len(cpus)]}),
+                        (True, {cpus[0]}), (True, mask)]
+
     def test_phase_columns_match_inv_clarke(self, tmp_path):
         sc = build_case("I", 2, seed=4, t_end=3e-4, dt=1e-4)
         traj = simulate(sc)
@@ -445,9 +479,17 @@ def per_value_lines(block):
                    for row in block.tolist()).encode()
 
 
+def csv_lines(block, order):
+    """The kernel's text of ``block`` in the column ``order``, through a
+    workspace of its size."""
+    w = _csvtext.Workspace(len(block), block.shape[1], order)
+    w.block[...] = block
+    return bytes(_csvtext.csv_lines(w, len(block)))
+
+
 def all_columns(block):
     """csv_lines over every column of ``block``, in order."""
-    return _csvtext.csv_lines(block, np.arange(block.shape[1]))
+    return csv_lines(block, np.arange(block.shape[1]))
 
 
 def ulps_around(v):
@@ -494,7 +536,7 @@ class TestCsvKernel:
                      blocks_and_orders(raw_bits=True)))
     def test_column_order(self, block_and_order):
         block, order = block_and_order
-        assert (_csvtext.csv_lines(block, order)
+        assert (csv_lines(block, order)
                 == per_value_lines(block[:, order]))
 
     def test_repeated_slow_column(self):
@@ -502,7 +544,7 @@ class TestCsvKernel:
         slow = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-7]
         block = np.array([slow, np.linspace(-2.5, 3.5, len(slow))]).T.copy()
         order = np.array([0, 1, 0, 0])
-        assert (_csvtext.csv_lines(block, order)
+        assert (csv_lines(block, order)
                 == per_value_lines(block[:, order]))
 
     @pytest.mark.parametrize("values", [
@@ -522,7 +564,8 @@ class TestCsvKernel:
     def test_exponent_estimate_corrected(self, monkeypatch, offset):
         # the exact product corrects a decimal exponent that is one off
         log10 = np.log10
-        monkeypatch.setattr(np, "log10", lambda a: log10(a) + offset)
+        monkeypatch.setattr(np, "log10", lambda a, out: np.add(
+            log10(a, out=out), offset, out=out))
         block = 10.0 ** np.random.default_rng(3).uniform(-7, 17, (40, 50))
         assert all_columns(block) == per_value_lines(block)
 
@@ -539,6 +582,59 @@ class TestCsvKernel:
         block *= rng.choice([-1.0, 1.0], block.size)
         block = block.reshape(-1, 500)
         assert all_columns(block) == per_value_lines(block)
+
+
+class TestCsvWorkspace:
+    """One workspace serves calls of any row count up to its own."""
+
+    order = np.array([0, 1, 2, 3, 2, 4, 5])     # column 2 twice
+
+    @staticmethod
+    def block(rng, rows, slow):
+        """Values of 17 digits, values of few, and (with ``slow``) the
+        values that "%.17g" formats itself."""
+        block = 10.0 ** rng.uniform(-6, 16, (rows, 6))
+        block[:, 1] = rng.integers(1, 400, rows) / 8.0
+        block[:, 4] = rng.integers(1, 9, rows) * 1e-5
+        block *= rng.choice([-1.0, 1.0], block.shape)
+        if slow:
+            edges = [0.0, -0.0, math.nan, math.inf, -math.inf, -5e-324,
+                     1e-7, 1e16]
+            at = rng.choice(block.size, min(block.size, len(edges)), False)
+            block.flat[at] = edges[:len(at)]
+            block[-1, 2] = -2.2250738585072014e-308    # 24 bytes, twice
+        return block
+
+    def test_reused_workspace_keeps_no_stale_bytes(self):
+        # a call after a longer one, and after one whose texts are longer,
+        # shows any byte, length or offset left from it
+        rng = np.random.default_rng(17)
+        w = _csvtext.Workspace(12, 6, self.order)
+        for call, rows in enumerate([12, 3, 12, 1, 7, 12, 2, 11, 1]):
+            block = self.block(rng, rows, slow=call % 2 == 1)
+            w.block[:rows] = block
+            assert (bytes(_csvtext.csv_lines(w, rows))
+                    == per_value_lines(block[:, self.order])), call
+
+    def test_call_allocates_no_block_sized_array(self):
+        # a call at N = 100 (27 rows of 603 columns, 130 KB of float64) of
+        # values like a time series': mostly fixed notation, ~5 % below
+        # 1e-4 and a few that "%.17g" formats itself
+        rng = np.random.default_rng(3)
+        w = _csvtext.Workspace(27, 603, np.arange(603))
+        for call in range(3):
+            w.block[...] = 10.0 ** rng.uniform(-4.3, 2, w.block.shape)
+            w.block[call, :8] = [0.0, -0.0, math.nan, math.inf, -math.inf,
+                                 -5e-324, 1e-7, 1e16]
+            tracemalloc.start()
+            try:
+                text = _csvtext.csv_lines(w, 27)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert bytes(text) == per_value_lines(w.block)
+            if call:
+                assert peak < 64 * 1024, peak
 
 
 class TestCommands:
