@@ -325,9 +325,9 @@ def _rows_per_call(n: int) -> int:
 
 def _format_rows(traj: Trajectory, start: int, stop: int, fh: IO[bytes]) -> None:
     """Rows ``start:stop`` of the time series, written to ``fh`` a few rows
-    (about _CSV_CHUNK_VALUES values) at a time, with the currents of each
-    few rows computed there.  The block and the kernel's buffers are
-    allocated once, here, for the whole range."""
+    (about _CSV_CHUNK_VALUES values) at a time, with the bus voltage and
+    currents of each few rows computed there.  The block and the kernel's
+    buffers are allocated once, here, for the whole range."""
     # imported here: only the writer needs the kernel, so importing the
     # package does not build its tables (or compile it, without a .pyc)
     from ._csvtext import Workspace, csv_lines
@@ -345,7 +345,7 @@ def _format_rows(traj: Trajectory, start: int, stop: int, fh: IO[bytes]) -> None
     products = np.empty((step, n))
     for first in range(start, stop, step):
         rows = slice(first, min(first + step, stop))
-        x, v_o, currents = traj.x[rows], traj.v_o[rows], traj.currents(rows)
+        x, (v_o, currents) = traj.x[rows], traj.bus_and_currents(rows)
         re, im = currents.real, currents.imag
         block, product = w.block[:len(x)], products[:len(x)]
         block[:, 0] = traj.t[rows]

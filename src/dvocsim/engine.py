@@ -9,12 +9,12 @@ assembled as
 
 with the identical bus term for every k, which is the structure the
 synchronization certificate relies on.  All inverters advance with classical
-RK4; the step loop records states only, and the bus voltage is computed
-from the recorded states afterwards.  The branch currents are not recorded:
-``Trajectory.currents`` computes those of the rows its reader asks for.
-Fixed stepping keeps runs bit-exact for a given scenario and seed; start-up
-impedance removal is aligned to the step boundary at or after t_z, which
-splits a run into two segments with constant admittances.  A run is
+RK4; the step loop records times and states only, and
+``Trajectory.bus_and_currents`` computes the bus voltage and branch currents
+of the rows its reader asks for.  Fixed stepping keeps runs bit-exact for a
+given scenario and seed; start-up impedance removal is aligned to the step
+boundary at or after t_z, which splits a run into two segments with constant
+admittances, listed once a run in ``Trajectory.segments``.  A run is
 strictly sequential, but distinct scenarios share no mutable state and can
 be simulated concurrently.
 
@@ -52,9 +52,9 @@ DIVERGENCE_NORM = 100.0     # pu, far outside any modeled regime
 DIVERGENCE_BLOCK = 64       # steps recorded between two divergence checks
 MAX_DT_OMEGA = 0.2          # resolution guard: > ~31 steps per cycle
 STEP_TOL = 1e-9             # relative tolerance of t_end/dt to a whole number
-# Largest trajectory a run may record, (16*N + 24)*(S+1) bytes for S steps
-# and N inverters (t, x and v_o).  1 GiB admits case II with N = 500 up to
-# t_end = 13.38 s, over six times the ~160 MB of N = 500 at t_end = 2 s.
+# Largest trajectory a run may record, (16*N + 8)*(S+1) bytes for S steps
+# and N inverters (t and x).  1 GiB admits case II with N = 500 up to
+# t_end = 13.40 s, over six times the ~160 MB of N = 500 at t_end = 2 s.
 # Post-processing adds 8*S bytes of synchronization error series, 32*S bytes
 # of it as the list of Python floats report.json is encoded from, and the
 # temporaries of one block of sync_error's states and of the output's rows
@@ -134,7 +134,7 @@ def check_grid(n: int, t_end: float, dt: float) -> None:
     if abs(steps - round(steps)) > STEP_TOL * steps:
         raise ValueError(
             f"t_end = {t_end} is not a whole multiple of dt = {dt}")
-    size = (16 * n + 24) * (round(steps) + 1)  # integer: no overflow
+    size = (16 * n + 8) * (round(steps) + 1)  # integer: no overflow
     if size > MAX_TRAJECTORY_BYTES:
         raise ValueError(
             f"n = {n}, t_end = {t_end} and dt = {dt} would record "
@@ -194,58 +194,60 @@ class Scenario:
         return round(self.t_end / self.dt)
 
 
-def _segments(scenario: Scenario) -> tuple:
-    """The admittances ``(y, y_sigma)`` before t_z and at or after it."""
-    net, omega0 = scenario.network, scenario.params[0].omega0
-    return tuple((net.admittances(omega0, t), total_admittance(net, omega0, t))
-                 for t in (0.0, math.inf))
-
-
 @dataclass(eq=False)
 class Trajectory:
-    """Uniform-grid time series of states and bus voltage; ``currents``
-    computes the branch currents of any rows."""
+    """Uniform-grid time series of states; ``bus_and_currents`` computes
+    the bus voltage and branch currents of any rows."""
 
     t: np.ndarray           # (S+1,), s
     x: np.ndarray           # (S+1, N) complex, pu
-    v_o: np.ndarray         # (S+1,) complex, V
     scenario: Scenario = field(repr=False)
     segments: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # once a run, so that the CSV writer's forked children share them
-        self.segments = _segments(self.scenario)
+        # the admittance segments (first row, y, y_sigma): the rows before
+        # k = searchsorted(t, t_z) start before t_z.  Built once a run: the
+        # step loop binds its fields from them, and the CSV writer's forked
+        # children share them
+        net, omega0 = self.scenario.network, self.scenario.params[0].omega0
+        k = int(np.searchsorted(self.t, net.t_z))
+        self.segments = tuple(
+            (row, net.admittances(omega0, t), total_admittance(net, omega0, t))
+            for row, t in ((0, 0.0), (k, math.inf)))
 
     @property
     def n(self) -> int:
         return self.x.shape[1]
 
-    def currents(self, rows: slice) -> np.ndarray:
-        """Branch currents of the consecutive rows ``rows``, (rows, N)
-        complex, A.
+    def bus_and_currents(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Bus voltage, (rows,) complex V, and branch currents, (rows, N)
+        complex A, of the consecutive rows ``rows``.
 
-        The rows before ``k = searchsorted(t, t_z)`` take the first
-        segment's admittances and the rest the second's, as ``v_o`` does.
-        ``branch_currents`` is elementwise and broadcasts ``y`` one row at a
-        time, so any rows get the bits of the same rows of the whole run,
-        with one exception that is avoided here: at N = 1 a lone row is one
-        complex multiply by y, which numpy does in its scalar loop, without
-        the fused multiply-adds of its vector loop.  So the rows are
-        computed with one more row on each side where their segment has it.
+        Each row takes the admittances of its segment.  ``pcc_voltage`` and
+        ``branch_currents`` are computed one segment at a time, and any rows
+        get the bits of the same rows of whole segments, with one exception
+        that is avoided here: a lone row takes other numpy loops (at N = 1,
+        say, a complex multiply by y without the fused multiply-adds of the
+        vector loop).  So the rows are computed with one more row on each
+        side where their segment has it.  A segment may start past the last
+        row.
         """
         span = range(len(self.t))[rows]
         if span.step != 1:
             raise ValueError(f"rows must be consecutive, got step {span.step}")
         start, stop = span.start, max(span.start, span.stop)
         lo, hi = max(start - 1, 0), min(stop + 1, len(self.t))
-        k = int(np.searchsorted(self.t, self.scenario.network.t_z))
-        k = min(max(k, lo), hi)
+        edges = [min(max(row, lo), hi) for row, _, _ in self.segments]
         beta = self.scenario.params[0].beta
+        v_o = np.empty(hi - lo, dtype=complex)
         out = np.empty((hi - lo, self.n), dtype=complex)
-        for a, b, (y, _) in zip((lo, k), (k, hi), self.segments):
-            branch_currents(self.x[a:b], self.v_o[a:b], y, beta,
-                            out=out[a - lo:b - lo])
-        return out[start - lo:stop - lo]
+        for a, b, (_, y, y_sigma) in zip(edges, edges[1:] + [hi],
+                                         self.segments):
+            x, part = self.x[a:b], slice(a - lo, b - lo)
+            v_o[part] = pcc_voltage(x, y, y_sigma, beta)
+            branch_currents(x, v_o[part], y, beta, out=out[part])
+        keep = slice(start - lo, stop - lo)
+        return v_o[keep], out[keep]
 
 
 def init_random(scenario: Scenario) -> np.ndarray:
@@ -387,20 +389,6 @@ def _first_diverged(rows: np.ndarray) -> Optional[tuple[int, int]]:
     return divmod(int(np.argmax(bad)), rows.shape[1])
 
 
-def _trajectory(scenario: Scenario, t: np.ndarray, xs: np.ndarray,
-                k: int, segments) -> Trajectory:
-    """The trajectory of the recorded states ``xs``, with the bus voltage
-    computed from them one segment at a time: rows before ``k`` see the
-    first of ``segments``' admittances ``(y, y_sigma)``, the rest the
-    second's."""
-    beta = scenario.params[0].beta
-    vs = np.empty(len(xs), dtype=complex)
-    k = min(k, len(xs))
-    for rows, (y, y_sigma) in zip((slice(0, k), slice(k, len(xs))), segments):
-        vs[rows] = pcc_voltage(xs[rows], y, y_sigma, beta)
-    return Trajectory(t, xs, vs, scenario)
-
-
 def simulate(scenario: Scenario,
              x0: Optional[np.ndarray] = None) -> Trajectory:
     """Run the scenario on the uniform grid t_i = i*dt.
@@ -425,14 +413,14 @@ def simulate(scenario: Scenario,
         if len(x) != n:
             raise ValueError(f"x0 has {len(x)} states, scenario has {n}")
 
-    t_grid = np.arange(steps + 1) * dt
-    xs = np.empty((steps + 1, n), dtype=complex)
+    traj = Trajectory(np.arange(steps + 1) * dt,
+                      np.empty((steps + 1, n), dtype=complex), scenario)
+    t_grid, xs = traj.t, traj.x
     xs[0] = x
 
     # the start-up extra impedance makes the admittances piecewise constant:
     # steps [0, k) start before t_z, steps [k, steps) at or after it
-    segments = _segments(scenario)
-    k = int(np.searchsorted(t_grid, scenario.network.t_z))
+    k = traj.segments[1][0]
     d = scenario.disturbance
     if d is not None and d.amplitude == 0.0:
         d = None
@@ -440,7 +428,7 @@ def simulate(scenario: Scenario,
     field, field_post = (
         _bind_field(p, x, w.stages[4], p.kappa_beta * y / y_sigma, d,
                     0.5 * dt)
-        for y, y_sigma in segments)
+        for _, y, y_sigma in traj.segments)
 
     # the loop records states only and checks them once per block of rows;
     # the few steps it takes past a divergence must not warn
@@ -455,8 +443,10 @@ def simulate(scenario: Scenario,
             if found is not None:
                 row, inverter = found
                 kept = start + row + 1      # rows 0..start+row are finite
+                # the run keeps its segments, the second of which may now
+                # start past its last row
+                traj.t, traj.x = t_grid[:kept].copy(), xs[:kept].copy()
                 raise SimulationDiverged(
                     t_grid[kept], inverter, float(np.abs(xs[kept - 1]).max()),
-                    _trajectory(scenario, t_grid[:kept].copy(),
-                                xs[:kept].copy(), k, segments))
-    return _trajectory(scenario, t_grid, xs, k, segments)
+                    traj)
+    return traj

@@ -310,9 +310,8 @@ def build_metrics(traj: Trajectory) -> MetricsReport:
     # currents are computed
     sel = slice(np.searchsorted(traj.t, traj.t[-1] - DEFAULT_WINDOW), None)
 
-    amps = np.sqrt((np.abs(traj.currents(sel)) ** 2).mean(axis=0))
-    y = np.abs(traj.scenario.network.admittances(
-        traj.scenario.params[0].omega0))
+    amps = np.sqrt((np.abs(traj.bus_and_currents(sel)[1]) ** 2).mean(axis=0))
+    y = np.abs(traj.segments[-1][1])    # the admittances after t_z
     ratios = error = None
     if amps[0] > 0:
         shares = amps / amps[0]

@@ -43,14 +43,14 @@ def _trajectory(name):
         return simulate(build_case("II", 100, seed=0, t_end=0.02))
     if name == "edge_values":            # values formatted by "%.17g" itself
         traj = simulate(build_case("II", 4, seed=7, t_end=0.2))
-        currents = traj.currents(slice(None))
+        v_o, currents = traj.bus_and_currents(slice(None))
         edges = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 1e20)
         for k, v in enumerate(edges):
             row = 333 * k                # in several ranges of the writer
             traj.x[row, k % 4] = complex(v, -v)
             currents[row, 1] = complex(v, 0.25)  # no inf - inf in i_b
             currents[row + 1, 2] = complex(-0.5, v)
-        return given_currents(traj, currents)
+        return given_currents(traj, v_o, currents)
     return simulate(scenario_from_dict(
         {"n": 1, "seed": 2, "t_end": 0.1,
          "branches": [{"r_f": 0.1, "l_f": 1e-3}],
@@ -77,8 +77,8 @@ def _per_value_csv(name):
     cols = [traj.t]
     for k in range(n):
         cols += [traj.x[:, k].real, traj.x[:, k].imag]
-    cols += [traj.v_o.real, traj.v_o.imag]
-    currents = traj.currents(slice(None))
+    v_o, currents = traj.bus_and_currents(slice(None))
+    cols += [v_o.real, v_o.imag]
     for k in range(n):
         cols += [currents[:, k].real, currents[:, k].imag]
     for k in range(n):
@@ -370,8 +370,9 @@ class TestWriteTimeseries:
         assert np.array_equal(data[:, 0], traj.t)
         assert np.array_equal(data[:, 1], traj.x[:, 0].real)
         assert np.array_equal(data[:, 4], traj.x[:, 1].imag)
-        assert np.array_equal(data[:, 5], traj.v_o.real)
-        assert np.array_equal(data[:, 7], traj.currents(slice(None))[:, 0].real)
+        v_o, currents = traj.bus_and_currents(slice(None))
+        assert np.array_equal(data[:, 5], v_o.real)
+        assert np.array_equal(data[:, 7], currents[:, 0].real)
 
     # the call size is the writer's default, one row per call or more than
     # the whole series: calls end inside and at the edges of forked ranges
@@ -460,7 +461,7 @@ class TestWriteTimeseries:
         with path.open() as f:
             rows = list(csv.reader(f))
         header = rows[0]
-        currents = traj.currents(slice(None))
+        currents = traj.bus_and_currents(slice(None))[1]
         for k in range(2):
             i = header.index(f"i_a_{k + 1}")
             got = tuple(float(v) for v in rows[1][i:i + 3])

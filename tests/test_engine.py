@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (flat_star_rk4, flat_two_inverter_field, local_increment,
                      logistic_radius)
 from dvocsim import engine, scenarios
+from dvocsim.cli import _rows_per_call
 from dvocsim.engine import (DisturbanceSpec, InitSpec, Scenario,
                             SimulationDiverged, init_random, rk4_increment,
                             simulate)
@@ -104,15 +105,15 @@ class TestValidation:
             make()
 
     def test_oversized_trajectory_rejected(self):
-        # 2 inverters and 1e10 steps would record t, x and v_o: 56 bytes a
-        # step, ~560 GB
+        # 2 inverters and 1e10 steps would record t and x: 40 bytes a step,
+        # ~400 GB
         with pytest.raises(ValueError, match="n = 2, t_end = 1000000.0 and "
-                           "dt = 0.0001 would record 560,000,000,056 bytes"):
+                           "dt = 0.0001 would record 400,000,000,040 bytes"):
             make_scenario(t_end=1e6)
 
     def test_size_limit_boundary(self):
-        # (16*n + 24) bytes a row for t, x and v_o, 2000 steps
-        n_max = (engine.MAX_TRAJECTORY_BYTES // (2000 + 1) - 24) // 16
+        # (16*n + 8) bytes a row for t and x, 2000 steps
+        n_max = (engine.MAX_TRAJECTORY_BYTES // (2000 + 1) - 8) // 16
         engine.check_grid(n_max, 0.2, 1e-4)
         with pytest.raises(ValueError, match=f"n = {n_max + 1}"):
             engine.check_grid(n_max + 1, 0.2, 1e-4)
@@ -314,8 +315,9 @@ class TestSimulate:
         a = simulate(sc)
         b = simulate(sc)
         assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.v_o, b.v_o)
-        assert np.array_equal(a.currents(slice(None)), b.currents(slice(None)))
+        for c, d in zip(a.bus_and_currents(slice(None)),
+                        b.bus_and_currents(slice(None))):
+            assert np.array_equal(c, d)
 
     def test_permutation_symmetry(self):
         sc = make_scenario(n=3, seed=2, t_end=0.05)
@@ -333,14 +335,14 @@ class TestSimulate:
         y_pre = sc.network.admittances(W0, 0.0)
         y_post = sc.network.admittances(W0, math.inf)
         rows_pre = 0
-        currents = traj.currents(slice(None))
+        v_o, currents = traj.bus_and_currents(slice(None))
         for idx in range(len(traj.t)):
             y = y_pre if traj.t[idx] < 0.02005 else y_post
             rows_pre += y is y_pre
             y_sigma = y.sum() + 1 / sc.network.z_net
             want = P.beta * np.dot(y, traj.x[idx]) / y_sigma
-            assert traj.v_o[idx] == pytest.approx(want, rel=1e-12)
-            want_i = (P.beta * traj.x[idx] - traj.v_o[idx]) * y
+            assert v_o[idx] == pytest.approx(want, rel=1e-12)
+            want_i = (P.beta * traj.x[idx] - v_o[idx]) * y
             assert np.allclose(currents[idx], want_i, rtol=1e-12)
         assert rows_pre == 201 and len(traj.t) - rows_pre == 300
 
@@ -362,9 +364,10 @@ class TestSimulate:
             (sc.network.z_net.real, sc.network.z_net.imag), sc.network.t_z,
             sc.dt, sc.n_steps, (2, 40.0, waveform))
         as_complex = lambda rows: np.array(rows) @ np.array([1.0, 1j])
+        v_o, currents = traj.bus_and_currents(slice(None))
         for got, want, tol in ((traj.x, as_complex(xs), 1e-12),
-                               (traj.v_o, as_complex(vs), 1e-11),
-                               (traj.currents(slice(None)), as_complex(cs), 1e-9)):
+                               (v_o, as_complex(vs), 1e-11),
+                               (currents, as_complex(cs), 1e-9)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
@@ -402,9 +405,10 @@ class TestSimulate:
              for b in branches], (z_net.real, z_net.imag), t_z, dt, steps,
             None if d is None else (d.inverter, d.amplitude, d.waveform))
         as_complex = lambda rows: np.array(rows) @ np.array([1.0, 1j])
+        v_o, currents = traj.bus_and_currents(slice(None))
         for got, want, tol in ((traj.x, as_complex(xs), 1e-12),
-                               (traj.v_o, as_complex(vs), 1e-11),
-                               (traj.currents(slice(None)), as_complex(cs), 1e-9)):
+                               (v_o, as_complex(vs), 1e-11),
+                               (currents, as_complex(cs), 1e-9)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
@@ -416,10 +420,11 @@ class TestSimulate:
         y_pre = sc.network.admittances(W0, 0.0)
         y_post = sc.network.admittances(W0, math.inf)
         k_before = np.searchsorted(traj.t, 0.00345) - 1   # last step before t_z
+        v_o = traj.bus_and_currents(slice(None))[0]
         for idx, y in ((k_before, y_pre), (k_before + 1, y_post)):
             ysig = y.sum() + 1 / sc.network.z_net
             want = P.beta * np.dot(y, traj.x[idx]) / ysig
-            assert traj.v_o[idx] == pytest.approx(want, rel=1e-12)
+            assert v_o[idx] == pytest.approx(want, rel=1e-12)
 
     def test_contraction_distance_non_increasing(self):
         sc = make_scenario(n=3, seed=31, t_end=0.05)
@@ -467,18 +472,20 @@ class TestSimulate:
             sys.setswitchinterval(interval)
         for sc, traj in zip(runs, got):
             want = simulate(sc)
-            for a, b in ((traj.x, want.x), (traj.v_o, want.v_o),
-                         (traj.currents(slice(None)), want.currents(slice(None)))):
+            for a, b in ((traj.x, want.x),
+                         *zip(traj.bus_and_currents(slice(None)),
+                              want.bus_and_currents(slice(None)))):
                 assert np.array_equal(a, b)
 
     def test_later_run_leaves_earlier_trajectory(self):
         sc = make_scenario(n=3, seed=5, t_end=0.02)
         first = simulate(sc)
-        kept = [a.copy() for a in (first.t, first.x, first.v_o,
-                                   first.currents(slice(None)))]
+        kept = [first.t.copy(), first.x.copy(),
+                *first.bus_and_currents(slice(None))]
         simulate(sc)
         simulate(make_scenario(n=3, seed=6, t_end=0.02))
-        for a, b in zip(kept, (first.t, first.x, first.v_o, first.currents(slice(None)))):
+        for a, b in zip(kept, (first.t, first.x,
+                               *first.bus_and_currents(slice(None)))):
             assert np.array_equal(a, b)
 
     def test_x0_left_unchanged(self):
@@ -588,8 +595,9 @@ class TestPythonScalarReference:
         xs, v_o, currents = python_scalar_run(sc)
         # bytes, not values: -0.0 == 0.0 would pass np.array_equal
         assert traj.x.tobytes() == xs.tobytes()
-        assert traj.v_o.tobytes() == v_o.tobytes()
-        assert traj.currents(slice(None)).tobytes() == currents.tobytes()
+        got_v_o, got_currents = traj.bus_and_currents(slice(None))
+        assert got_v_o.tobytes() == v_o.tobytes()
+        assert got_currents.tobytes() == currents.tobytes()
 
 
 class TestStepCalls:
@@ -697,31 +705,50 @@ def row_slices(length, k):
     yield from (slice(s, s + 527) for s in range(0, length, 527))
 
 
-class TestCurrents:
-    """The trajectory records no currents: ``currents`` computes those of
-    any consecutive rows, on either side of the segment boundary k =
-    searchsorted(t, t_z).  Every slice must have the bytes of the same rows
-    of the whole run, and the whole run those of ``python_scalar_run``."""
+def segment_case(n, where):
+    """A run of n inverters whose start-up impedance is removed mid-run, on
+    its last step or at t = 0; below case II's n = 4 an explicit-form
+    scenario."""
+    t_end = {1: 0.02, 2: 0.05, 4: 0.2, 20: 0.02, 100: 0.01}[n]
+    t_z = {"mid-run": t_end / 2, "last-row": round(t_end / 1e-4) * 1e-4,
+           "zero": 0.0}[where]
+    if n < 4:
+        return make_scenario(n=n, t_end=t_end, t_z=t_z,
+                             z_extras=[30.0 + 20.0j, 5.0 + 0j][:n])
+    d = DisturbanceSpec(1, 5.0, "rotating") if n == 4 else None
+    return scenarios.build_case("II", n, 3, t_end=t_end, t_z=t_z,
+                                disturbance=d)
 
-    @pytest.mark.parametrize("sc", [
-        scenarios.build_case("II", 4, 3, t_end=0.2, t_z=0.1,
-                             disturbance=DisturbanceSpec(1, 5.0, "rotating")),
-        scenarios.build_case("II", 100, 3, t_end=0.01, t_z=0.005),
-        make_scenario(n=1, t_end=0.02, t_z=0.01, z_extras=[30.0 + 20.0j]),
-        # the second segment is the last row alone
-        make_scenario(n=1, t_end=0.02, t_z=0.02, z_extras=[30.0 + 20.0j]),
-    ], ids=["n4-tz-mid-run", "n100-tz-mid-run", "n1-tz-mid-run",
-            "n1-tz-last-row"])
-    def test_slices_match_whole_run_and_reference(self, sc):
+
+class TestCurrents:
+    """The trajectory records neither the bus voltage nor the currents:
+    ``bus_and_currents`` computes those of any consecutive rows, on either
+    side of the segment boundary k = searchsorted(t, t_z).  Every slice
+    must have the bytes of the same rows of whole segments, and the whole
+    run those of ``python_scalar_run``."""
+
+    @pytest.mark.parametrize("n, where", [
+        pytest.param(n, where, id=f"n{n}-tz-{where}")
+        for n in (1, 2, 4, 20, 100) for where in ("mid-run", "last-row",
+                                                  "zero")])
+    def test_slices_match_whole_run_and_reference(self, n, where):
+        sc = segment_case(n, where)
         traj = simulate(sc)
-        whole = traj.currents(slice(None))
-        assert whole.tobytes() == python_scalar_run(sc)[2].tobytes()
-        k = int(np.searchsorted(traj.t, sc.network.t_z))
-        assert 0 < k < len(traj.t)
-        for rows in row_slices(len(traj.t), k):
-            got = traj.currents(rows)
-            assert got.shape == whole[rows].shape, rows
-            assert got.tobytes() == whole[rows].tobytes(), rows
+        k, last = traj.segments[1][0], len(traj.t) - 1
+        assert {"mid-run": 0 < k < last, "last-row": k == last,
+                "zero": k == 0}[where]
+        want = per_segment(sc, traj.t, traj.x)
+        for got, ref in zip(traj.bus_and_currents(slice(None)),
+                            python_scalar_run(sc)[1:]):
+            assert got.tobytes() == ref.tobytes()
+        widths = (1, 2, 3, _rows_per_call(n), 64)
+        for rows in itertools.chain(
+                row_slices(len(traj.t), k),
+                (slice(i, i + w) for w in widths
+                 for i in range(len(traj.t)))):
+            for got, ref in zip(traj.bus_and_currents(rows), want):
+                assert got.shape == ref[rows].shape, rows
+                assert got.tobytes() == ref[rows].tobytes(), rows
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("step", [50, 250],
@@ -735,24 +762,24 @@ class TestCurrents:
             simulate(sc, x0=np.array(x0))
         traj = excinfo.value.trajectory
         assert len(traj.t) == step + 1
-        v_o, want = per_segment(sc, traj.t, traj.x)
-        assert traj.v_o.tobytes() == v_o.tobytes()
-        assert traj.currents(slice(None)).tobytes() == want.tobytes()
+        want = per_segment(sc, traj.t, traj.x)
         k = min(100, len(traj.t) - 1)
-        for rows in row_slices(len(traj.t), k):
-            assert traj.currents(rows).tobytes() == want[rows].tobytes(), rows
+        for rows in (slice(None), *row_slices(len(traj.t), k)):
+            got = traj.bus_and_currents(rows)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b[rows].tobytes(), rows
 
     def test_rows_must_be_consecutive(self):
         traj = simulate(make_scenario(n=2, t_end=0.01))
         with pytest.raises(ValueError, match="consecutive"):
-            traj.currents(slice(0, 10, 2))
+            traj.bus_and_currents(slice(0, 10, 2))
 
 
 class TestMemory:
     @pytest.mark.parametrize("n, t_end", [(4, 1.0), (100, 0.1)])
     def test_peak_near_trajectory_size(self, n, t_end):
-        # v_o is filled in place after the loop and the currents are not
-        # recorded: no (steps, n) array on top of the recorded states
+        # a run records t and x only, filled in place: no (steps, n) array
+        # on top of the recorded states
         simulate(scenarios.build_case("II", 4, 1, t_end=0.01))   # warm-up
         sc = scenarios.build_case("II", n, 1, t_end=t_end)
         tracemalloc.start()
@@ -761,7 +788,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        size = sum(a.nbytes for a in (traj.t, traj.x, traj.v_o))
+        size = sum(a.nbytes for a in (traj.t, traj.x))
         assert peak <= 1.35 * size
         wide = [name for name, v in vars(traj).items()
                 if isinstance(v, np.ndarray) and v.ndim > 1]

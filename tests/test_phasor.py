@@ -49,9 +49,8 @@ def phase_rows(tmp_path, currents):
     currents = np.asarray(currents, dtype=complex)
     t = np.arange(len(currents)) * 1e-4
     sc = build_case("I", 2, seed=0, t_end=0.01)
-    traj = given_currents(Trajectory(t, currents[:, None] / 500.0,
-                                     np.zeros(len(t), complex), sc),
-                          currents[:, None])
+    traj = given_currents(Trajectory(t, currents[:, None] / 500.0, sc),
+                          np.zeros(len(t), complex), currents[:, None])
     path = tmp_path / "ts.csv"
     write_timeseries(traj, path)
     with path.open() as f:

@@ -27,8 +27,7 @@ def fake_traj(t, x):
     # the scenario is a placeholder, and case I needs two inverters
     n = x.shape[1] if x.ndim > 1 else 2
     sc = build_case("I", max(n, 2), seed=0, t_end=0.01)
-    return Trajectory(np.asarray(t, float), np.asarray(x, complex),
-                      np.zeros(len(t), complex), sc)
+    return Trajectory(np.asarray(t, float), np.asarray(x, complex), sc)
 
 
 class TestBuildCase:
