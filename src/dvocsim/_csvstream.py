@@ -1,0 +1,290 @@
+"""The processes that format one time series into its file while the run
+goes on; ``cli.write_timeseries`` and ``cli._stream`` start them.
+
+Imported on first use, as the CSV kernel is, so that importing the package
+does not compile it.  The formatter, the header and the chunk size are the
+CLI's, looked up on ``cli`` when they are used.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import fcntl
+import functools
+import os
+import struct
+import tempfile
+from pathlib import Path
+from typing import IO, Iterator, NoReturn, Optional
+
+from . import cli
+from .engine import Trajectory
+
+_WORDS = struct.Struct("<4q")
+
+
+class Stream:
+    """The processes that format one series into its file, and what they
+    share.
+
+    The rows are formatted in chunks of one kernel call: chunk [a, b) once
+    row b is final, for that is the padding row ``bus_and_currents`` reads,
+    or the run has ended at b.  A process claims the next chunk, and places
+    each chunk it formats, under a POSIX lock on ``board``: a temporary file
+    that holds the first row no process has claimed, the run's final length
+    (-1 while it runs), the first row not yet placed in the file and its
+    byte offset, and then, for each chunk, where it is parked.  A chunk
+    formatted when the rows before it are placed is written into the file
+    at once, after them; any other is parked in its process's temporary
+    file, and the process that places the rows before it copies it.  So the
+    bytes do not depend on the number of processes.
+
+    Each child learns how many rows are final from its own progress pipe,
+    whose end of file says the run has ended, or was given up, and exits
+    when no chunk is left; this process formats chunks too once the run has
+    ended (``finish``).  The temporary files are unlinked, in the output's
+    directory, and vanish with their holders.
+    """
+
+    def __init__(self, traj: Trajectory, path: str | Path, children: int):
+        self.traj, self.path = traj, Path(path)
+        self.x = traj.x             # for simulate to record the run into
+        self.step = cli._rows_per_call(traj.n)
+        self.rows = 0               # rows this process knows to be final
+        self.ended = self.complete = False
+        self.pids: list[int] = []
+        self.failed: list[int] = []     # the children's nonzero exit codes
+        self.progress: list[int] = []   # the write ends, one per child
+        self.temps: list[IO[bytes]] = []
+        self.board: Optional[IO[bytes]] = None
+        self.out: Optional[int] = None
+        self.mask: set[int] = set()
+        try:
+            self._start(children)
+        except BaseException:
+            self.close()
+            raise
+
+    def _start(self, children: int) -> None:
+        header = cli._header(self.traj.n)
+        self.out = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+                           0o666)
+        self._write(self.out, header, 0)
+        temp = functools.partial(tempfile.TemporaryFile, dir=self.path.parent)
+        self.board = temp()
+        chunks = -(-len(self.traj.t) // self.step)
+        os.ftruncate(self.board.fileno(), _WORDS.size * (chunks + 2))
+        self._write(self.board.fileno(), _WORDS.pack(0, -1, 0, len(header)),
+                    0)
+        self.temps = [temp() for _ in range(children + 1)]
+        heads = []                  # the progress pipes' read ends
+        try:
+            for _ in range(children):
+                head, tail = os.pipe()
+                heads.append(head)
+                self.progress.append(tail)
+            # each process on a CPU of its own, round robin over this
+            # process's mask: left to the scheduler, two forked processes
+            # may share one CPU for their first ~0.3-1 s
+            if hasattr(os, "sched_setaffinity"):
+                self.mask = os.sched_getaffinity(0)
+            cpus = sorted(self.mask)
+            for k in range(1, children + 1):
+                pid = os.fork()
+                if pid == 0:
+                    self._child(k, heads[k - 1])
+                self.pids.append(pid)
+                if cpus:
+                    os.sched_setaffinity(pid, {cpus[k % len(cpus)]})
+            if cpus:
+                os.sched_setaffinity(0, {cpus[0]})
+        finally:
+            for fd in heads:
+                os.close(fd)
+        for fd in self.progress:
+            os.set_blocking(fd, False)
+
+    def _child(self, k: int, progress: int) -> NoReturn:
+        """Format chunks in this forked child until none is left, and end
+        the process.
+
+        It always leaves through ``os._exit``: no atexit hook runs and no
+        buffer inherited from the parent is flushed.  Exit status 0 means
+        every chunk it claimed is placed or parked.
+        """
+        status = 1
+        try:
+            # the end of file of a progress pipe must reach its child when
+            # the parent closes it, so only the parent holds the write ends
+            for fd in self.progress:
+                os.close(fd)
+            self._format(self.traj, k, progress)
+            status = 0
+        except Exception as err:
+            os.write(2, f"error: {self.path}: {err!r}\n".encode())
+        finally:
+            os._exit(status)
+
+    @contextlib.contextmanager
+    def _locked(self) -> Iterator[int]:
+        fcntl.lockf(self.board, fcntl.LOCK_EX)
+        try:
+            yield self.board.fileno()
+        finally:
+            fcntl.lockf(self.board, fcntl.LOCK_UN)
+
+    def _claims(self, progress: Optional[int] = None
+                ) -> Iterator[tuple[int, int]]:
+        """Each chunk this process claims, waiting on ``progress`` (a
+        child's progress pipe) until it is final; this process claims only
+        after the run has ended, and never waits."""
+        live = True
+        while True:
+            with self._locked() as board:
+                first, end = struct.unpack("<2q", os.pread(board, 16, 0))
+                stop = first + self.step
+                if end >= 0:
+                    stop = min(stop, end)
+                ready = first < stop and (end >= 0 or stop < self.rows)
+                if ready:
+                    os.pwrite(board, stop.to_bytes(8, "little"), 0)
+            if ready:
+                if 0 <= end < len(self.traj.t):
+                    # a diverged run is cut at its last finite row: the
+                    # trajectory it raises with keeps its segments
+                    self.traj.t, self.traj.x = (self.traj.t[:end],
+                                                self.traj.x[:end])
+                yield first, stop
+            elif end >= 0 or not live:
+                return
+            else:
+                data = os.read(progress, 4096)   # whole 8-byte counts
+                if data:
+                    self.rows = int.from_bytes(data[-8:], "little")
+                live = bool(data)
+
+    def _format(self, traj: Trajectory, k: int,
+                progress: Optional[int] = None) -> None:
+        """Format the chunks that process ``k`` (0 is this one) claims, and
+        place or park each."""
+        temp, parked = self.temps[k].fileno(), 0
+        chunks = self._claims(progress)
+        for first, stop, text in cli._format_rows(traj, chunks):
+            at = self._place(first, stop, len(text))
+            if at < 0:
+                self._write(temp, text, parked)
+                at = self._place(first, stop, len(text), (k, parked))
+                if at < 0:
+                    parked += len(text)
+                    continue
+            self._write(self.out, text, at)
+            self._copy_parked()
+
+    def _place(self, first: int, stop: int, size: int,
+               parked: Optional[tuple[int, int]] = None) -> int:
+        """The offset in the file at which the ``size`` bytes of rows
+        ``first:stop`` go if the rows before them are placed, and they are
+        placed then; else -1, with the chunk recorded as parked at
+        ``parked`` (process, offset in its file) if that is given."""
+        with self._locked() as board:
+            row, offset = struct.unpack("<2q", os.pread(board, 16, 16))
+            if row == first:
+                os.pwrite(board, struct.pack("<2q", stop, offset + size), 16)
+                return offset
+            if parked is not None:
+                os.pwrite(board, _WORDS.pack(parked[0] + 1, parked[1], size,
+                                             stop), self._record(first))
+            return -1
+
+    def _record(self, row: int) -> int:
+        return _WORDS.size * (1 + row // self.step)
+
+    def _copy_parked(self) -> None:
+        """Copy the parked chunks that follow the placed rows into the
+        file."""
+        while True:
+            with self._locked() as board:
+                row, offset = struct.unpack("<2q", os.pread(board, 16, 16))
+                owner, at, size, stop = _WORDS.unpack(
+                    os.pread(board, _WORDS.size, self._record(row)))
+                if row % self.step or not owner:    # the end, or not parked
+                    return
+                os.pwrite(board, struct.pack("<2q", stop, offset + size), 16)
+            text = os.pread(self.temps[owner - 1].fileno(), size, at)
+            if len(text) != size:
+                raise OSError(f"{self.path}: rows {row}..{stop - 1} were cut "
+                              "short")
+            self._write(self.out, text, offset)
+
+    def _write(self, fd: int, data, offset: int) -> None:
+        """All of ``data`` into the file ``fd`` at ``offset``."""
+        if os.pwrite(fd, data, offset) != len(data):
+            raise OSError(f"{self.path}: a write was cut short")
+
+    def publish(self, rows: int, ended: bool) -> None:
+        """Rows 0..rows-1 of the run are final, and with ``ended`` the run
+        ends with them.  Called by ``simulate`` after each checked block."""
+        if ended:
+            with self._locked() as board:
+                os.pwrite(board, rows.to_bytes(8, "little"), 8)
+            self.ended = True
+            for fd in self.progress:
+                os.close(fd)
+            self.progress = []
+        for fd in self.progress:
+            try:
+                os.write(fd, rows.to_bytes(8, "little"))
+            except (BlockingIOError, BrokenPipeError):
+                # a full pipe: the child reads the counts in it before it
+                # waits again, and then the next one; or it has exited
+                pass
+
+    def finish(self, traj: Trajectory) -> None:
+        """Format in this process the chunks of ``traj``, the ended run,
+        that no child has claimed, and reap the children once every chunk
+        is in the file.  Raises OSError naming the file when rows were not
+        formatted or a child failed."""
+        if not self.ended:
+            self.publish(len(traj.t), True)
+        self.traj = traj
+        self._format(traj, 0)
+        self._reap()
+        row = int.from_bytes(os.pread(self.board.fileno(), 8, 16), "little")
+        if row < len(traj.t):
+            raise OSError(f"{self.path}: rows {row}..{len(traj.t) - 1} were "
+                          "not formatted")
+        if self.failed:
+            raise OSError(f"{self.path}: a formatting process failed (exit "
+                          f"status {self.failed[0]})")
+        self.complete = True
+
+    def _reap(self) -> None:
+        while self.pids:
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pids[0], 0)[1])
+            del self.pids[0]
+            if code:
+                self.failed.append(code)
+
+    def close(self) -> None:
+        """Stop and reap the children, restore this process's affinity
+        mask and close the files; the series' file is removed unless
+        ``finish`` completed it.  A child exits once no chunk is left for
+        it: at once when the run was given up.  Safe to call again."""
+        if not self.complete and self.board is not None:
+            with self._locked() as board:   # no chunk is left
+                os.pwrite(board, (0).to_bytes(8, "little"), 8)
+        for fd in self.progress:
+            os.close(fd)
+        self.progress = []
+        self._reap()
+        if self.mask:
+            os.sched_setaffinity(0, self.mask)
+            self.mask = set()
+        for f in self.temps + ([] if self.board is None else [self.board]):
+            f.close()
+        self.temps, self.board = [], None
+        if self.out is not None:
+            os.close(self.out)
+            self.out = None
+            if not self.complete:
+                self.path.unlink()

@@ -25,12 +25,10 @@ import dataclasses
 import json
 import math
 import os
-import shutil
 import sys
-import tempfile
 import threading
 from pathlib import Path
-from typing import IO, Any, NoReturn, Optional, Sequence
+from typing import Any, Iterable, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -323,11 +321,14 @@ def _rows_per_call(n: int) -> int:
     return max(1, _CSV_CHUNK_VALUES // (7 * n + 3))
 
 
-def _format_rows(traj: Trajectory, start: int, stop: int, fh: IO[bytes]) -> None:
-    """Rows ``start:stop`` of the time series, written to ``fh`` a few rows
-    (about _CSV_CHUNK_VALUES values) at a time, with the bus voltage and
-    currents of each few rows computed there.  The block and the kernel's
-    buffers are allocated once, here, for the whole range."""
+def _format_rows(traj: Trajectory, chunks: Iterable[tuple[int, int]]
+                 ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(start, stop, text)`` for each chunk ``(start, stop)`` that
+    ``chunks`` yields: the CSV text of rows ``start:stop``, at most
+    ``_rows_per_call`` of them, formatted by one kernel call with the bus
+    voltage and currents of those rows computed there.  The block and the
+    kernel's buffers are allocated once, here, for every chunk; each text is
+    a view of them, valid until the next chunk is drawn."""
     # imported here: only the writer needs the kernel, so importing the
     # package does not build its tables (or compile it, without a .pyc)
     from ._csvtext import Workspace, csv_lines
@@ -340,11 +341,11 @@ def _format_rows(traj: Trajectory, start: int, stop: int, fh: IO[bytes]) -> None
     order[i + 2 * n::3] = np.arange(i, i + 2 * n, 2)
     order[i + 2 * n + 1::3] = np.arange(i + 2 * n, i + 4 * n, 2)
     order[i + 2 * n + 2::3] = np.arange(i + 2 * n + 1, i + 4 * n, 2)
-    step = min(_rows_per_call(n), stop - start)
+    step = min(_rows_per_call(n), len(traj.t))
     w = Workspace(step, 6 * n + 3, order)
     products = np.empty((step, n))
-    for first in range(start, stop, step):
-        rows = slice(first, min(first + step, stop))
+    for first, stop in chunks:
+        rows = slice(first, stop)
         x, (v_o, currents) = traj.x[rows], traj.bus_and_currents(rows)
         re, im = currents.real, currents.imag
         block, product = w.block[:len(x)], products[:len(x)]
@@ -361,104 +362,87 @@ def _format_rows(traj: Trajectory, start: int, stop: int, fh: IO[bytes]) -> None
         block[:, i + 2 * n::2] += product
         np.multiply(re, -0.5, out=block[:, i + 2 * n + 1::2])
         block[:, i + 2 * n + 1::2] -= product
-        fh.write(csv_lines(w, len(x)))
+        yield first, stop, csv_lines(w, len(x))
 
 
-def _format_in_child(traj: Trajectory, start: int, stop: int,
-                     fh: IO[bytes]) -> NoReturn:
-    """Format rows ``start:stop`` into ``fh`` and end this forked process.
-
-    It always leaves through ``os._exit``: no atexit hook runs and no buffer
-    inherited from the parent is flushed.  Exit status 0 means ``fh`` holds
-    every row of the range.
-    """
-    status = 1
-    try:
-        _format_rows(traj, start, stop, fh)
-        fh.flush()
-        status = 0
-    except Exception as err:
-        os.write(2, f"error: rows {start}..{stop - 1}: {err!r}\n".encode())
-    finally:
-        os._exit(status)
+def _formatters(rows: int, n: int) -> int:
+    """Processes to fork to format ``rows`` rows of ``n`` inverters: one per
+    CPU this process may run on and one per kernel call, each but the
+    first, which this process takes; none without ``os.fork`` or with other
+    threads running (``fork`` is unsafe then)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    return min(_usable_cpus(), -(-rows // _rows_per_call(n))) - 1
 
 
-def write_timeseries(traj: Trajectory, path: str | Path) -> None:
-    """CSV time series: states (pu), bus voltage (V), currents (A, alpha/beta
-    and three-phase via the inverse Clarke transform), 17 significant digits.
-
-    The rows are split into contiguous ranges of whole kernel calls
-    (``_rows_per_call`` rows each), one per CPU this process may run on.
-    Before the file is opened, one child per range after the first is forked
-    to format its range into an unlinked temporary file in the output
-    directory; this process writes the header and range 0, then appends each
-    child's file in row order, so the bytes do not depend on the number of
-    ranges.  Nothing is forked with one usable CPU, one kernel call, no
-    ``os.fork`` or other threads running (``fork`` is unsafe then).  Where
-    ``os.sched_setaffinity`` exists, range k is formatted on CPU k (round
-    robin) of this process's affinity mask.
-    Each process formats a few rows at a time into buffers it allocates
-    once, and files are copied in chunks, so memory is O(columns +
-    _CSV_CHUNK_VALUES) whatever the number of steps; the output directory
-    briefly holds up to one more CSV's worth of temporary data.
-
-    Raises OSError naming ``path`` when a child fails; every child has been
-    reaped, and this process's affinity mask restored, when this returns or
-    raises.
-    """
-    n = traj.n
+def _header(n: int) -> bytes:
+    """The time series' header line for ``n`` inverters."""
     header = ["t"]
     header += [f"x_{ax}_{k}" for k in range(1, n + 1) for ax in ("alpha", "beta")]
     header += ["v_o_alpha", "v_o_beta"]
     header += [f"i_{ax}_{k}" for k in range(1, n + 1) for ax in ("alpha", "beta")]
     header += [f"i_{ph}_{k}" for k in range(1, n + 1) for ph in ("a", "b", "c")]
+    return (",".join(header) + "\n").encode()
 
-    steps, step = len(traj.t), _rows_per_call(n)
-    calls = -(-steps // step)
-    parts = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        parts = max(1, min(_usable_cpus(), calls))
-    edges = [min(steps, calls * k // parts * step) for k in range(parts + 1)]
-    ranges = list(zip(edges[:-1], edges[1:]))
-    # each range on a CPU of its own, round robin over this process's mask:
-    # left to the scheduler, two forked processes may share one CPU for
-    # their first ~0.3-1 s, which is all of a write of this size
-    mask = set()
-    if parts > 1 and hasattr(os, "sched_setaffinity"):
-        mask = os.sched_getaffinity(0)
-    cpus = sorted(mask)
 
-    temps: list[IO[bytes]] = []
-    pids: list[int] = []        # children not yet reaped, in row order
+def _stream(scenario: Scenario, path: Path):
+    """The processes that format the series of a run of ``scenario`` about
+    to start (a ``_csvstream.Stream``), forked before it with its states
+    recorded into an anonymous shared mmap, so that they format its rows
+    while it runs; None where ``_formatters`` forks none."""
+    rows, n = scenario.n_steps + 1, scenario.n
+    children = _formatters(rows, n)
+    if not children:
+        return None
+    import mmap
+    from ._csvstream import Stream
+    x = np.frombuffer(mmap.mmap(-1, 16 * rows * n), complex).reshape(rows, n)
+    return Stream(Trajectory(np.arange(rows) * scenario.dt, x, scenario),
+                  path, children)
+
+
+def write_timeseries(traj: Trajectory, path: str | Path,
+                     stream=None) -> None:
+    """CSV time series: states (pu), bus voltage (V), currents (A, alpha/beta
+    and three-phase via the inverse Clarke transform), 17 significant digits.
+
+    The rows are formatted in chunks of one kernel call (``_rows_per_call``
+    rows) by this process and by ``_formatters`` forked children, which
+    claim chunks as they become free: ``stream`` holds the children that
+    followed the run ``traj`` while it was recorded and formatted what they
+    could, or else they are forked here, every row of ``traj`` final (see
+    ``_csvstream``).  The chunks are written in row order after the header, so
+    the bytes do not depend on the number of processes.  Each process
+    formats into buffers it allocates once, so memory is O(columns +
+    _CSV_CHUNK_VALUES) whatever the number of steps; a chunk formatted
+    before the rows ahead of it waits in a temporary file in the output
+    directory.
+
+    Raises OSError naming ``path`` when a child fails; a file that was not
+    written in full is removed.  Every child has been reaped, and this
+    process's affinity mask restored, when this returns or raises.
+    """
+    rows, n = len(traj.t), traj.n
+    if stream is None and (children := _formatters(rows, n)):
+        from ._csvstream import Stream
+        stream = Stream(traj, path, children)
+    if stream is not None:
+        try:
+            stream.finish(traj)
+        finally:
+            stream.close()
+        return
+    step = _rows_per_call(n)
+    fh = open(path, "wb")
     try:
-        for k, (start, stop) in enumerate(ranges[1:], 1):
-            temps.append(tempfile.TemporaryFile(dir=Path(path).parent))
-            pid = os.fork()
-            if pid == 0:
-                _format_in_child(traj, start, stop, temps[-1])
-            pids.append(pid)
-            if cpus:
-                os.sched_setaffinity(pid, {cpus[k % len(cpus)]})
-        if cpus:
-            os.sched_setaffinity(0, {cpus[0]})
-        with open(path, "wb") as fh:
-            fh.write((",".join(header) + "\n").encode())
-            _format_rows(traj, *ranges[0], fh)
-            for (start, stop), tmp in zip(ranges[1:], temps):
-                status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
-                del pids[0]
-                if status != 0:
-                    raise OSError(f"{path}: rows {start}..{stop - 1} were not "
-                                  f"formatted (child exit status {status})")
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, fh)
-    finally:
-        if mask:
-            os.sched_setaffinity(0, mask)
-        for pid in pids:
-            os.waitpid(pid, 0)
-        for tmp in temps:
-            tmp.close()
+        with fh:
+            fh.write(_header(n))
+            chunks = ((a, min(a + step, rows)) for a in range(0, rows, step))
+            for _, _, text in _format_rows(traj, chunks):
+                fh.write(text)
+    except BaseException:
+        Path(path).unlink()
+        raise
 
 
 def build_report(traj: Trajectory,
@@ -559,13 +543,20 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     diverged: Optional[SimulationDiverged] = None
+    # the series is formatted while the run goes on, and report.json is
+    # written after it, so that a run whose series fails leaves neither
+    stream = _stream(scenario, out / "timeseries.csv")
     try:
-        traj = simulate(scenario)
-    except SimulationDiverged as err:
-        diverged = err
-        traj = err.trajectory
-    write_timeseries(traj, out / "timeseries.csv")
-    report = build_report(traj, diverged)
+        try:
+            traj = simulate(scenario, sink=stream)
+        except SimulationDiverged as err:
+            diverged = err
+            traj = err.trajectory
+        report = build_report(traj, diverged)
+        write_timeseries(traj, out / "timeseries.csv", stream)
+    finally:
+        if stream is not None:
+            stream.close()
     _write_json(out / "report.json", report)
     if diverged is not None:
         print(f"error: {diverged}", file=sys.stderr)

@@ -14,9 +14,12 @@ RK4; the step loop records times and states only, and
 of the rows its reader asks for.  Fixed stepping keeps runs bit-exact for a
 given scenario and seed; start-up impedance removal is aligned to the step
 boundary at or after t_z, which splits a run into two segments with constant
-admittances, listed once a run in ``Trajectory.segments``.  A run is
-strictly sequential, but distinct scenarios share no mutable state and can
-be simulated concurrently.
+admittances, listed once a run in ``Trajectory.segments``.  After each
+block of ``DIVERGENCE_BLOCK`` steps the loop checks the new rows and tells
+an optional sink how many rows are final, so that a reader (the CLI's CSV
+formatters) can follow the run as it is recorded.  A run is strictly
+sequential, but distinct scenarios share no mutable state and can be
+simulated concurrently.
 
 The step loop is bound by interpreter overhead, not arithmetic: an N = 4
 state is four complex numbers.  So ``simulate`` builds one set of RK4
@@ -389,13 +392,20 @@ def _first_diverged(rows: np.ndarray) -> Optional[tuple[int, int]]:
     return divmod(int(np.argmax(bad)), rows.shape[1])
 
 
-def simulate(scenario: Scenario,
-             x0: Optional[np.ndarray] = None) -> Trajectory:
+def simulate(scenario: Scenario, x0: Optional[np.ndarray] = None,
+             sink=None) -> Trajectory:
     """Run the scenario on the uniform grid t_i = i*dt.
 
     ``x0`` overrides the seeded random initial state.  On divergence the
     trajectory up to the last finite state is attached to the raised
     :class:`SimulationDiverged`.
+
+    ``sink``, if given, follows the run as it is recorded: the states are
+    recorded into ``sink.x``, an (n_steps + 1, N) complex array, and after
+    each block of ``DIVERGENCE_BLOCK`` steps the loop calls
+    ``sink.publish(rows, ended)``: rows 0..rows-1 are finite and checked, and
+    ``ended`` says the run ends with them, which it does after the last
+    block or, cut at its first diverged state, before the raise.
     """
     n = scenario.n
     steps = scenario.n_steps
@@ -414,7 +424,8 @@ def simulate(scenario: Scenario,
             raise ValueError(f"x0 has {len(x)} states, scenario has {n}")
 
     traj = Trajectory(np.arange(steps + 1) * dt,
-                      np.empty((steps + 1, n), dtype=complex), scenario)
+                      np.empty((steps + 1, n), dtype=complex)
+                      if sink is None else sink.x, scenario)
     t_grid, xs = traj.t, traj.x
     xs[0] = x
 
@@ -446,7 +457,11 @@ def simulate(scenario: Scenario,
                 # the run keeps its segments, the second of which may now
                 # start past its last row
                 traj.t, traj.x = t_grid[:kept].copy(), xs[:kept].copy()
+                if sink is not None:
+                    sink.publish(kept, True)
                 raise SimulationDiverged(
                     t_grid[kept], inverter, float(np.abs(xs[kept - 1]).max()),
                     traj)
+            if sink is not None:
+                sink.publish(stop + 1, stop == steps)
     return traj

@@ -1,11 +1,16 @@
+import contextlib
 import csv
 import functools
 import json
 import math
+import mmap
 import os
 import re
+import select
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,14 +20,15 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dvocsim
-from dvocsim import _csvtext, cli
+from dvocsim import _csvstream, _csvtext, cli, engine
 from dvocsim.cli import (SQRT3_OVER_2, ScenarioError, apply_overrides,
                          build_parser, build_report, main, run,
                          scenario_from_dict, scenario_to_dict,
                          write_timeseries)
 from dvocsim.certificates import certificate_margin
 from dvocsim.engine import (DisturbanceSpec, InitSpec, SimulationDiverged,
-                            simulate)
+                            Trajectory, simulate)
+from dvocsim.oscillator import InverterParams
 from dvocsim.scenarios import build_case, build_metrics
 from fakes import given_currents
 
@@ -33,28 +39,52 @@ def write(tmp_path, payload, name="scenario.json"):
     return path
 
 
+def _scenario(name):
+    """The scenario each fixture runs."""
+    if name in ("case2_partial_block", "edge_values"):  # 2001 rows: ends
+        # inside a call
+        return build_case("II", 4, seed=7, t_end=0.2)
+    if name == "four_rows":              # fewer kernel calls than CPUs
+        return build_case("I", 2, seed=4, t_end=3e-4, dt=1e-4)
+    if name == "case2_n100":             # tiny currents in d.ddde-0x form
+        return build_case("II", 100, seed=0, t_end=0.02)
+    if name == "diverged_after_t_z":     # cut at row 133, inside a call
+        return build_case("II", 20, seed=0, t_end=0.05, t_z=0.005,
+                          base=InverterParams(kappa=0.0, x_nom_sq2=2e4,
+                                              xi=0.01))
+    if name == "t_z_last_step":          # a second segment of one row
+        return build_case("II", 4, seed=3, t_end=0.01, t_z=0.01)
+    return scenario_from_dict(
+        {"n": 1, "seed": 2, "t_end": 0.1,
+         "branches": [{"r_f": 0.1, "l_f": 1e-3}],
+         "network": {"z_net": [50.0, 0.0]}})
+
+
+def _run(scenario, sink=None):
+    """The trajectory of a run, diverged or not."""
+    try:
+        return simulate(scenario, sink=sink)
+    except SimulationDiverged as err:
+        return err.trajectory
+
+
 @functools.lru_cache(maxsize=None)
 def _trajectory(name):
-    if name == "case2_partial_block":    # 2001 rows: ends inside a call
-        return simulate(build_case("II", 4, seed=7, t_end=0.2))
-    if name == "four_rows":              # fewer kernel calls than CPUs
-        return simulate(build_case("I", 2, seed=4, t_end=3e-4, dt=1e-4))
-    if name == "case2_n100":             # tiny currents in d.ddde-0x form
-        return simulate(build_case("II", 100, seed=0, t_end=0.02))
     if name == "edge_values":            # values formatted by "%.17g" itself
-        traj = simulate(build_case("II", 4, seed=7, t_end=0.2))
+        traj = simulate(_scenario(name))
         v_o, currents = traj.bus_and_currents(slice(None))
         edges = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 1e20)
         for k, v in enumerate(edges):
-            row = 333 * k                # in several ranges of the writer
+            row = 333 * k                # in several chunks of the writer
             traj.x[row, k % 4] = complex(v, -v)
             currents[row, 1] = complex(v, 0.25)  # no inf - inf in i_b
             currents[row + 1, 2] = complex(-0.5, v)
         return given_currents(traj, v_o, currents)
-    return simulate(scenario_from_dict(
-        {"n": 1, "seed": 2, "t_end": 0.1,
-         "branches": [{"r_f": 0.1, "l_f": 1e-3}],
-         "network": {"z_net": [50.0, 0.0]}}))
+    return _run(_scenario(name))
+
+
+FIXTURES = ["case2_partial_block", "four_rows", "one_inverter", "case2_n100",
+            "edge_values", "diverged_after_t_z", "t_z_last_step"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,28 +120,54 @@ def _per_value_csv(name):
 
 
 def count_forks(monkeypatch, cpus):
-    """Make the writer see ``cpus`` usable CPUs; returns the list of forks
-    it makes, which grows as it forks."""
+    """Make the writer see ``cpus`` usable CPUs; returns the pids of the
+    children it forks, a list that grows as it forks."""
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     forks = []
     real_fork = os.fork
 
     def fork():
-        forks.append(1)
-        return real_fork()
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
     monkeypatch.setattr(os, "fork", fork)
     return forks
 
 
-def fail_rows(monkeypatch, fails):
-    """Make the writer raise on every range whose first row ``fails``."""
-    real = cli._format_rows
+_FORMAT_ROWS = cli._format_rows
 
-    def format_rows(traj, start, stop, fh):
-        if fails(start):
-            raise RuntimeError(f"rows from {start}")
-        real(traj, start, stop, fh)
+
+def fail_rows(monkeypatch, where, children=()):
+    """Make the writer's formatting fail in ``where``: with "parent" or
+    "child", ``_format_rows`` raises in this process or in every forked
+    one before it claims a chunk; with "claimed", every forked process
+    raises on the first chunk it claims, and this process waits until
+    ``children`` (pids) have exited before it claims one."""
+    parent = os.getpid()
+
+    def format_rows(traj, *args):
+        here = "parent" if os.getpid() == parent else "child"
+        if where == here:
+            raise RuntimeError(f"no rows in the {here}")
+        if where == "claimed" and here == "parent":
+            for pid in children:
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        if where == "claimed" and here == "child":
+            (chunks,) = args
+
+            def claim_and_fail():
+                for first, _ in chunks:
+                    raise RuntimeError(f"rows from {first}")
+                yield from ()
+            args = (claim_and_fail(),)
+        return _FORMAT_ROWS(traj, *args)
     monkeypatch.setattr(cli, "_format_rows", format_rows)
+
+
+def _affinity():
+    return (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+            else None)
 
 
 def assert_no_children():
@@ -375,15 +431,13 @@ class TestWriteTimeseries:
         assert np.array_equal(data[:, 7], currents[:, 0].real)
 
     # the call size is the writer's default, one row per call or more than
-    # the whole series: calls end inside and at the edges of forked ranges
+    # the whole series: calls end inside and at the edges of other processes'
     @pytest.mark.parametrize("cpus, chunk", [
         *(pytest.param(cpus, None, id=str(cpus)) for cpus in (1, 2, 3, 8)),
         *(pytest.param(cpus, chunk, id=f"{cpus}-{name}")
           for cpus in (1, 3)
           for chunk, name in ((1, "row_per_call"), (10 ** 9, "one_call")))])
-    @pytest.mark.parametrize("name", ["case2_partial_block", "four_rows",
-                                      "one_inverter", "case2_n100",
-                                      "edge_values"])
+    @pytest.mark.parametrize("name", FIXTURES)
     def test_bytes_match_per_value_writer(self, tmp_path, monkeypatch, name,
                                           cpus, chunk):
         traj = _trajectory(name)
@@ -396,32 +450,125 @@ class TestWriteTimeseries:
         assert len(forks) == min(cpus, calls) - 1
         assert path.read_bytes() == _per_value_csv(name)
 
+    # rows published one at a time and in the step loop's blocks; every
+    # fixture but edge_values is run again with the children forked before
+    # it, and edge_values, whose currents are given, is fed as a run would
+    @pytest.mark.parametrize("block", [1, 64])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_streamed_bytes_match_per_value_writer(self, tmp_path,
+                                                   monkeypatch, name, cpus,
+                                                   block):
+        forks = count_forks(monkeypatch, cpus)
+        monkeypatch.setattr(engine, "DIVERGENCE_BLOCK", block)
+        path = tmp_path / "ts.csv"
+        if name == "edge_values":
+            traj, stream = _trajectory(name), None
+            steps = len(traj.t) - 1
+            if cpus > 1:
+                x = np.frombuffer(mmap.mmap(-1, traj.x.nbytes),
+                                  complex).reshape(traj.x.shape)
+                stream = _csvstream.Stream(given_currents(
+                    Trajectory(traj.t, x, traj.scenario), *traj.given),
+                    path, cli._formatters(steps + 1, traj.n))
+                try:
+                    x[0] = traj.x[0]
+                    for start in range(0, steps, block):
+                        stop = min(start + block, steps)
+                        x[start + 1:stop + 1] = traj.x[start + 1:stop + 1]
+                        stream.publish(stop + 1, stop == steps)
+                except BaseException:
+                    stream.close()
+                    raise
+        else:
+            scenario = _scenario(name)
+            stream = cli._stream(scenario, path)
+            traj = _run(scenario, sink=stream)
+        write_timeseries(traj, path, stream)
+        assert path.read_bytes() == _per_value_csv(name)
+        rows = _scenario(name).n_steps + 1
+        assert len(forks) == min(cpus, -(-rows // cli._rows_per_call(
+            traj.n))) - 1
+        assert_no_children()
+
+    def test_parked_chunks_are_copied_in_row_order(self, tmp_path,
+                                                   monkeypatch):
+        # the child holds its first chunk, rows 0..527, until this process
+        # has formatted the three others, which it can only park; the child
+        # then writes its chunk and copies the parked ones after it
+        forks = count_forks(monkeypatch, 2)
+        parent = os.getpid()
+        claimed, released = os.pipe(), os.pipe()
+
+        def format_rows(traj, chunks):
+            texts = _FORMAT_ROWS(traj, chunks)
+            if os.getpid() == parent:
+                os.read(claimed[0], 1)
+                yield from texts
+                os.write(released[1], b"x")
+            else:
+                held = next(texts)
+                os.write(claimed[1], b"x")
+                os.read(released[0], 1)
+                yield held
+                yield from texts
+        monkeypatch.setattr(cli, "_format_rows", format_rows)
+        path = tmp_path / "ts.csv"
+        try:
+            write_timeseries(_trajectory("case2_partial_block"), path)
+        finally:
+            for fd in claimed + released:
+                os.close(fd)
+        assert len(forks) == 1
+        assert_no_children()
+        assert path.read_bytes() == _per_value_csv("case2_partial_block")
+
     def test_child_failure_names_file(self, tmp_path, monkeypatch, capsys):
+        # a child that fails before it claims a chunk: this process formats
+        # every row, but the file is not trusted
         count_forks(monkeypatch, 3)
-        fail_rows(monkeypatch, lambda start: start > 0)
+        fail_rows(monkeypatch, "child")
         path = tmp_path / "ts.csv"
         with pytest.raises(OSError, match="ts.csv"):
             write_timeseries(_trajectory("case2_partial_block"), path)
         assert_no_children()
+        # a child that fails on the chunk it claimed: its rows are missing
+        forks = count_forks(monkeypatch, 3)
+        fail_rows(monkeypatch, "claimed", forks)
         out = tmp_path / "run"
         # 1,001 rows are two kernel calls of 528 rows, so one child formats
         assert main(["case2", "--set", "t_end=0.1", "--out", str(out)]) == 1
+        assert len(forks) == 1
         assert_no_children()
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "timeseries.csv" in err
+        assert err.startswith("error: ") and "timeseries.csv: rows " in err
+        assert list(out.iterdir()) == []
+
+    def test_failed_series_leaves_no_file(self, tmp_path, monkeypatch,
+                                          capsys):
+        # neither a partial timeseries.csv nor a report.json, nor any
+        # temporary file; a diverged run still writes both
+        count_forks(monkeypatch, 3)
+        fail_rows(monkeypatch, "child")
+        out = tmp_path / "run"
+        assert main(["case2", "--set", "t_end=0.1", "--out", str(out)]) == 1
+        assert_no_children()
+        assert "error: " in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_parent_failure_reaps_children(self, tmp_path, monkeypatch):
         forks = count_forks(monkeypatch, 3)
-        fail_rows(monkeypatch, lambda start: start == 0)
-        with pytest.raises(RuntimeError, match="rows from 0"):
+        fail_rows(monkeypatch, "parent")
+        with pytest.raises(RuntimeError, match="no rows in the parent"):
             write_timeseries(_trajectory("case2_partial_block"),
                              tmp_path / "ts.csv")
         assert len(forks) == 2
         assert_no_children()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="no CPU affinity on this platform")
-    @pytest.mark.parametrize("fails", ["none", "child", "range_0"])
+    @pytest.mark.parametrize("fails", ["none", "child", "parent"])
     def test_affinity_pinned_and_restored(self, tmp_path, monkeypatch,
                                           fails):
         mask = os.sched_getaffinity(0)
@@ -435,8 +582,7 @@ class TestWriteTimeseries:
             real_setaffinity(pid, cpu_set)
         monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
         if fails != "none":
-            fail_rows(monkeypatch, lambda start: (start == 0)
-                      == (fails == "range_0"))
+            fail_rows(monkeypatch, fails)
         path = tmp_path / "ts.csv"
         traj = _trajectory("case2_partial_block")
         if fails == "none":
@@ -447,11 +593,74 @@ class TestWriteTimeseries:
                 write_timeseries(traj, path)
         assert os.sched_getaffinity(0) == mask
         assert_no_children()
-        # children 1 and 2, then this process for range 0, then its mask
+        # children 1 and 2, then this process, then its mask
         assert len(forks) == 2
         assert pins == [(False, {cpus[1 % len(cpus)]}),
                         (False, {cpus[2 % len(cpus)]}),
                         (True, {cpus[0]}), (True, mask)]
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_interrupted_run_leaves_no_process(self, tmp_path, monkeypatch,
+                                               error):
+        # the step loop raises after 700 of 1,000 steps, when the child
+        # has formatted rows 0..527 and waits for the rest
+        forks = count_forks(monkeypatch, 3)
+        mask = _affinity()
+        real = engine.rk4_increment
+        steps = []
+
+        def rk4_increment(*args):
+            steps.append(1)
+            if len(steps) > 700:
+                raise error("interrupted")
+            return real(*args)
+        monkeypatch.setattr(engine, "rk4_increment", rk4_increment)
+        out = tmp_path / "run"
+        with pytest.raises(error, match="interrupted"):
+            main(["case2", "--set", "t_end=0.1", "--out", str(out)])
+        assert len(forks) == 1
+        assert_no_children()
+        assert _affinity() == mask
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="nothing is forked")
+    def test_killed_run_leaves_no_process(self, tmp_path):
+        # dvocsim sees two usable CPUs, forks one child before the run and
+        # says so; killed mid-run, its child must exit on the end of file of
+        # its progress pipe.  Every process of the group holds the write end
+        # of a pipe, whose read end is at end of file once all have exited
+        # (reaped or not)
+        code = ("import sys\n"
+                "from dvocsim import cli\n"
+                "cli._usable_cpus = lambda: 2\n"
+                "real = cli.simulate\n"
+                "def simulate(scenario, sink=None):\n"
+                "    print(len(sink.pids), flush=True)\n"
+                "    return real(scenario, sink=sink)\n"
+                "cli.simulate = simulate\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = Path(dvocsim.__file__).resolve().parents[1]
+        held, holders = os.pipe()
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "case2", "--n", "4", "--set",
+             "t_end=30", "--out", str(tmp_path / "run")],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            pass_fds=(holders,), start_new_session=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        os.close(holders)
+        try:
+            assert proc.stdout.readline() == b"1\n"
+            time.sleep(0.2)
+            proc.kill()
+            assert proc.wait(timeout=10) == -signal.SIGKILL
+            assert select.select([held], [], [], 10)[0] == [held]
+            assert os.read(held, 1) == b""
+        finally:
+            os.close(held)
+            proc.stdout.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
     def test_phase_columns_match_inv_clarke(self, tmp_path):
         sc = build_case("I", 2, seed=4, t_end=3e-4, dt=1e-4)
@@ -1049,10 +1258,11 @@ class TestCommands:
         assert not out.exists()
 
     def test_import_starts_no_process_pool(self):
-        # a process pool's import costs a measurable share of start-up
+        # a process pool's import costs a measurable share of start-up, and
+        # only a written series needs the streamed writer's modules
         src = Path(dvocsim.__file__).resolve().parents[1]
         code = ("import sys, dvocsim, dvocsim.cli; print(sorted(m for m in "
-                "('multiprocessing', 'concurrent.futures') "
+                "('multiprocessing', 'concurrent.futures', 'mmap', 'fcntl') "
                 "if m in sys.modules))")
         got = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True, timeout=60,
