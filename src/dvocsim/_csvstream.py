@@ -42,8 +42,9 @@ class Stream:
     Each child learns how many rows are final from its own progress pipe,
     whose end of file says the run has ended, or was given up, and exits
     when no chunk is left; this process formats chunks too once the run has
-    ended (``finish``).  The temporary files are unlinked, in the output's
-    directory, and vanish with their holders.
+    ended (``finish``).  The series is written under a ``cli._partial`` name
+    and renamed to its path once complete.  The other temporary files are
+    unlinked, in the output's directory, and vanish with their holders.
     """
 
     def __init__(self, traj: Trajectory, path: str | Path, children: int):
@@ -57,6 +58,7 @@ class Stream:
         self.progress: list[int] = []   # the write ends, one per child
         self.temps: list[IO[bytes]] = []
         self.board: Optional[IO[bytes]] = None
+        self.temp = cli._partial(self.path)     # the series until complete
         self.out: Optional[int] = None
         self.mask: set[int] = set()
         try:
@@ -67,7 +69,7 @@ class Stream:
 
     def _start(self, children: int) -> None:
         header = cli._header(self.traj.n)
-        self.out = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+        self.out = os.open(self.temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
                            0o666)
         self._write(self.out, header, 0)
         temp = functools.partial(tempfile.TemporaryFile, dir=self.path.parent)
@@ -256,6 +258,7 @@ class Stream:
         if self.failed:
             raise OSError(f"{self.path}: a formatting process failed (exit "
                           f"status {self.failed[0]})")
+        os.replace(self.temp, self.path)
         self.complete = True
 
     def _reap(self) -> None:
@@ -268,8 +271,9 @@ class Stream:
     def close(self) -> None:
         """Stop and reap the children, restore this process's affinity
         mask and close the files; the series' file is removed unless
-        ``finish`` completed it.  A child exits once no chunk is left for
-        it: at once when the run was given up.  Safe to call again."""
+        ``finish`` completed it and renamed it to its path.  A child exits
+        once no chunk is left for it: at once when the run was given up.
+        Safe to call again."""
         if not self.complete and self.board is not None:
             with self._locked() as board:   # no chunk is left
                 os.pwrite(board, (0).to_bytes(8, "little"), 8)
@@ -287,4 +291,4 @@ class Stream:
             os.close(self.out)
             self.out = None
             if not self.complete:
-                self.path.unlink()
+                self.temp.unlink()

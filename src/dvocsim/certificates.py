@@ -25,12 +25,14 @@ from .oscillator import InverterParams, sym_lambda_max
 
 ENVELOPE_FLOOR = 1e-12      # pu; round-off floor of envelope_check
 ENVELOPE_SLACK = 0.05       # relative widening of envelope_check's envelope
-# States sampled_lambda_check draws and evaluates at once: its temporaries
-# peak at ~96 bytes a state, so ~0.8 MB whatever the sample count
+# States sampled_lambda_check draws and evaluates at once: its buffers and
+# sym_lambda_max's scratch peak at ~80 bytes a state (658,488 bytes under
+# tracemalloc), so ~0.66 MB whatever the sample count
 _SAMPLE_BLOCK = 8192
 # The most samples sampled_lambda_check takes: what 1 GiB admitted when one
 # array held every state (~96 bytes each); in blocks it bounds the run time
-# (~1.2 s on a 2-vCPU host) rather than memory
+# (~1.1 s for a whole dvocsim certify process on a 2-vCPU host) rather than
+# memory
 _MAX_SAMPLES = 11_184_809
 
 
@@ -74,8 +76,12 @@ def sampled_lambda_check(params: InverterParams, radius: float,
     The blocks hold the states that one draw of all of them gives: the
     angles come from ``PCG64(seed)`` and the radii from a second
     ``PCG64(seed)`` advanced past the ``n_samples`` angles, as two
-    successive draws of ``default_rng(seed)`` would.  The radius must keep
-    ``sym_lambda_max``'s largest intermediate, ~4*xi*radius^2, finite.
+    successive draws of ``default_rng(seed)`` would.  One block and its
+    draws are allocated per call and refilled in place: u from
+    ``Generator.random`` scaled to 2*pi*u and radius*sqrt(u), the bits of
+    ``uniform(0, 2*pi)`` and ``uniform(0, 1)``, and cos and sin written into
+    the block's parts.  The radius must keep ``sym_lambda_max``'s largest
+    intermediate, ~4*xi*radius^2, finite.
     """
     if not (radius > 0 and math.isfinite(4.0 * params.xi * radius * radius)):
         raise ValueError(f"radius must be finite and > 0, with 4*xi*radius^2 "
@@ -87,15 +93,27 @@ def sampled_lambda_check(params: InverterParams, radius: float,
         raise ValueError(f"seed must be >= 0, got {seed}")
     angles = np.random.Generator(np.random.PCG64(seed))
     radii = np.random.Generator(np.random.PCG64(seed).advance(n_samples))
+    # one block, and its draws, for every block: the first holds the origin
+    # and the last may be short
+    size = min(_SAMPLE_BLOCK, n_samples + 1)
+    block = np.zeros(size, dtype=complex)
+    draws = np.empty((2, size))
     peak = -np.inf
     for start in range(0, n_samples + 1, _SAMPLE_BLOCK):
-        states = np.zeros(min(_SAMPLE_BLOCK, n_samples + 1 - start),
-                          dtype=complex)
+        states = block[:min(size, n_samples + 1 - start)]
         drawn = states[1:] if start == 0 else states    # the origin first
-        theta = angles.uniform(0.0, 2.0 * np.pi, drawn.size)
-        r = radius * np.sqrt(radii.uniform(0.0, 1.0, drawn.size))
-        drawn.real = r * np.cos(theta)
-        drawn.imag = r * np.sin(theta)
+        theta, r = draws[:, :drawn.size]
+        # uniform(0, 2*pi) is 0.0 + 2*pi*u and uniform(0, 1) is u, for the
+        # u that random() draws: the same bits
+        angles.random(out=theta)
+        np.multiply(theta, 2.0 * np.pi, out=theta)
+        radii.random(out=r)
+        np.sqrt(r, out=r)
+        np.multiply(r, radius, out=r)
+        np.cos(theta, out=drawn.real)
+        np.multiply(drawn.real, r, out=drawn.real)
+        np.sin(theta, out=drawn.imag)
+        np.multiply(drawn.imag, r, out=drawn.imag)
         peak = np.maximum(peak, sym_lambda_max(states, params).max())
     return float(peak)
 

@@ -385,6 +385,13 @@ def _header(n: int) -> bytes:
     return (",".join(header) + "\n").encode()
 
 
+def _partial(path: Path) -> Path:
+    """A new name beside ``path`` under which its contents are written, to
+    be renamed to ``path`` once complete: a run killed before that leaves
+    no ``path`` of its own, and an earlier file there as it was."""
+    return path.with_name(f".{path.name}.{os.urandom(8).hex()}.part")
+
+
 def _stream(scenario: Scenario, path: Path):
     """The processes that format the series of a run of ``scenario`` about
     to start (a ``_csvstream.Stream``), forked before it with its states
@@ -418,9 +425,12 @@ def write_timeseries(traj: Trajectory, path: str | Path,
     before the rows ahead of it waits in a temporary file in the output
     directory.
 
-    Raises OSError naming ``path`` when a child fails; a file that was not
-    written in full is removed.  Every child has been reaped, and this
-    process's affinity mask restored, when this returns or raises.
+    The file is written under a ``_partial`` name and renamed to ``path``
+    once complete, replacing any file there; until then a file at ``path``
+    is left as it was.  Raises OSError naming ``path`` when a child fails;
+    a file that was not written in full is removed.  Every child has been
+    reaped, and this process's affinity mask restored, when this returns or
+    raises.
     """
     rows, n = len(traj.t), traj.n
     if stream is None and (children := _formatters(rows, n)):
@@ -433,15 +443,17 @@ def write_timeseries(traj: Trajectory, path: str | Path,
             stream.close()
         return
     step = _rows_per_call(n)
-    fh = open(path, "wb")
+    temp = _partial(Path(path))
+    fh = open(temp, "xb")
     try:
         with fh:
             fh.write(_header(n))
             chunks = ((a, min(a + step, rows)) for a in range(0, rows, step))
             for _, _, text in _format_rows(traj, chunks):
                 fh.write(text)
+        os.replace(temp, path)
     except BaseException:
-        Path(path).unlink()
+        temp.unlink()
         raise
 
 
@@ -544,7 +556,8 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     diverged: Optional[SimulationDiverged] = None
     # the series is formatted while the run goes on, and report.json is
-    # written after it, so that a run whose series fails leaves neither
+    # written after it, so that a run whose series fails writes neither
+    # (an earlier run's files stay as they were)
     stream = _stream(scenario, out / "timeseries.csv")
     try:
         try:

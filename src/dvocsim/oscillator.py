@@ -83,24 +83,49 @@ def chi(x: complex | np.ndarray, params: InverterParams) -> float | np.ndarray:
     return params.xi * (params.x_nom_sq2 - (x.real ** 2 + x.imag ** 2))
 
 
+def _jacobian_entries(x: np.ndarray, params: InverterParams, p: np.ndarray,
+                      j01: np.ndarray, j10: np.ndarray, r: np.ndarray) -> None:
+    """Write the entries [[p, j01], [j10, r]] of ``jacobian_h`` at the
+    complex states ``x`` into four float arrays of x's shape.
+
+    With a, b the parts of x, c = xi*(2*Xnom^2 - (a^2 + b^2)) - kappa*beta
+    and s = 2*xi*a: p = c - s*a, j01 = -omega0 - s*b, j10 = omega0 - s*b and
+    r = c - (2*xi*b)*b, each rounded in that order.  The parts are copied
+    into contiguous arrays once; everything else is computed in the four
+    outputs, so nothing else the size of x is allocated.
+    """
+    a = np.array(x.real)        # x's parts are 16 bytes apart
+    b = np.array(x.imag)
+    xi2 = 2.0 * params.xi
+    np.multiply(a, a, out=p)
+    np.multiply(b, b, out=r)
+    np.add(p, r, out=p)
+    np.subtract(params.x_nom_sq2, p, out=p)
+    np.multiply(p, params.xi, out=p)
+    np.subtract(p, params.kappa_beta, out=p)            # c
+    np.multiply(a, xi2, out=j10)                        # s
+    np.multiply(j10, b, out=j01)                        # s*b
+    np.multiply(j10, a, out=j10)                        # s*a
+    np.multiply(b, xi2, out=r)
+    np.multiply(r, b, out=r)
+    np.subtract(p, r, out=r)
+    np.subtract(p, j10, out=p)
+    np.subtract(params.omega0, j01, out=j10)
+    np.subtract(-params.omega0, j01, out=j01)
+
+
 def jacobian_h(x: complex | np.ndarray, params: InverterParams) -> np.ndarray:
     """Analytic Jacobian of the local map h(x) = (chi*I + omega0*J - kappa*beta*I)x.
 
     Equals (chi - kappa*beta)*I + omega0*J - 2*xi*x*x^T; the rotation omega0*J
     is its exact skew part for every x.  ``x`` is a complex state, scalar or
-    array; the result has shape ``x.shape + (2, 2)``.
+    array; the result has shape ``x.shape + (2, 2)``, its entries written by
+    ``_jacobian_entries``, which ``sym_lambda_max`` shares.
     """
     x = np.asarray(x, dtype=complex)
-    a = x.real
-    b = x.imag
-    c = chi(x, params) - params.kappa_beta
-    w = params.omega0
-    xi2 = 2.0 * params.xi
     j = np.empty(x.shape + (2, 2))
-    j[..., 0, 0] = c - xi2 * a * a
-    j[..., 0, 1] = -w - xi2 * a * b
-    j[..., 1, 0] = w - xi2 * a * b
-    j[..., 1, 1] = c - xi2 * b * b
+    _jacobian_entries(x, params, j[..., 0, 0], j[..., 0, 1], j[..., 1, 0],
+                      j[..., 1, 1])
     return j
 
 
@@ -109,15 +134,23 @@ def sym_lambda_max(x: complex | np.ndarray,
     """Largest eigenvalue of the symmetric Jacobian part (chi-kappa*beta)I - 2xi*x*x^T.
 
     Closed form for the symmetric 2x2 matrix [[p, q], [q, r]]:
-    (p+r)/2 + sqrt(((p-r)/2)^2 + q^2), taken from ``jacobian_h``'s entries.
+    (p+r)/2 + sqrt(((p-r)/2)^2 + q^2), with q = (j01 + j10)/2, taken from
+    ``jacobian_h``'s entries (``_jacobian_entries``) and computed in place in
+    four float arrays of x's shape, in the order of that expression.
     Bounded above by xi*2*Xnom^2 - kappa*beta for all x.  ``x`` is a complex
     state, scalar or array; an array gives an array of its shape, a scalar a
     float.
     """
-    j = jacobian_h(x, params)
-    p = j[..., 0, 0]
-    r = j[..., 1, 1]
-    q = 0.5 * (j[..., 0, 1] + j[..., 1, 0])
-    half_diff = 0.5 * (p - r)
-    lam = 0.5 * (p + r) + np.hypot(half_diff, q)
-    return lam if lam.ndim else float(lam)
+    x = np.asarray(x, dtype=complex)
+    p, q, half_diff, r = (np.empty(x.shape) for _ in range(4))
+    # q and half_diff hold j01 and j10 until they are summed
+    _jacobian_entries(x, params, p, q, half_diff, r)
+    np.add(q, half_diff, out=q)
+    np.multiply(q, 0.5, out=q)
+    np.subtract(p, r, out=half_diff)
+    np.multiply(half_diff, 0.5, out=half_diff)
+    np.hypot(half_diff, q, out=half_diff)
+    np.add(p, r, out=p)
+    np.multiply(p, 0.5, out=p)
+    np.add(p, half_diff, out=p)
+    return p if p.ndim else float(p)

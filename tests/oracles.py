@@ -4,9 +4,11 @@ Everything here deliberately avoids the library's own code paths: the network
 oracle is a dense linear solve instead of the closed-form admittance average,
 the amplitude oracle is the closed-form logistic solution of the radial ODE,
 the local increment is the allocating form of the engine's in-place field,
-the sampled states are one draw of all of them at once, the two-inverter
-field oracle and the star-network integrator are written in flat real
-arithmetic, and the least-squares slope is exact rational arithmetic.
+the Jacobian entries and the top eigenvalue of its symmetric part are the
+allocating forms of the in-place ones, the sampled states are one draw of all
+of them at once, the two-inverter field oracle and the star-network
+integrator are written in flat real arithmetic, and the least-squares slope
+is exact rational arithmetic.
 """
 
 import math
@@ -66,6 +68,30 @@ def local_increment(x, params, h):
     c0 = h * (params.xi * params.x_nom_sq2 - params.kappa_beta)
     amp = (-h * params.xi) * (x.real ** 2 + x.imag ** 2)
     return (amp + complex(c0, h * params.omega0)) * x
+
+
+def jacobian_entries(x, params):
+    """Entries (p, j01, j10, r) of the local map's Jacobian
+    (chi - kappa*beta)*I + omega0*J - 2*xi*x*x^T at the complex states
+    ``x``, allocating, each written out as one expression."""
+    x = np.asarray(x, dtype=complex)
+    a = x.real
+    b = x.imag
+    c = params.xi * (params.x_nom_sq2 - (a ** 2 + b ** 2)) - params.kappa_beta
+    w = params.omega0
+    xi2 = 2.0 * params.xi
+    return (c - xi2 * a * a, -w - xi2 * a * b, w - xi2 * a * b,
+            c - xi2 * b * b)
+
+
+def sym_lambda_max(x, params):
+    """Largest eigenvalue of the Jacobian's symmetric part at the complex
+    states ``x``, allocating: (p + r)/2 + hypot((p - r)/2, q) with
+    q = (j01 + j10)/2, from ``jacobian_entries``."""
+    p, j01, j10, r = jacobian_entries(x, params)
+    q = 0.5 * (j01 + j10)
+    half_diff = 0.5 * (p - r)
+    return 0.5 * (p + r) + np.hypot(half_diff, q)
 
 
 def sampled_states(radius, n, seed):

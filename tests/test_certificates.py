@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import sampled_states
 from dvocsim import certificates
 from dvocsim.certificates import (NotContractingError, certificate_margin,
@@ -125,6 +126,34 @@ class TestSampledLambda:
         assert all(len(x) <= B for x in calls)
         assert np.concatenate(calls).tobytes() == states.tobytes()
         assert out == original(states, P).max()
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.0])
+    @pytest.mark.parametrize("radius", [0.5, 2.0, 2e153])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 5])
+    def test_every_sample_matches_oracle(self, monkeypatch, n, seed, radius,
+                                         kappa):
+        # each block's values have the bits of the allocating expressions at
+        # the states of one draw; 2e153 is the largest radius of
+        # test_largest_radius_before_overflow
+        params = InverterParams(kappa=kappa)
+        blocks, values = [], []
+        original = certificates.sym_lambda_max
+
+        def capturing(x, params):
+            lam = original(x, params)
+            blocks.append(x.copy())
+            values.append(lam.copy())
+            return lam
+        monkeypatch.setattr(certificates, "sym_lambda_max", capturing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sampled_lambda_check(params, radius, n, seed)
+        states = sampled_states(radius, n, seed)
+        want = oracles.sym_lambda_max(states, params)
+        assert np.concatenate(blocks).tobytes() == states.tobytes()
+        assert np.concatenate(values).tobytes() == want.tobytes()
+        assert np.float64(out).tobytes() == want.max().tobytes()
 
     @pytest.mark.parametrize("offset", [1, 10**12])
     def test_sample_budget(self, offset):

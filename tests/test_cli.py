@@ -556,6 +556,23 @@ class TestWriteTimeseries:
         assert "error: " in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_failed_series_keeps_earlier_run(self, tmp_path, monkeypatch,
+                                             cpus):
+        # a run whose series fails leaves an earlier run's timeseries.csv and
+        # report.json as they were, and no file of its own
+        out = tmp_path / "run"
+        assert main(["case2", "--set", "t_end=0.1", "--out", str(out)]) == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(earlier) == ["report.json", "timeseries.csv"]
+        count_forks(monkeypatch, cpus)
+        fail_rows(monkeypatch, "parent")
+        with pytest.raises(RuntimeError, match="no rows in the parent"):
+            main(["case2", "--set", "t_end=0.1", "--seed", "1", "--out",
+                  str(out)])
+        assert_no_children()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
     def test_parent_failure_reaps_children(self, tmp_path, monkeypatch):
         forks = count_forks(monkeypatch, 3)
         fail_rows(monkeypatch, "parent")
@@ -629,7 +646,8 @@ class TestWriteTimeseries:
         # says so; killed mid-run, its child must exit on the end of file of
         # its progress pipe.  Every process of the group holds the write end
         # of a pipe, whose read end is at end of file once all have exited
-        # (reaped or not)
+        # (reaped or not).  The rows formatted so far are under a partial
+        # name: no timeseries.csv is left
         code = ("import sys\n"
                 "from dvocsim import cli\n"
                 "cli._usable_cpus = lambda: 2\n"
@@ -655,6 +673,8 @@ class TestWriteTimeseries:
             assert proc.wait(timeout=10) == -signal.SIGKILL
             assert select.select([held], [], [], 10)[0] == [held]
             assert os.read(held, 1) == b""
+            left = [p.name for p in (tmp_path / "run").iterdir()]
+            assert len(left) == 1 and left[0].startswith(".timeseries.csv.")
         finally:
             os.close(held)
             proc.stdout.close()

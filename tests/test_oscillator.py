@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from oracles import central_difference_jacobian, local_increment, local_map
 from dvocsim.engine import _bind_field
 from dvocsim.network import BranchParams
@@ -16,6 +17,17 @@ BETA = P.beta
 W0 = P.omega0
 
 states = st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(lambda t: complex(*t))
+
+
+def oracle_inputs(shape, radius):
+    """Complex states of ``shape`` in the disk of ``radius``, the origin and
+    the cycle's (1, 0) first; a scalar shape gives a complex."""
+    rng = np.random.default_rng(len(shape))
+    size = math.prod(shape)
+    x = radius * np.sqrt(rng.uniform(0, 1, size + 2)) * np.exp(
+        1j * rng.uniform(0, 2 * math.pi, size + 2))
+    x[:2] = 0j, 1 + 0j
+    return complex(x[2]) if shape == () else x[:size].reshape(shape)
 
 
 def closed_loop(x, v_o, params):
@@ -211,6 +223,33 @@ class TestJacobian:
         assert skew[0, 1] == -W0
         assert skew[1, 0] == W0
         assert skew[0, 0] == 0.0 and skew[1, 1] == 0.0
+
+
+class TestAgainstOracle:
+    # every entry and eigenvalue has the bits of the allocating expressions;
+    # 2e153 is near the largest state at which they stay finite at xi = 10
+    @pytest.mark.parametrize("params", [P, P_OPEN], ids=["kappa1", "kappa0"])
+    @pytest.mark.parametrize("radius", [0.5, 2.0, 2e153])
+    @pytest.mark.parametrize("shape", [(), (1,), (2,), (257,), (20, 15)])
+    def test_bits(self, shape, radius, params):
+        x = oracle_inputs(shape, radius)
+        want = oracles.sym_lambda_max(x, params)
+        got = sym_lambda_max(x, params)
+        assert np.shape(got) == shape
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        j = jacobian_h(x, params)
+        entries = np.moveaxis(j.reshape(np.shape(x) + (4,)), -1, 0)
+        assert entries.tobytes() == np.array(
+            oracles.jacobian_entries(x, params)).tobytes()
+
+    @pytest.mark.parametrize("view", ["strided", "transposed", "0-d"])
+    def test_bits_of_views(self, view):
+        x = oracle_inputs((20, 15), 2.0)
+        x = {"strided": x[::3, 1::2], "transposed": x.T,
+             "0-d": np.asarray(x[3, 4])}[view]
+        want = oracles.sym_lambda_max(x, P)
+        got = sym_lambda_max(x, P)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestSymLambdaMax:
