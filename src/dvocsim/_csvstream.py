@@ -29,33 +29,36 @@ class Stream:
 
     The rows are formatted in chunks of one kernel call: chunk [a, b) once
     row b is final, for that is the padding row ``bus_and_currents`` reads,
-    or the run has ended at b.  A process claims the next chunk, and places
-    each chunk it formats, under a POSIX lock on ``board``: a temporary file
-    that holds the first row no process has claimed, the run's final length
-    (-1 while it runs), the first row not yet placed in the file and its
-    byte offset, and then, for each chunk, where it is parked.  A chunk
-    formatted when the rows before it are placed is written into the file
-    at once, after them; any other is parked in its process's temporary
-    file, and the process that places the rows before it copies it.  So the
-    bytes do not depend on the number of processes.
+    or the run has ended at b.  The processes share ``board``, a temporary
+    file that holds the first row no process has claimed, the run's final
+    length (-1 while it runs), the number of rows final so far, the first
+    row not yet placed in the file and its byte offset, and then, for each
+    chunk, where it is parked.  A process reads and writes it under a POSIX
+    lock on its byte 0.  A chunk formatted when the rows before it are
+    placed is written into the file at once, after them; any other is
+    parked in its process's temporary file, and the process that places the
+    rows before it copies it.  So the bytes do not depend on the number of
+    processes.
 
-    Each child learns how many rows are final from its own progress pipe,
-    whose end of file says the run has ended, or was given up, and exits
-    when no chunk is left; this process formats chunks too once the run has
-    ended (``finish``).  The series is written under a ``cli._partial`` name
-    and renamed to its path once complete.  The other temporary files are
-    unlinked, in the output's directory, and vanish with their holders.
+    Before it forks the children, this process locks byte 1 + r of the
+    board for every row r (a record lock is not inherited), and ``publish``
+    unlocks the bytes of the rows it counts final after it has written the
+    count.  A child that needs row r waits for a shared lock on its byte,
+    and exits when no chunk is left.  The kernel releases the locks of a
+    process that dies, so a child that wakes to an unchanged count while
+    the run has not ended knows the run process is gone, and exits too.
+    This process formats chunks once the run has ended (``finish``).  The
+    series is written under a ``cli._partial`` name and renamed to its path
+    once complete.  The other temporary files are unlinked, in the output's
+    directory, and vanish with their holders.
     """
 
     def __init__(self, traj: Trajectory, path: str | Path, children: int):
-        self.traj, self.path = traj, Path(path)
-        self.x = traj.x             # for simulate to record the run into
+        self.traj, self.path = traj, Path(path)  # simulate records into traj
         self.step = cli._rows_per_call(traj.n)
-        self.rows = 0               # rows this process knows to be final
-        self.ended = self.complete = False
+        self.complete = False
         self.pids: list[int] = []
         self.failed: list[int] = []     # the children's nonzero exit codes
-        self.progress: list[int] = []   # the write ends, one per child
         self.temps: list[IO[bytes]] = []
         self.board: Optional[IO[bytes]] = None
         self.temp = cli._partial(self.path)     # the series until complete
@@ -75,38 +78,28 @@ class Stream:
         temp = functools.partial(tempfile.TemporaryFile, dir=self.path.parent)
         self.board = temp()
         chunks = -(-len(self.traj.t) // self.step)
-        os.ftruncate(self.board.fileno(), _WORDS.size * (chunks + 2))
-        self._write(self.board.fileno(), _WORDS.pack(0, -1, 0, len(header)),
-                    0)
+        os.ftruncate(self.board.fileno(), _WORDS.size * (chunks + 3))
+        self._write(self.board.fileno(),
+                    struct.pack("<5q", 0, -1, 0, 0, len(header)), 0)
+        fcntl.lockf(self.board, fcntl.LOCK_EX, 0, 1)    # every row's byte
         self.temps = [temp() for _ in range(children + 1)]
-        heads = []                  # the progress pipes' read ends
-        try:
-            for _ in range(children):
-                head, tail = os.pipe()
-                heads.append(head)
-                self.progress.append(tail)
-            # each process on a CPU of its own, round robin over this
-            # process's mask: left to the scheduler, two forked processes
-            # may share one CPU for their first ~0.3-1 s
-            if hasattr(os, "sched_setaffinity"):
-                self.mask = os.sched_getaffinity(0)
-            cpus = sorted(self.mask)
-            for k in range(1, children + 1):
-                pid = os.fork()
-                if pid == 0:
-                    self._child(k, heads[k - 1])
-                self.pids.append(pid)
-                if cpus:
-                    os.sched_setaffinity(pid, {cpus[k % len(cpus)]})
+        # each process on a CPU of its own, round robin over this process's
+        # mask: left to the scheduler, two forked processes may share one
+        # CPU for their first ~0.3-1 s
+        if hasattr(os, "sched_setaffinity"):
+            self.mask = os.sched_getaffinity(0)
+        cpus = sorted(self.mask)
+        for k in range(1, children + 1):
+            pid = os.fork()
+            if pid == 0:
+                self._child(k)
+            self.pids.append(pid)
             if cpus:
-                os.sched_setaffinity(0, {cpus[0]})
-        finally:
-            for fd in heads:
-                os.close(fd)
-        for fd in self.progress:
-            os.set_blocking(fd, False)
+                os.sched_setaffinity(pid, {cpus[k % len(cpus)]})
+        if cpus:
+            os.sched_setaffinity(0, {cpus[0]})
 
-    def _child(self, k: int, progress: int) -> NoReturn:
+    def _child(self, k: int) -> NoReturn:
         """Format chunks in this forked child until none is left, and end
         the process.
 
@@ -116,11 +109,7 @@ class Stream:
         """
         status = 1
         try:
-            # the end of file of a progress pipe must reach its child when
-            # the parent closes it, so only the parent holds the write ends
-            for fd in self.progress:
-                os.close(fd)
-            self._format(self.traj, k, progress)
+            self._format(k)
             status = 0
         except Exception as err:
             os.write(2, f"error: {self.path}: {err!r}\n".encode())
@@ -129,25 +118,26 @@ class Stream:
 
     @contextlib.contextmanager
     def _locked(self) -> Iterator[int]:
-        fcntl.lockf(self.board, fcntl.LOCK_EX)
+        # byte 0 alone: a lock of the whole file would take in the rows'
+        # bytes, and its unlock release them
+        fcntl.lockf(self.board, fcntl.LOCK_EX, 1, 0)
         try:
             yield self.board.fileno()
         finally:
-            fcntl.lockf(self.board, fcntl.LOCK_UN)
+            fcntl.lockf(self.board, fcntl.LOCK_UN, 1, 0)
 
-    def _claims(self, progress: Optional[int] = None
-                ) -> Iterator[tuple[int, int]]:
-        """Each chunk this process claims, waiting on ``progress`` (a
-        child's progress pipe) until it is final; this process claims only
-        after the run has ended, and never waits."""
-        live = True
+    def _claims(self) -> Iterator[tuple[int, int]]:
+        """Each chunk this process claims, a child waiting until it is
+        final; this process claims only after the run has ended, and never
+        waits."""
+        waited = -1                 # the count when this process last waited
         while True:
             with self._locked() as board:
-                first, end = struct.unpack("<2q", os.pread(board, 16, 0))
+                first, end, rows = struct.unpack("<3q", os.pread(board, 24, 0))
                 stop = first + self.step
                 if end >= 0:
                     stop = min(stop, end)
-                ready = first < stop and (end >= 0 or stop < self.rows)
+                ready = first < stop and (end >= 0 or stop < rows)
                 if ready:
                     os.pwrite(board, stop.to_bytes(8, "little"), 0)
             if ready:
@@ -157,21 +147,18 @@ class Stream:
                     self.traj.t, self.traj.x = (self.traj.t[:end],
                                                 self.traj.x[:end])
                 yield first, stop
-            elif end >= 0 or not live:
+            elif end >= 0 or rows == waited:    # none left, or no run
                 return
-            else:
-                data = os.read(progress, 4096)   # whole 8-byte counts
-                if data:
-                    self.rows = int.from_bytes(data[-8:], "little")
-                live = bool(data)
+            else:                   # until row stop is final
+                waited = rows
+                fcntl.lockf(self.board, fcntl.LOCK_SH, 1, 1 + stop)
+                fcntl.lockf(self.board, fcntl.LOCK_UN, 1, 1 + stop)
 
-    def _format(self, traj: Trajectory, k: int,
-                progress: Optional[int] = None) -> None:
+    def _format(self, k: int) -> None:
         """Format the chunks that process ``k`` (0 is this one) claims, and
         place or park each."""
         temp, parked = self.temps[k].fileno(), 0
-        chunks = self._claims(progress)
-        for first, stop, text in cli._format_rows(traj, chunks):
+        for first, stop, text in cli._format_rows(self.traj, self._claims()):
             at = self._place(first, stop, len(text))
             if at < 0:
                 self._write(temp, text, parked)
@@ -189,9 +176,9 @@ class Stream:
         placed then; else -1, with the chunk recorded as parked at
         ``parked`` (process, offset in its file) if that is given."""
         with self._locked() as board:
-            row, offset = struct.unpack("<2q", os.pread(board, 16, 16))
+            row, offset = struct.unpack("<2q", os.pread(board, 16, 24))
             if row == first:
-                os.pwrite(board, struct.pack("<2q", stop, offset + size), 16)
+                os.pwrite(board, struct.pack("<2q", stop, offset + size), 24)
                 return offset
             if parked is not None:
                 os.pwrite(board, _WORDS.pack(parked[0] + 1, parked[1], size,
@@ -199,19 +186,19 @@ class Stream:
             return -1
 
     def _record(self, row: int) -> int:
-        return _WORDS.size * (1 + row // self.step)
+        return _WORDS.size * (2 + row // self.step)
 
     def _copy_parked(self) -> None:
         """Copy the parked chunks that follow the placed rows into the
         file."""
         while True:
             with self._locked() as board:
-                row, offset = struct.unpack("<2q", os.pread(board, 16, 16))
+                row, offset = struct.unpack("<2q", os.pread(board, 16, 24))
                 owner, at, size, stop = _WORDS.unpack(
                     os.pread(board, _WORDS.size, self._record(row)))
                 if row % self.step or not owner:    # the end, or not parked
                     return
-                os.pwrite(board, struct.pack("<2q", stop, offset + size), 16)
+                os.pwrite(board, struct.pack("<2q", stop, offset + size), 24)
             text = os.pread(self.temps[owner - 1].fileno(), size, at)
             if len(text) != size:
                 raise OSError(f"{self.path}: rows {row}..{stop - 1} were cut "
@@ -226,35 +213,25 @@ class Stream:
     def publish(self, rows: int, ended: bool) -> None:
         """Rows 0..rows-1 of the run are final, and with ``ended`` the run
         ends with them.  Called by ``simulate`` after each checked block."""
-        if ended:
-            with self._locked() as board:
-                os.pwrite(board, rows.to_bytes(8, "little"), 8)
-            self.ended = True
-            for fd in self.progress:
-                os.close(fd)
-            self.progress = []
-        for fd in self.progress:
-            try:
-                os.write(fd, rows.to_bytes(8, "little"))
-            except (BlockingIOError, BrokenPipeError):
-                # a full pipe: the child reads the counts in it before it
-                # waits again, and then the next one; or it has exited
-                pass
+        with self._locked() as board:
+            os.pwrite(board, struct.pack("<2q", rows if ended else -1, rows),
+                      8)
+        fcntl.lockf(self.board, fcntl.LOCK_UN, 0 if ended else rows, 1)
 
-    def finish(self, traj: Trajectory) -> None:
-        """Format in this process the chunks of ``traj``, the ended run,
-        that no child has claimed, and reap the children once every chunk
-        is in the file.  Raises OSError naming the file when rows were not
-        formatted or a child failed."""
-        if not self.ended:
-            self.publish(len(traj.t), True)
-        self.traj = traj
-        self._format(traj, 0)
+    def finish(self) -> None:
+        """End the run with the rows of ``traj`` (again, if ``simulate``
+        has), format in this process the chunks that no child has claimed,
+        and reap the children once every chunk is in the file.  Raises
+        OSError naming the file when rows were not formatted or a child
+        failed."""
+        self.publish(len(self.traj.t), True)
+        self._format(0)
         self._reap()
-        row = int.from_bytes(os.pread(self.board.fileno(), 8, 16), "little")
-        if row < len(traj.t):
-            raise OSError(f"{self.path}: rows {row}..{len(traj.t) - 1} were "
-                          "not formatted")
+        rows = len(self.traj.t)
+        row = int.from_bytes(os.pread(self.board.fileno(), 8, 24), "little")
+        if row < rows:
+            raise OSError(f"{self.path}: rows {row}..{rows - 1} were not "
+                          "formatted")
         if self.failed:
             raise OSError(f"{self.path}: a formatting process failed (exit "
                           f"status {self.failed[0]})")
@@ -277,9 +254,7 @@ class Stream:
         if not self.complete and self.board is not None:
             with self._locked() as board:   # no chunk is left
                 os.pwrite(board, (0).to_bytes(8, "little"), 8)
-        for fd in self.progress:
-            os.close(fd)
-        self.progress = []
+            fcntl.lockf(self.board, fcntl.LOCK_UN, 0, 1)
         self._reap()
         if self.mask:
             os.sched_setaffinity(0, self.mask)

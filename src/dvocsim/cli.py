@@ -394,9 +394,10 @@ def _partial(path: Path) -> Path:
 
 def _stream(scenario: Scenario, path: Path):
     """The processes that format the series of a run of ``scenario`` about
-    to start (a ``_csvstream.Stream``), forked before it with its states
-    recorded into an anonymous shared mmap, so that they format its rows
-    while it runs; None where ``_formatters`` forks none."""
+    to start (a ``_csvstream.Stream``), forked before it with the
+    trajectory it records into (``traj``) over an anonymous shared mmap, so
+    that they format its rows while it runs; None where ``_formatters``
+    forks none."""
     rows, n = scenario.n_steps + 1, scenario.n
     children = _formatters(rows, n)
     if not children:
@@ -416,14 +417,14 @@ def write_timeseries(traj: Trajectory, path: str | Path,
     The rows are formatted in chunks of one kernel call (``_rows_per_call``
     rows) by this process and by ``_formatters`` forked children, which
     claim chunks as they become free: ``stream`` holds the children that
-    followed the run ``traj`` while it was recorded and formatted what they
-    could, or else they are forked here, every row of ``traj`` final (see
-    ``_csvstream``).  The chunks are written in row order after the header, so
-    the bytes do not depend on the number of processes.  Each process
-    formats into buffers it allocates once, so memory is O(columns +
-    _CSV_CHUNK_VALUES) whatever the number of steps; a chunk formatted
-    before the rows ahead of it waits in a temporary file in the output
-    directory.
+    followed the run ``traj`` while it was recorded into ``stream.traj`` and
+    formatted what they could, or else they are forked here, every row of
+    ``traj`` final (see ``_csvstream``).  The chunks are written in row
+    order after the header, so the bytes do not depend on the number of
+    processes.  Each process formats into buffers it allocates once, so
+    memory is O(columns + _CSV_CHUNK_VALUES) whatever the number of steps;
+    a chunk formatted before the rows ahead of it waits in a temporary
+    file in the output directory.
 
     The file is written under a ``_partial`` name and renamed to ``path``
     once complete, replacing any file there; until then a file at ``path``
@@ -438,7 +439,7 @@ def write_timeseries(traj: Trajectory, path: str | Path,
         stream = Stream(traj, path, children)
     if stream is not None:
         try:
-            stream.finish(traj)
+            stream.finish()
         finally:
             stream.close()
         return

@@ -400,12 +400,13 @@ def simulate(scenario: Scenario, x0: Optional[np.ndarray] = None,
     trajectory up to the last finite state is attached to the raised
     :class:`SimulationDiverged`.
 
-    ``sink``, if given, follows the run as it is recorded: the states are
-    recorded into ``sink.x``, an (n_steps + 1, N) complex array, and after
-    each block of ``DIVERGENCE_BLOCK`` steps the loop calls
-    ``sink.publish(rows, ended)``: rows 0..rows-1 are finite and checked, and
-    ``ended`` says the run ends with them, which it does after the last
-    block or, cut at its first diverged state, before the raise.
+    ``sink``, if given, follows the run as it is recorded: the run is
+    recorded into ``sink.traj``, a trajectory of the scenario on this grid,
+    which is returned or raised with, and after each block of
+    ``DIVERGENCE_BLOCK`` steps the loop calls ``sink.publish(rows, ended)``:
+    rows 0..rows-1 are finite and checked, and ``ended`` says the run ends
+    with them, which it does after the last block or, cut at its first
+    diverged state, before the raise.
     """
     n = scenario.n
     steps = scenario.n_steps
@@ -423,9 +424,9 @@ def simulate(scenario: Scenario, x0: Optional[np.ndarray] = None,
         if len(x) != n:
             raise ValueError(f"x0 has {len(x)} states, scenario has {n}")
 
-    traj = Trajectory(np.arange(steps + 1) * dt,
-                      np.empty((steps + 1, n), dtype=complex)
-                      if sink is None else sink.x, scenario)
+    traj = (Trajectory(np.arange(steps + 1) * dt,
+                       np.empty((steps + 1, n), dtype=complex), scenario)
+            if sink is None else sink.traj)
     t_grid, xs = traj.t, traj.x
     xs[0] = x
 

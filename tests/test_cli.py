@@ -165,6 +165,19 @@ def fail_rows(monkeypatch, where, children=()):
     monkeypatch.setattr(cli, "_format_rows", format_rows)
 
 
+def interrupt_run(monkeypatch, error):
+    """Make the step loop raise ``error("interrupted")`` after 700 steps."""
+    real = engine.rk4_increment
+    steps = []
+
+    def rk4_increment(*args):
+        steps.append(1)
+        if len(steps) > 700:
+            raise error("interrupted")
+        return real(*args)
+    monkeypatch.setattr(engine, "rk4_increment", rk4_increment)
+
+
 def _affinity():
     return (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
             else None)
@@ -491,6 +504,99 @@ class TestWriteTimeseries:
             traj.n))) - 1
         assert_no_children()
 
+    # the child waits for rows before they are published, or starts late
+    # and finds rows 0..b-1 published
+    @pytest.mark.parametrize("late", [0.0, 0.3])
+    def test_chunk_waits_for_the_row_after_it(self, tmp_path, monkeypatch,
+                                              late):
+        # the child claims the first chunk, rows 0..b-1, only once row b is
+        # final, for the bus voltage of row b - 1 is computed with row b
+        name = "case2_partial_block"
+        traj = _trajectory(name)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        parent = os.getpid()
+
+        def format_rows(*args):
+            if os.getpid() != parent:
+                time.sleep(late)
+            return _FORMAT_ROWS(*args)
+        monkeypatch.setattr(cli, "_format_rows", format_rows)
+        b = cli._rows_per_call(traj.n)
+        x = np.frombuffer(mmap.mmap(-1, traj.x.nbytes),
+                          complex).reshape(traj.x.shape)
+        path = tmp_path / "ts.csv"
+        lines = _per_value_csv(name).splitlines(keepends=True)
+        stream = _csvstream.Stream(Trajectory(traj.t, x, traj.scenario), path,
+                                   cli._formatters(len(traj.t), traj.n))
+        try:
+            assert len(stream.pids) == 1
+            x[:b] = traj.x[:b]
+            stream.publish(b, False)
+            time.sleep(0.5)
+            assert stream.temp.read_bytes() == lines[0]
+            x[b] = traj.x[b]
+            stream.publish(b + 1, False)
+            deadline = time.monotonic() + 10
+            while stream.temp.read_bytes() != b"".join(lines[:b + 1]):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            x[b + 1:] = traj.x[b + 1:]
+        except BaseException:
+            stream.close()
+            raise
+        write_timeseries(traj, path, stream)
+        assert path.read_bytes() == _per_value_csv(name)
+        assert_no_children()
+
+    def test_failed_fork_leaves_nothing(self, tmp_path, monkeypatch):
+        # the second fork fails: the first child, waiting for rows, is let
+        # go and reaped, and the series' partial file is removed
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        mask = _affinity()
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            if forks:
+                time.sleep(0.3)     # the first child waits for rows
+                raise OSError("no second child")
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(OSError, match="no second child"):
+            cli._stream(build_case("II", 4, seed=0, t_end=0.5),
+                        tmp_path / "ts.csv")
+        assert len(forks) == 1
+        assert_no_children()
+        assert list(tmp_path.iterdir()) == []
+        assert _affinity() == mask
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="no /proc/self/fd on this platform")
+    @pytest.mark.parametrize("run", ["streamed", "child_fails", "interrupted"])
+    def test_descriptors_are_closed(self, tmp_path, monkeypatch, run):
+        # -X dev sees unclosed file objects only, not raw descriptors
+        count_forks(monkeypatch, 3)
+        scenario = _scenario("case2_partial_block")
+        path = tmp_path / "ts.csv"
+        before = sorted(os.listdir("/proc/self/fd"))
+        if run == "streamed":
+            stream = cli._stream(scenario, path)
+            write_timeseries(_run(scenario, sink=stream), path, stream)
+        elif run == "child_fails":
+            fail_rows(monkeypatch, "child")
+            with pytest.raises(OSError, match="ts.csv"):
+                write_timeseries(_trajectory("case2_partial_block"), path)
+        else:
+            interrupt_run(monkeypatch, RuntimeError)
+            with pytest.raises(RuntimeError, match="interrupted"):
+                main(["case2", "--set", "t_end=0.1", "--out",
+                      str(tmp_path / "run")])
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert_no_children()
+
     def test_parked_chunks_are_copied_in_row_order(self, tmp_path,
                                                    monkeypatch):
         # the child holds its first chunk, rows 0..527, until this process
@@ -623,15 +729,7 @@ class TestWriteTimeseries:
         # has formatted rows 0..527 and waits for the rest
         forks = count_forks(monkeypatch, 3)
         mask = _affinity()
-        real = engine.rk4_increment
-        steps = []
-
-        def rk4_increment(*args):
-            steps.append(1)
-            if len(steps) > 700:
-                raise error("interrupted")
-            return real(*args)
-        monkeypatch.setattr(engine, "rk4_increment", rk4_increment)
+        interrupt_run(monkeypatch, error)
         out = tmp_path / "run"
         with pytest.raises(error, match="interrupted"):
             main(["case2", "--set", "t_end=0.1", "--out", str(out)])
@@ -643,8 +741,9 @@ class TestWriteTimeseries:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="nothing is forked")
     def test_killed_run_leaves_no_process(self, tmp_path):
         # dvocsim sees two usable CPUs, forks one child before the run and
-        # says so; killed mid-run, its child must exit on the end of file of
-        # its progress pipe.  Every process of the group holds the write end
+        # says so; killed mid-run, its child must exit when the kernel
+        # releases the dead run's lock on the row it waits for, the count of
+        # final rows unchanged.  Every process of the group holds the write end
         # of a pipe, whose read end is at end of file once all have exited
         # (reaped or not).  The rows formatted so far are under a partial
         # name: no timeseries.csv is left
