@@ -15,9 +15,13 @@ parameters plus sampled verification of the eigenvalue bound.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import queue
+import threading
 from dataclasses import KW_ONLY, dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -25,13 +29,14 @@ from .oscillator import InverterParams, sym_lambda_max
 
 ENVELOPE_FLOOR = 1e-12      # pu; round-off floor of envelope_check
 ENVELOPE_SLACK = 0.05       # relative widening of envelope_check's envelope
-# States sampled_lambda_check draws and evaluates at once: its buffers and
-# sym_lambda_max's scratch peak at ~80 bytes a state (658,488 bytes under
-# tracemalloc), so ~0.66 MB whatever the sample count
+# States sampled_lambda_check draws and evaluates at once: with a block drawn
+# ahead, two blocks' buffers and sym_lambda_max's scratch peak at ~113 bytes
+# a state (929,645 bytes under tracemalloc; 659,776 with one block, on one
+# CPU), so ~0.93 MB whatever the sample count
 _SAMPLE_BLOCK = 8192
 # The most samples sampled_lambda_check takes: what 1 GiB admitted when one
 # array held every state (~96 bytes each); in blocks it bounds the run time
-# (~1.1 s for a whole dvocsim certify process on a 2-vCPU host) rather than
+# (~0.8 s for a whole dvocsim certify process on a 2-vCPU host) rather than
 # memory
 _MAX_SAMPLES = 11_184_809
 
@@ -73,15 +78,12 @@ def sampled_lambda_check(params: InverterParams, radius: float,
     is always included ahead of the ``n_samples`` random states.  They go
     through ``sym_lambda_max`` in blocks of ``_SAMPLE_BLOCK`` states, keeping
     only the running maximum, so memory stays constant at any sample count.
-    The blocks hold the states that one draw of all of them gives: the
-    angles come from ``PCG64(seed)`` and the radii from a second
-    ``PCG64(seed)`` advanced past the ``n_samples`` angles, as two
-    successive draws of ``default_rng(seed)`` would.  One block and its
-    draws are allocated per call and refilled in place: u from
-    ``Generator.random`` scaled to 2*pi*u and radius*sqrt(u), the bits of
-    ``uniform(0, 2*pi)`` and ``uniform(0, 1)``, and cos and sin written into
-    the block's parts.  The radius must keep ``sym_lambda_max``'s largest
-    intermediate, ~4*xi*radius^2, finite.
+    The blocks are those ``_blocks`` draws, in draw order: where this
+    thread may run on two CPUs or more and there is more than one block, a
+    helper thread draws block b + 1 while this thread evaluates block b
+    (``_ahead``), else this thread draws each block before it evaluates it.
+    The radius must keep ``sym_lambda_max``'s largest intermediate,
+    ~4*xi*radius^2, finite.
     """
     if not (radius > 0 and math.isfinite(4.0 * params.xi * radius * radius)):
         raise ValueError(f"radius must be finite and > 0, with 4*xi*radius^2 "
@@ -91,15 +93,42 @@ def sampled_lambda_check(params: InverterParams, radius: float,
                          f"inclusive, got {n_samples:,}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    # a helper left to the scheduler may share this thread's CPU, and then
+    # draws nothing ahead: without CPU affinity there is none
+    cpus = (sorted(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else [])
+    ahead = len(cpus) > 1 and n_samples >= _SAMPLE_BLOCK
+    blocks = _blocks(radius, n_samples, seed, 2 if ahead else 1)
+    peak = -np.inf
+    with contextlib.closing(_ahead(blocks, cpus) if ahead else blocks) as drawn:
+        for states in drawn:
+            peak = np.maximum(peak, sym_lambda_max(states, params).max())
+    return float(peak)
+
+
+def _blocks(radius: float, n_samples: int, seed: int,
+            buffers: int) -> Iterator[np.ndarray]:
+    """The origin and ``n_samples`` states of norm <= radius, in blocks of
+    ``_SAMPLE_BLOCK`` states that hold, in order, what one draw of all of
+    them gives.
+
+    The angles come from ``PCG64(seed)`` and the radii from a second
+    ``PCG64(seed)`` advanced past the ``n_samples`` angles, as two
+    successive draws of ``default_rng(seed)`` would.  ``buffers`` blocks,
+    and their draws, are allocated per call and refilled in place, block k
+    into buffer k % buffers: u from ``Generator.random`` scaled to 2*pi*u
+    and radius*sqrt(u), the bits of ``uniform(0, 2*pi)`` and
+    ``uniform(0, 1)``, and cos and sin written into the block's parts.  So
+    a block is overwritten once ``buffers`` more have been asked for.
+    """
     angles = np.random.Generator(np.random.PCG64(seed))
     radii = np.random.Generator(np.random.PCG64(seed).advance(n_samples))
-    # one block, and its draws, for every block: the first holds the origin
-    # and the last may be short
+    # the first block holds the origin and the last may be short
     size = min(_SAMPLE_BLOCK, n_samples + 1)
-    block = np.zeros(size, dtype=complex)
-    draws = np.empty((2, size))
-    peak = -np.inf
-    for start in range(0, n_samples + 1, _SAMPLE_BLOCK):
+    pool = [(np.zeros(size, dtype=complex), np.empty((2, size)))
+            for _ in range(buffers)]
+    for k, start in enumerate(range(0, n_samples + 1, _SAMPLE_BLOCK)):
+        block, draws = pool[k % buffers]
         states = block[:min(size, n_samples + 1 - start)]
         drawn = states[1:] if start == 0 else states    # the origin first
         theta, r = draws[:, :drawn.size]
@@ -114,8 +143,51 @@ def sampled_lambda_check(params: InverterParams, radius: float,
         np.multiply(drawn.real, r, out=drawn.real)
         np.sin(theta, out=drawn.imag)
         np.multiply(drawn.imag, r, out=drawn.imag)
-        peak = np.maximum(peak, sym_lambda_max(states, params).max())
-    return float(peak)
+        yield states
+
+
+def _ahead(items: Iterator[np.ndarray],
+           cpus: list[int]) -> Iterator[np.ndarray]:
+    """What ``items`` yields, in order, each taken from it on a helper
+    thread while the caller works on the one before.
+
+    The helper takes item k + 1 once the caller has item k, and item k + 2
+    only once the caller asks for item k + 1, so ``items`` may refill item
+    k's buffer with item k + 2.  It runs pinned to ``cpus[1]``, and the
+    caller to ``cpus[0]``; an exception it raises is raised here.  When
+    this ends or is closed, the helper is told to stop and joined, and the
+    caller's affinity mask restored: no thread outlives it.
+    """
+    ready: queue.SimpleQueue = queue.SimpleQueue()  # items, then the end
+    free = threading.Semaphore(2)   # buffers the caller is done with
+    stop = threading.Event()
+
+    def produce() -> None:
+        try:
+            os.sched_setaffinity(0, {cpus[1]})
+            while free.acquire() and not stop.is_set():
+                item = next(items, None)
+                ready.put(item)
+                if item is None:
+                    return
+        except BaseException as err:    # raised in the caller's thread
+            ready.put(err)
+
+    mask = os.sched_getaffinity(0)
+    helper = threading.Thread(target=produce, name="sampler", daemon=True)
+    helper.start()
+    try:
+        os.sched_setaffinity(0, {cpus[0]})
+        while (item := ready.get()) is not None:
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+            free.release()
+    finally:
+        stop.set()
+        free.release()              # a helper waiting for a buffer wakes
+        helper.join()
+        os.sched_setaffinity(0, mask)
 
 
 def error_ball_radius(d_bar: float, c: float) -> float:

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -17,6 +20,36 @@ from dvocsim.oscillator import InverterParams
 P = InverterParams()
 C = P.beta - 10.0       # section-IV margin with kappa = 1
 B = certificates._SAMPLE_BLOCK
+CPUS = (sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else [])
+
+
+def _affinity():
+    return (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+            else None)
+
+
+def _bounded(call, timeout=60.0):
+    """Run ``call()`` on a thread of its own, which must end within
+    ``timeout`` seconds; returns the exception it raised (None if it
+    returned) and that thread's affinity mask before and after the call.
+    No thread may be left running once it has ended."""
+    threads = threading.active_count()
+    seen = {"error": None}
+
+    def run():
+        seen["before"] = _affinity()
+        try:
+            call()
+        except BaseException as err:
+            seen["error"] = err
+        seen["after"] = _affinity()
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout)
+    assert not caller.is_alive(), "the call did not return"
+    assert threading.active_count() == threads
+    return seen["error"], seen["before"], seen["after"]
 
 
 class TestMargin:
@@ -186,6 +219,151 @@ class TestSampledLambda:
         assert len(calls) == 1
         assert calls[0].shape == (301,)
         assert calls[0][0] == 0
+
+
+class TestSampledPipeline:
+    """The helper thread that draws block b + 1 while the caller evaluates
+    block b, where two CPUs are usable."""
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_evaluation_fails(self, monkeypatch, error):
+        # the helper is stopped and joined while it waits for a buffer
+        original = certificates.sym_lambda_max
+        calls = []
+
+        def failing(x, params):
+            calls.append(1)
+            if len(calls) == 3:
+                raise error("block 3")
+            return original(x, params)
+        monkeypatch.setattr(certificates, "sym_lambda_max", failing)
+        err, before, after = _bounded(
+            lambda: sampled_lambda_check(P, 2.0, 10 * B, 0))
+        assert type(err) is error and str(err) == "block 3"
+        assert len(calls) == 3
+        assert after == before
+
+    def test_drawing_fails(self, monkeypatch):
+        # an error on the thread that draws is raised in the caller's
+        original = certificates._blocks
+        drawn_on = []
+
+        def failing(*args):
+            for k, states in enumerate(original(*args)):
+                drawn_on.append(threading.get_ident())
+                if k == 2:
+                    raise ZeroDivisionError("block 3")
+                yield states
+        monkeypatch.setattr(certificates, "_blocks", failing)
+        callers = []
+        original_lambda = certificates.sym_lambda_max
+
+        def evaluating(x, params):
+            callers.append(threading.get_ident())
+            return original_lambda(x, params)
+        monkeypatch.setattr(certificates, "sym_lambda_max", evaluating)
+        err, before, after = _bounded(
+            lambda: sampled_lambda_check(P, 2.0, 10 * B, 0))
+        assert type(err) is ZeroDivisionError and str(err) == "block 3"
+        assert len(drawn_on) == 3 and len(callers) == 2
+        assert after == before
+        if len(CPUS) > 1:       # drawn on a thread other than the caller's
+            assert set(drawn_on).isdisjoint(callers)
+
+    @pytest.mark.skipif(len(CPUS) < 2, reason="fewer than two usable CPUs")
+    def test_pinned_and_restored(self, monkeypatch):
+        mask = os.sched_getaffinity(0)
+        caller = threading.get_ident()
+        pins, threads, masks = [], [], []
+        real_setaffinity = os.sched_setaffinity
+
+        def setaffinity(pid, cpu_set):
+            pins.append((threading.get_ident() == caller, set(cpu_set)))
+            real_setaffinity(pid, cpu_set)
+        monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+        original = certificates.sym_lambda_max
+
+        def evaluating(x, params):
+            threads.append(threading.active_count())
+            masks.append(os.sched_getaffinity(0))
+            return original(x, params)
+        monkeypatch.setattr(certificates, "sym_lambda_max", evaluating)
+        before = threading.active_count()
+        out = sampled_lambda_check(P, 2.0, 3 * B + 5, 1)
+        assert out == P.xi * P.x_nom_sq2 - P.kappa_beta
+        assert os.sched_getaffinity(0) == mask
+        assert threading.active_count() == before
+        # the helper drew while the caller evaluated, on the second CPU; it
+        # may end once the caller has the last block
+        assert threads[:3] == [before + 1] * 3 and len(threads) == 4
+        assert masks == [{CPUS[0]}] * 4
+        assert sorted(pins[:2]) == [(False, {CPUS[1]}), (True, {CPUS[0]})]
+        assert pins[2:] == [(True, mask)]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_one_cpu(self, monkeypatch):
+        # one usable CPU: the same bits, and no thread starts
+        want = sampled_lambda_check(InverterParams(kappa=0.0), 2.0,
+                                    3 * B + 5, 7)
+        original = certificates.sym_lambda_max
+        blocks, threads = [], []
+
+        def capturing(x, params):
+            blocks.append(x.copy())
+            threads.append(threading.active_count())
+            return original(x, params)
+        monkeypatch.setattr(certificates, "sym_lambda_max", capturing)
+        mask = os.sched_getaffinity(0)
+        before = threading.active_count()
+        os.sched_setaffinity(0, {CPUS[0]})
+        try:
+            out = sampled_lambda_check(InverterParams(kappa=0.0), 2.0,
+                                       3 * B + 5, 7)
+            assert os.sched_getaffinity(0) == {CPUS[0]}
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert np.float64(out).tobytes() == np.float64(want).tobytes()
+        assert threads == [before] * 4
+        states = sampled_states(2.0, 3 * B + 5, 7)
+        assert np.concatenate(blocks).tobytes() == states.tobytes()
+
+    def test_concurrent_callers(self, monkeypatch):
+        # more callers than CPUs, each with its helper, switching threads
+        # every microsecond: each caller's blocks are its own draw, none
+        # refilled while it is evaluated
+        original = certificates.sym_lambda_max
+        blocks = {}
+
+        def capturing(x, params):
+            got = x.copy()
+            lam = original(x, params)
+            blocks.setdefault(threading.get_ident(), []).append(
+                (got, x.copy()))
+            return lam
+        monkeypatch.setattr(certificates, "sym_lambda_max", capturing)
+        seeds, drawn = range(4), {}
+
+        def call(seed):
+            sampled_lambda_check(P, 2.0, 5 * B + 3, seed)
+            drawn[seed] = blocks.pop(threading.get_ident())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(seed,),
+                                        daemon=True) for seed in seeds]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60.0)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in seeds:
+            states = sampled_states(2.0, 5 * B + 3, seed)
+            got, after = (np.concatenate(x) for x in zip(*drawn[seed]))
+            assert got.tobytes() == states.tobytes()
+            assert after.tobytes() == states.tobytes()
 
 
 class TestErrorBall:

@@ -10,6 +10,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -986,6 +987,19 @@ class TestCommands:
         assert report["lambda_max_sampled"] == pytest.approx(
             10.0 - report["params"]["beta"])
         assert report["error_ball_radius"] == pytest.approx(0.009036, rel=1e-3)
+
+    def test_certify_leaves_no_thread(self, tmp_path, monkeypatch, capsys):
+        # the sampled check joins its helper thread before it returns, so
+        # the writer of a following run still forks: it forks nothing while
+        # other threads run
+        threads = threading.active_count()
+        assert main(["certify", "--samples", "100000"]) == 0
+        assert threading.active_count() == threads
+        forks = count_forks(monkeypatch, 2)
+        assert main(["case2", "--n", "4", "--set", "t_end=0.2", "--out",
+                     str(tmp_path)]) == 0
+        assert len(forks) == 1
+        assert_no_children()
 
     def test_certify_params_are_oscillator_constants(self, capsys):
         assert main(["certify"]) == 0
