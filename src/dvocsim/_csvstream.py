@@ -1,5 +1,6 @@
 """The processes that format one time series into its file while the run
-goes on; ``cli.write_timeseries`` and ``cli._stream`` start them.
+goes on; ``cli.write_timeseries`` and ``cli._stream`` start them.  Every
+series is written this way, on one CPU by this process alone.
 
 Imported on first use, as the CSV kernel is, so that importing the package
 does not compile it.  The formatter, the header and the chunk size are the
@@ -47,13 +48,15 @@ class Stream:
     and exits when no chunk is left.  The kernel releases the locks of a
     process that dies, so a child that wakes to an unchanged count while
     the run has not ended knows the run process is gone, and exits too.
-    This process formats chunks once the run has ended (``finish``).  The
+    This process formats chunks once the run has ended (``finish``); with
+    no children, ``cli._formatters`` forking none, it formats every chunk
+    and places each in turn, and its affinity mask is left alone.  The
     series is written under a ``cli._partial`` name and renamed to its path
     once complete.  The other temporary files are unlinked, in the output's
     directory, and vanish with their holders.
     """
 
-    def __init__(self, traj: Trajectory, path: str | Path, children: int):
+    def __init__(self, traj: Trajectory, path: str | Path):
         self.traj, self.path = traj, Path(path)  # simulate records into traj
         self.step = cli._rows_per_call(traj.n)
         self.complete = False
@@ -65,7 +68,7 @@ class Stream:
         self.out: Optional[int] = None
         self.mask: set[int] = set()
         try:
-            self._start(children)
+            self._start(cli._formatters(len(traj.t), traj.n))
         except BaseException:
             self.close()
             raise
@@ -85,8 +88,9 @@ class Stream:
         self.temps = [temp() for _ in range(children + 1)]
         # each process on a CPU of its own, round robin over this process's
         # mask: left to the scheduler, two forked processes may share one
-        # CPU for their first ~0.3-1 s
-        if hasattr(os, "sched_setaffinity"):
+        # CPU for their first ~0.3-1 s; a process alone is not pinned, for
+        # OpenBLAS threads in it would share its one CPU
+        if children and hasattr(os, "sched_setaffinity"):
             self.mask = os.sched_getaffinity(0)
         cpus = sorted(self.mask)
         for k in range(1, children + 1):

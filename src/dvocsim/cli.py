@@ -368,9 +368,9 @@ def _format_rows(traj: Trajectory, chunks: Iterable[tuple[int, int]]
 def _formatters(rows: int, n: int) -> int:
     """Processes to fork to format ``rows`` rows of ``n`` inverters: one per
     CPU this process may run on and one per kernel call, each but the
-    first, which this process takes; none without ``os.fork`` or with other
-    threads running (``fork`` is unsafe then)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    first, which this process takes; none with other threads running
+    (``fork`` is unsafe then)."""
+    if threading.active_count() > 1:
         return 0
     return min(_usable_cpus(), -(-rows // _rows_per_call(n))) - 1
 
@@ -396,17 +396,14 @@ def _stream(scenario: Scenario, path: Path):
     """The processes that format the series of a run of ``scenario`` about
     to start (a ``_csvstream.Stream``), forked before it with the
     trajectory it records into (``traj``) over an anonymous shared mmap, so
-    that they format its rows while it runs; None where ``_formatters``
-    forks none."""
+    that they format its rows while it runs; with none forked, this process
+    formats them all once the run has ended."""
     rows, n = scenario.n_steps + 1, scenario.n
-    children = _formatters(rows, n)
-    if not children:
-        return None
     import mmap
     from ._csvstream import Stream
     x = np.frombuffer(mmap.mmap(-1, 16 * rows * n), complex).reshape(rows, n)
     return Stream(Trajectory(np.arange(rows) * scenario.dt, x, scenario),
-                  path, children)
+                  path)
 
 
 def write_timeseries(traj: Trajectory, path: str | Path,
@@ -418,8 +415,8 @@ def write_timeseries(traj: Trajectory, path: str | Path,
     rows) by this process and by ``_formatters`` forked children, which
     claim chunks as they become free: ``stream`` holds the children that
     followed the run ``traj`` while it was recorded into ``stream.traj`` and
-    formatted what they could, or else they are forked here, every row of
-    ``traj`` final (see ``_csvstream``).  The chunks are written in row
+    formatted what they could, or else a stream is started here, every row
+    of ``traj`` final (see ``_csvstream``).  The chunks are written in row
     order after the header, so the bytes do not depend on the number of
     processes.  Each process formats into buffers it allocates once, so
     memory is O(columns + _CSV_CHUNK_VALUES) whatever the number of steps;
@@ -433,29 +430,13 @@ def write_timeseries(traj: Trajectory, path: str | Path,
     reaped, and this process's affinity mask restored, when this returns or
     raises.
     """
-    rows, n = len(traj.t), traj.n
-    if stream is None and (children := _formatters(rows, n)):
+    if stream is None:
         from ._csvstream import Stream
-        stream = Stream(traj, path, children)
-    if stream is not None:
-        try:
-            stream.finish()
-        finally:
-            stream.close()
-        return
-    step = _rows_per_call(n)
-    temp = _partial(Path(path))
-    fh = open(temp, "xb")
+        stream = Stream(traj, path)
     try:
-        with fh:
-            fh.write(_header(n))
-            chunks = ((a, min(a + step, rows)) for a in range(0, rows, step))
-            for _, _, text in _format_rows(traj, chunks):
-                fh.write(text)
-        os.replace(temp, path)
-    except BaseException:
-        temp.unlink()
-        raise
+        stream.finish()
+    finally:
+        stream.close()
 
 
 def build_report(traj: Trajectory,
@@ -569,8 +550,7 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
         report = build_report(traj, diverged)
         write_timeseries(traj, out / "timeseries.csv", stream)
     finally:
-        if stream is not None:
-            stream.close()
+        stream.close()
     _write_json(out / "report.json", report)
     if diverged is not None:
         print(f"error: {diverged}", file=sys.stderr)

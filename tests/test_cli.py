@@ -483,8 +483,7 @@ class TestWriteTimeseries:
                 x = np.frombuffer(mmap.mmap(-1, traj.x.nbytes),
                                   complex).reshape(traj.x.shape)
                 stream = _csvstream.Stream(given_currents(
-                    Trajectory(traj.t, x, traj.scenario), *traj.given),
-                    path, cli._formatters(steps + 1, traj.n))
+                    Trajectory(traj.t, x, traj.scenario), *traj.given), path)
                 try:
                     x[0] = traj.x[0]
                     for start in range(0, steps, block):
@@ -527,8 +526,7 @@ class TestWriteTimeseries:
                           complex).reshape(traj.x.shape)
         path = tmp_path / "ts.csv"
         lines = _per_value_csv(name).splitlines(keepends=True)
-        stream = _csvstream.Stream(Trajectory(traj.t, x, traj.scenario), path,
-                                   cli._formatters(len(traj.t), traj.n))
+        stream = _csvstream.Stream(Trajectory(traj.t, x, traj.scenario), path)
         try:
             assert len(stream.pids) == 1
             x[:b] = traj.x[:b]
@@ -692,12 +690,17 @@ class TestWriteTimeseries:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="no CPU affinity on this platform")
-    @pytest.mark.parametrize("fails", ["none", "child", "parent"])
+    # on one usable CPU nothing is forked and nothing is pinned: a process
+    # alone keeps its mask
+    @pytest.mark.parametrize("fails, usable", [
+        *(pytest.param(fails, 3, id=fails)
+          for fails in ("none", "child", "parent")),
+        pytest.param("none", 1, id="one_cpu")])
     def test_affinity_pinned_and_restored(self, tmp_path, monkeypatch,
-                                          fails):
+                                          fails, usable):
         mask = os.sched_getaffinity(0)
         cpus = sorted(mask)
-        forks = count_forks(monkeypatch, 3)
+        forks = count_forks(monkeypatch, usable)
         pins = []
         real_setaffinity = os.sched_setaffinity
 
@@ -718,10 +721,10 @@ class TestWriteTimeseries:
         assert os.sched_getaffinity(0) == mask
         assert_no_children()
         # children 1 and 2, then this process, then its mask
-        assert len(forks) == 2
-        assert pins == [(False, {cpus[1 % len(cpus)]}),
-                        (False, {cpus[2 % len(cpus)]}),
-                        (True, {cpus[0]}), (True, mask)]
+        assert len(forks) == usable - 1
+        assert pins == ([] if usable == 1 else [
+            (False, {cpus[1 % len(cpus)]}), (False, {cpus[2 % len(cpus)]}),
+            (True, {cpus[0]}), (True, mask)])
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_interrupted_run_leaves_no_process(self, tmp_path, monkeypatch,
