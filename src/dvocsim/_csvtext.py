@@ -1,6 +1,8 @@
 """The CSV text of float64 blocks, exactly as ``"%.17g"`` writes each value,
 in one numpy pass per block instead of one dtoa call per value, into the
-buffers of a ``Workspace``."""
+buffers of a ``Workspace``.  A column that repeats another bit for bit
+over a block's rows, as most do once the inverters synchronize and share
+their current, takes that one's text instead of being formatted again."""
 
 from __future__ import annotations
 
@@ -30,6 +32,9 @@ _DOT = np.where(_BYTE == _BYTE[:, None], ord("."), 0).astype(
     np.uint8).view("<u8").T.copy()
 # the exponents of the values below 1e-4, by decimal exponent + 6
 _EXPONENT = np.frombuffer(b"e-06e-05", "V4")
+# an odd multiplier that mixes a column's last row into its key, so that
+# columns constant over a call do not all share one
+_MIX = _U64(0x9E3779B97F4A7C15)
 
 
 class Workspace:
@@ -65,8 +70,9 @@ class Workspace:
         self.slot4 = np.ndarray((_SLOT * n - 3,), "V4", self.slot,
                                 strides=(1,))
         self.slot24 = self.slot.view("V24").reshape(n)
-        self.gathered = np.empty(m, "V24")
-        self.starts = self.gathered.view(np.uint8).reshape(m, _SLOT)[
+        # the output's slots, and before them a call's distinct values
+        self.gathered = np.empty(max(m, -(-n // 3)), "V24")
+        self.starts = self.gathered[:m].view(np.uint8).reshape(m, _SLOT)[
             ::self.width, 0]                # the separator before each row
         self.lengths = np.empty(m, np.intp)
         self.offsets = np.zeros(m + 1, np.intp)
@@ -124,12 +130,78 @@ def _times_pow10(a: np.ndarray, q: np.ndarray, hi: np.ndarray,
     lo += a_lo
 
 
+def _distinct(w: Workspace, rows: int
+              ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """``(values, columns, order, at)`` of a call on the first ``rows``
+    rows of ``w.block``: the values it formats, as rows of ``columns``;
+    the column of those that each output column shows; and the value that
+    each output slot shows.
+
+    A column equal bit for bit in every row to the first column with its
+    key, a hash of its first and last rows, is left out and shown from
+    that one.  With no two keys equal, or no such column, the values are
+    the block's own and ``order`` and ``at`` those of ``w``.  Else the
+    values are written into ``w.gathered`` and ``at`` into ``w.offsets``
+    (by way of ``w.lengths``), which the call overwrites only after it has
+    read them.
+    """
+    block = w.block[:rows]
+    columns = block.shape[1]
+    plain = (block.reshape(-1), columns, w.at[:w.width],
+             w.at[:rows * w.width])
+    bits = block.view(_U64)
+    key = bits[-1] * _MIX
+    key ^= bits[0]
+    by_key = np.argsort(key, kind="stable")
+    key = key[by_key]
+    first = np.empty(columns, bool)     # the first column with its key
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    if first.all():
+        return plain
+    same = ~first
+    members = by_key[same]
+    reps = by_key[np.maximum.accumulate(
+        np.where(first, np.arange(columns), 0))[same]]
+    # the rows of each member and of its representative, in buffers the
+    # call has not written yet
+    n = len(members)
+    u = w.u[:2 * rows * n].reshape(2, rows, n)
+    np.take(bits, members, axis=1, out=u[0], mode="clip")
+    np.take(bits, reps, axis=1, out=u[1], mode="clip")
+    equal = np.equal(u[0], u[1], out=w.b[:rows * n].reshape(rows, n)).all(0)
+    if not equal.any():
+        return plain
+    shown = np.arange(columns)          # the column shown for each column
+    shown[members[equal]] = reps[equal]
+    kept = shown == np.arange(columns)
+    distinct = kept.nonzero()[0]
+    d = len(distinct)
+    order = (np.cumsum(kept) - 1)[shown][w.at[:w.width]]
+    values = w.gathered.view(np.float64)[:rows * d].reshape(rows, d)
+    np.take(block, distinct, axis=1, out=values, mode="clip")
+    # row r's slots show values r*d + order; copyto broadcasts without the
+    # block-sized buffer that a broadcasting ufunc allocates
+    m = rows * w.width
+    at, starts = w.offsets[1:m + 1], w.lengths[:m]
+    np.copyto(at.reshape(rows, w.width), order)
+    np.copyto(starts.reshape(rows, w.width),
+              np.arange(0, rows * d, d)[:, None])
+    at += starts
+    return values.reshape(-1), d, order, at
+
+
 def csv_lines(w: Workspace, rows: int) -> np.ndarray:
     """The first ``rows`` rows of ``w.block`` as CSV text: each value exactly
     as ``"%.17g"`` gives it, "," between values and "\\n" after each row.
     Row r's values are ``block[r, order]``, so a column that ``order``
-    repeats is formatted once.  The text is a view of ``w``, valid until
-    its next call.
+    repeats is formatted once, and so is a column equal bit for bit in
+    every row of the call to the first column with its key (``_distinct``).
+    The key, from a column's first and last rows, finds such columns with
+    one sort; a call whose keys all differ formats the block as it stands,
+    and every other merge is checked over every row, so 0.0 and -0.0 stay
+    apart, as do nans of other payloads.  The text is a view of ``w``,
+    valid until its next call.
 
     Values with 1e-6 < |v| < 1e16 are formatted here.  Their 17 significant
     digits are the integer nearest (ties to even) to |v| * 10**(16 - x), x
@@ -145,8 +217,8 @@ def csv_lines(w: Workspace, rows: int) -> np.ndarray:
     before it ends, over the unused bytes of the slot before: so no byte is
     deleted and no slot is masked.
     """
-    k = rows * w.block.shape[1]
-    values = w.block.reshape(-1)[:k]
+    values, columns, order, at = _distinct(w, rows)
+    k = len(values)
     f = w.f[:8 * k].reshape(8, k)
     a, t, hi, lo, *scratch = f
     mask, neg, sci = w.b[:3 * k].reshape(3, k)
@@ -278,7 +350,6 @@ def csv_lines(w: Workspace, rows: int) -> np.ndarray:
                 if len(s) == _SLOT}
 
     m = rows * w.width
-    at = w.at[:m]
     np.take(w.slot24, at, out=w.gathered[:m], mode="clip")
     w.starts[:rows] = ord("\n")
     lengths = np.take(keep, at, out=w.lengths[:m], mode="clip")
@@ -287,8 +358,8 @@ def csv_lines(w: Workspace, rows: int) -> np.ndarray:
     w.text24[offsets[:m]] = w.gathered[:m]
     end = offsets[m]
     for v, byte in long.items():            # in each column showing it
-        row, column = divmod(v, w.block.shape[1])
-        for j in np.flatnonzero(w.at[:w.width] == column).tolist():
+        row, column = divmod(v, columns)
+        for j in np.flatnonzero(order == column).tolist():
             w.text[offsets[row * w.width + j + 1] - 1] = byte
     w.text[end] = ord("\n")
     return w.text[1:end + 1]

@@ -293,7 +293,8 @@ def apply_overrides(raw: dict, sets: Sequence[str]) -> dict:
 
 
 # values per call of the CSV kernel (at least one row): each call has
-# ~200-300 us of fixed cost, which more values per call spread thinner, but
+# ~0.1 ms of fixed cost (105 us for 3 values, 9 of them the distinct-column
+# gate), which more values per call spread thinner, but
 # each formatting process holds ~290 bytes a value of buffers (4.7 MB here),
 # and touches each of their pages once a write; over the 1,001 rows at
 # N = 100 a pass took 106, 95, 90, 87 and 85 ms at 8192, 12288, 16384, 24576

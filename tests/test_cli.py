@@ -968,6 +968,58 @@ class TestCsvWorkspace:
             assert bytes(text) == per_value_lines(w.block)
             if call:
                 assert peak < 64 * 1024, peak
+        # a collapsed call, as the last ones of a synchronized run: 13
+        # distinct columns of 603, formatted into the workspace's free rows
+        w.block[...] = w.block[:, np.arange(603) % 13]
+        tracemalloc.start()
+        try:
+            text = _csvtext.csv_lines(w, 27)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bytes(text) == per_value_lines(w.block)
+        assert peak < 64 * 1024, peak
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_repeated_columns(self, rows):
+        # a column is shown from an earlier one only where the two are equal
+        # bit for bit in every row of the call
+        rng = np.random.default_rng(29)
+        nan = np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                        0x7FF8000000000001], np.uint64).view(np.float64)
+        block = 10.0 ** rng.uniform(-6, 16, (rows, 12))
+        block[:, 1] = block[:, 0]                   # equal in every row
+        block[:, 3] = block[:, 2]
+        if rows > 2:
+            block[rows // 2, 3] = 7.0   # but in a middle row, which the key
+        block[:, 4] = 0.0               # of the first and last rows misses
+        block[:, 5] = -0.0
+        block[:, 6:9] = nan           # another sign, another payload
+        block[:, 9] = block[:, 10] = -2.2250738585072014e-308   # 24 bytes
+        order = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1, 10, 1])
+        w = _csvtext.Workspace(rows + 1, 12, order)
+        w.block[:rows] = block
+        assert (bytes(_csvtext.csv_lines(w, rows))
+                == per_value_lines(block[:, order]))
+        # 1 and 10 are shown from 0 and 9, and 3 from 2 without a middle row
+        assert _csvtext._distinct(w, rows)[1] == (9 if rows < 3 else 10)
+
+    @pytest.mark.parametrize("distinct", [13, 603])
+    def test_each_distinct_column_is_formatted_once(self, distinct,
+                                                    monkeypatch):
+        rng = np.random.default_rng(31)
+        w = _csvtext.Workspace(23, 603, np.arange(603))
+        w.block[...] = 10.0 ** rng.uniform(-4.3, 2, (23, distinct))[
+            :, np.arange(603) % distinct]
+        sizes = []
+        times_pow10 = _csvtext._times_pow10
+
+        def counted(a, *args):
+            sizes.append(a.size)
+            times_pow10(a, *args)
+        monkeypatch.setattr(_csvtext, "_times_pow10", counted)
+        assert bytes(_csvtext.csv_lines(w, 23)) == per_value_lines(w.block)
+        assert sizes[0] == 23 * distinct
 
 
 class TestCommands:
