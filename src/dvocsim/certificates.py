@@ -21,7 +21,7 @@ import os
 import queue
 import threading
 from dataclasses import KW_ONLY, dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -29,15 +29,18 @@ from .oscillator import InverterParams, sym_lambda_max
 
 ENVELOPE_FLOOR = 1e-12      # pu; round-off floor of envelope_check
 ENVELOPE_SLACK = 0.05       # relative widening of envelope_check's envelope
-# States sampled_lambda_check draws and evaluates at once: with a block drawn
-# ahead, two blocks' buffers and sym_lambda_max's scratch peak at ~113 bytes
-# a state (929,645 bytes under tracemalloc; 659,776 with one block, on one
-# CPU), so ~0.93 MB whatever the sample count
+# States sampled_lambda_check evaluates at once: the states and angles of
+# two groups of _GROUP blocks and sym_lambda_max's scratch peak at ~145 bytes
+# a state (1,188,660 bytes under tracemalloc; 1,184,976 on one CPU), so
+# ~1.19 MB whatever the sample count
 _SAMPLE_BLOCK = 8192
+# Blocks per helper call of sampled_lambda_check: cos and sin of two blocks
+# hold the GIL only at their ends, half as often as those of one block
+_GROUP = 2
 # The most samples sampled_lambda_check takes: what 1 GiB admitted when one
 # array held every state (~96 bytes each); in blocks it bounds the run time
-# (~0.8 s for a whole dvocsim certify process on a 2-vCPU host) rather than
-# memory
+# (~0.9 s for a whole dvocsim certify process on a 2-vCPU host, 1.1-1.5 s
+# on one CPU) rather than memory
 _MAX_SAMPLES = 11_184_809
 
 
@@ -76,14 +79,24 @@ def sampled_lambda_check(params: InverterParams, radius: float,
 
     The origin (the analytic maximizer of the symmetric part's top eigenvalue)
     is always included ahead of the ``n_samples`` random states.  They go
-    through ``sym_lambda_max`` in blocks of ``_SAMPLE_BLOCK`` states, keeping
-    only the running maximum, so memory stays constant at any sample count.
-    The blocks are those ``_blocks`` draws, in draw order: where this
-    thread may run on two CPUs or more and there is more than one block, a
-    helper thread draws block b + 1 while this thread evaluates block b
-    (``_ahead``), else this thread draws each block before it evaluates it.
+    through ``sym_lambda_max`` in blocks of ``_SAMPLE_BLOCK`` states, in draw
+    order, keeping only the running maximum, so memory stays constant at
+    any sample count.  This thread draws the states and evaluates them; of
+    the draws, only the cos and sin of the angles (``_polar``), the calls
+    that run longest without the GIL, go through ``_polar_on``, a group of
+    ``_GROUP`` blocks a call, group k + 1 asked for before group k is
+    evaluated.  Block 0, which holds the origin, is a group of its own, and
+    its cos and sin are this thread's: nothing waits for a helper to start.
     The radius must keep ``sym_lambda_max``'s largest intermediate,
     ~4*xi*radius^2, finite.
+
+    The angles come from ``PCG64(seed)`` and the radii from a second
+    ``PCG64(seed)`` advanced past the ``n_samples`` angles, as two
+    successive draws of ``default_rng(seed)`` would.  Two groups' states
+    and angles are refilled in place, group k in buffer k % 2: u from
+    ``Generator.random`` scaled to 2*pi*u and radius*sqrt(u), the bits of
+    ``uniform(0, 2*pi)`` and ``uniform(0, 1)``; a group's radii are drawn
+    into its angles once its cos and sin are in the states' parts.
     """
     if not (radius > 0 and math.isfinite(4.0 * params.xi * radius * radius)):
         raise ValueError(f"radius must be finite and > 0, with 4*xi*radius^2 "
@@ -94,98 +107,104 @@ def sampled_lambda_check(params: InverterParams, radius: float,
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     # a helper left to the scheduler may share this thread's CPU, and then
-    # draws nothing ahead: without CPU affinity there is none
+    # runs nothing alongside it: without CPU affinity there is none
     cpus = (sorted(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else [])
-    ahead = len(cpus) > 1 and n_samples >= _SAMPLE_BLOCK
-    blocks = _blocks(radius, n_samples, seed, 2 if ahead else 1)
-    peak = -np.inf
-    with contextlib.closing(_ahead(blocks, cpus) if ahead else blocks) as drawn:
-        for states in drawn:
-            peak = np.maximum(peak, sym_lambda_max(states, params).max())
-    return float(peak)
-
-
-def _blocks(radius: float, n_samples: int, seed: int,
-            buffers: int) -> Iterator[np.ndarray]:
-    """The origin and ``n_samples`` states of norm <= radius, in blocks of
-    ``_SAMPLE_BLOCK`` states that hold, in order, what one draw of all of
-    them gives.
-
-    The angles come from ``PCG64(seed)`` and the radii from a second
-    ``PCG64(seed)`` advanced past the ``n_samples`` angles, as two
-    successive draws of ``default_rng(seed)`` would.  ``buffers`` blocks,
-    and their draws, are allocated per call and refilled in place, block k
-    into buffer k % buffers: u from ``Generator.random`` scaled to 2*pi*u
-    and radius*sqrt(u), the bits of ``uniform(0, 2*pi)`` and
-    ``uniform(0, 1)``, and cos and sin written into the block's parts.  So
-    a block is overwritten once ``buffers`` more have been asked for.
-    """
     angles = np.random.Generator(np.random.PCG64(seed))
     radii = np.random.Generator(np.random.PCG64(seed).advance(n_samples))
-    # the first block holds the origin and the last may be short
-    size = min(_SAMPLE_BLOCK, n_samples + 1)
-    pool = [(np.zeros(size, dtype=complex), np.empty((2, size)))
-            for _ in range(buffers)]
-    for k, start in enumerate(range(0, n_samples + 1, _SAMPLE_BLOCK)):
-        block, draws = pool[k % buffers]
-        states = block[:min(size, n_samples + 1 - start)]
-        drawn = states[1:] if start == 0 else states    # the origin first
-        theta, r = draws[:, :drawn.size]
+    # group k holds states max(edges[k], 0) up to edges[k] + step: block 0,
+    # with the origin, then groups of _GROUP blocks; the last may be short
+    total, step = n_samples + 1, _GROUP * _SAMPLE_BLOCK
+    edges = range(min(_SAMPLE_BLOCK, total) - step, total, step)
+    # each group's states, then its angles as floats, in one allocation:
+    # glibc's malloc raises its mmap threshold to the largest one freed, so
+    # from the second call on it comes from the heap without page faults
+    size = min(step, total)
+    rows = np.empty((len(edges[:2]), size + (size + 1) // 2), dtype=complex)
+    pool = [(row[:size], row[size:].view(float)[:size]) for row in rows]
+    rows[0, 0] = 0                                      # the origin
+
+    def draw(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # group k's states, those drawn (not the origin) and their angles
+        block, theta = pool[k % 2]
+        states = block[:min(edges[k] + step, total) - max(edges[k], 0)]
+        drawn = states[1:] if k == 0 else states      # the origin first
+        theta = theta[:drawn.size]
         # uniform(0, 2*pi) is 0.0 + 2*pi*u and uniform(0, 1) is u, for the
         # u that random() draws: the same bits
         angles.random(out=theta)
         np.multiply(theta, 2.0 * np.pi, out=theta)
-        radii.random(out=r)
-        np.sqrt(r, out=r)
-        np.multiply(r, radius, out=r)
-        np.cos(theta, out=drawn.real)
-        np.multiply(drawn.real, r, out=drawn.real)
-        np.sin(theta, out=drawn.imag)
-        np.multiply(drawn.imag, r, out=drawn.imag)
-        yield states
+        return states, drawn, theta
+
+    peak = -np.inf
+    with _polar_on(cpus if n_samples >= _SAMPLE_BLOCK else []) as (
+            submit, wait):
+        group = draw(0)
+        for k in range(len(edges)):
+            states, drawn, theta = group
+            if k + 1 < len(edges):
+                group = draw(k + 1)
+                submit(group[1:])
+            if k == 0:
+                _polar(drawn, theta)
+            else:
+                wait()
+            r = theta       # free once its cos and sin are in the states
+            radii.random(out=r)
+            np.sqrt(r, out=r)
+            np.multiply(r, radius, out=r)
+            np.multiply(drawn.real, r, out=drawn.real)
+            np.multiply(drawn.imag, r, out=drawn.imag)
+            for start in range(0, states.size, _SAMPLE_BLOCK):
+                block = states[start:start + _SAMPLE_BLOCK]
+                peak = np.maximum(peak, sym_lambda_max(block, params).max())
+    return float(peak)
 
 
-def _ahead(items: Iterator[np.ndarray],
-           cpus: list[int]) -> Iterator[np.ndarray]:
-    """What ``items`` yields, in order, each taken from it on a helper
-    thread while the caller works on the one before.
+def _polar(drawn: np.ndarray, theta: np.ndarray) -> None:
+    """Write cos(theta) and sin(theta) into drawn's real and imag parts."""
+    np.cos(theta, out=drawn.real)
+    np.sin(theta, out=drawn.imag)
 
-    The helper takes item k + 1 once the caller has item k, and item k + 2
-    only once the caller asks for item k + 1, so ``items`` may refill item
-    k's buffer with item k + 2.  It runs pinned to ``cpus[1]``, and the
-    caller to ``cpus[0]``; an exception it raises is raised here.  When
-    this ends or is closed, the helper is told to stop and joined, and the
-    caller's affinity mask restored: no thread outlives it.
+
+@contextlib.contextmanager
+def _polar_on(cpus: list[int]) -> Iterator[tuple[Callable, Callable]]:
+    """``(submit, wait)``: ``submit((drawn, theta))`` asks for
+    ``_polar(drawn, theta)`` and ``wait()`` returns once the oldest one
+    asked for has run: on this thread with fewer than two ``cpus``, else
+    on a helper thread pinned to ``cpus[1]``, this one pinned to
+    ``cpus[0]``, and ``wait`` raises what the helper raised.  On leaving,
+    the helper is stopped and joined and the caller's affinity mask
+    restored: no thread outlives it.
     """
-    ready: queue.SimpleQueue = queue.SimpleQueue()  # items, then the end
-    free = threading.Semaphore(2)   # buffers the caller is done with
-    stop = threading.Event()
+    if len(cpus) < 2:
+        asked: list = []
+        yield asked.append, lambda: _polar(*asked.pop(0))
+        return
+    todo: queue.SimpleQueue = queue.SimpleQueue()   # jobs, then None
+    done: queue.SimpleQueue = queue.SimpleQueue()   # None or an exception
 
-    def produce() -> None:
+    def work() -> None:
         try:
             os.sched_setaffinity(0, {cpus[1]})
-            while free.acquire() and not stop.is_set():
-                item = next(items, None)
-                ready.put(item)
-                if item is None:
-                    return
+            while (job := todo.get()) is not None:
+                _polar(*job)
+                done.put(None)
         except BaseException as err:    # raised in the caller's thread
-            ready.put(err)
+            done.put(err)
+
+    def wait() -> None:
+        if (err := done.get()) is not None:
+            raise err
 
     mask = os.sched_getaffinity(0)
-    helper = threading.Thread(target=produce, name="sampler", daemon=True)
+    helper = threading.Thread(target=work, name="sampler", daemon=True)
     helper.start()
     try:
         os.sched_setaffinity(0, {cpus[0]})
-        while (item := ready.get()) is not None:
-            if isinstance(item, BaseException):
-                raise item
-            yield item
-            free.release()
+        yield todo.put, wait
     finally:
-        stop.set()
-        free.release()              # a helper waiting for a buffer wakes
+        todo.put(None)
         helper.join()
         os.sched_setaffinity(0, mask)
 

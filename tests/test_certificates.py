@@ -145,9 +145,13 @@ class TestSampledLambda:
         assert max(peaks) < 2e6
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    @pytest.mark.parametrize("n", [B - 2, B - 1, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("n", [B - 2, B - 1, B, B + 1, 3 * B + 5,
+                                   2 * B, 4 * B - 1])
     def test_blocks_are_one_draw(self, monkeypatch, n, seed):
-        # the blocks hold, in order, the states of one draw of all of them
+        # the blocks hold, in order, the states of one draw of all of them;
+        # after block 0 the helper takes two blocks a call: at 2 * B the
+        # last group's second block holds one state, at 4 * B - 1 the last
+        # group is one whole block
         calls = []
         original = certificates.sym_lambda_max
 
@@ -224,8 +228,8 @@ class TestSampledLambda:
 
 
 class TestSampledPipeline:
-    """The helper thread that draws block b + 1 while the caller evaluates
-    block b, where two CPUs are usable."""
+    """The helper thread that writes the cos and sin of group k + 1 while
+    the caller scales and evaluates group k, where two CPUs are usable."""
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_evaluation_fails(self, monkeypatch, error):
@@ -245,18 +249,19 @@ class TestSampledPipeline:
         assert len(calls) == 3
         assert after == before
 
-    def test_drawing_fails(self, monkeypatch):
-        # an error on the thread that draws is raised in the caller's
-        original = certificates._blocks
-        drawn_on = []
+    def test_helper_fails(self, monkeypatch):
+        # an error in a group's cos and sin is raised in the caller's
+        # thread: the third call, group 2 (blocks 3 and 4), fails once
+        # blocks 0-2 are evaluated, on one CPU as on two
+        original = certificates._polar
+        polar_on = []
 
-        def failing(*args):
-            for k, states in enumerate(original(*args)):
-                drawn_on.append(threading.get_ident())
-                if k == 2:
-                    raise ZeroDivisionError("block 3")
-                yield states
-        monkeypatch.setattr(certificates, "_blocks", failing)
+        def failing(drawn, theta):
+            polar_on.append(threading.get_ident())
+            if len(polar_on) == 3:
+                raise ZeroDivisionError("group 2")
+            original(drawn, theta)
+        monkeypatch.setattr(certificates, "_polar", failing)
         callers = []
         original_lambda = certificates.sym_lambda_max
 
@@ -266,11 +271,44 @@ class TestSampledPipeline:
         monkeypatch.setattr(certificates, "sym_lambda_max", evaluating)
         err, before, after = _bounded(
             lambda: sampled_lambda_check(P, 2.0, 10 * B, 0))
-        assert type(err) is ZeroDivisionError and str(err) == "block 3"
-        assert len(drawn_on) == 3 and len(callers) == 2
+        assert type(err) is ZeroDivisionError and str(err) == "group 2"
+        assert len(polar_on) == 3 and len(callers) == 3
         assert after == before
-        if len(CPUS) > 1:       # drawn on a thread other than the caller's
-            assert set(drawn_on).isdisjoint(callers)
+        on_caller = [ident == callers[0] for ident in polar_on]
+        if len(CPUS) > 1:       # block 0's on the caller, the groups' not
+            assert sorted(on_caller) == [False, False, True]
+            assert not on_caller[2]
+        else:
+            assert on_caller == [True] * 3
+
+    @pytest.mark.skipif(len(CPUS) < 2, reason="fewer than two usable CPUs")
+    def test_block_zero_needs_no_helper(self, monkeypatch):
+        # the helper's cos and sin are held until block 0 has been
+        # evaluated: a caller that waited for the helper before block 0
+        # would leave a hold timed out
+        evaluated = threading.Event()
+        caller, held = [], []
+        original = certificates._polar
+
+        def holding(drawn, theta):
+            if threading.get_ident() != caller[0]:
+                held.append(evaluated.wait(5.0))
+            original(drawn, theta)
+        monkeypatch.setattr(certificates, "_polar", holding)
+        original_lambda = certificates.sym_lambda_max
+
+        def evaluating(x, params):
+            evaluated.set()
+            return original_lambda(x, params)
+        monkeypatch.setattr(certificates, "sym_lambda_max", evaluating)
+
+        def call():
+            caller.append(threading.get_ident())
+            out = sampled_lambda_check(P, 2.0, 3 * B + 5, 1)
+            assert out == P.xi * P.x_nom_sq2 - P.kappa_beta
+        err, before, after = _bounded(call)
+        assert err is None and after == before
+        assert held == [True, True]     # groups 1 (blocks 1, 2) and 2
 
     @pytest.mark.skipif(len(CPUS) < 2, reason="fewer than two usable CPUs")
     def test_pinned_and_restored(self, monkeypatch):
@@ -305,30 +343,33 @@ class TestSampledPipeline:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="no CPU affinity on this platform")
     def test_one_cpu(self, monkeypatch):
-        # one usable CPU: the same bits, and no thread starts
-        want = sampled_lambda_check(InverterParams(kappa=0.0), 2.0,
-                                    3 * B + 5, 7)
+        # one usable CPU: the same bits, and no thread starts; 2 * B and
+        # 4 * B - 1 end on a group of two blocks, the second of one state,
+        # and on a group of one block
         original = certificates.sym_lambda_max
-        blocks, threads = [], []
+        for n in (3 * B + 5, 2 * B, 4 * B - 1):
+            want = sampled_lambda_check(InverterParams(kappa=0.0), 2.0, n, 7)
+            blocks, threads = [], []
 
-        def capturing(x, params):
-            blocks.append(x.copy())
-            threads.append(threading.active_count())
-            return original(x, params)
-        monkeypatch.setattr(certificates, "sym_lambda_max", capturing)
-        mask = os.sched_getaffinity(0)
-        before = threading.active_count()
-        os.sched_setaffinity(0, {CPUS[0]})
-        try:
-            out = sampled_lambda_check(InverterParams(kappa=0.0), 2.0,
-                                       3 * B + 5, 7)
-            assert os.sched_getaffinity(0) == {CPUS[0]}
-        finally:
-            os.sched_setaffinity(0, mask)
-        assert np.float64(out).tobytes() == np.float64(want).tobytes()
-        assert threads == [before] * 4
-        states = sampled_states(2.0, 3 * B + 5, 7)
-        assert np.concatenate(blocks).tobytes() == states.tobytes()
+            def capturing(x, params):
+                blocks.append(x.copy())
+                threads.append(threading.active_count())
+                return original(x, params)
+            monkeypatch.setattr(certificates, "sym_lambda_max", capturing)
+            mask = os.sched_getaffinity(0)
+            before = threading.active_count()
+            os.sched_setaffinity(0, {CPUS[0]})
+            try:
+                out = sampled_lambda_check(InverterParams(kappa=0.0), 2.0,
+                                           n, 7)
+                assert os.sched_getaffinity(0) == {CPUS[0]}
+            finally:
+                os.sched_setaffinity(0, mask)
+                monkeypatch.setattr(certificates, "sym_lambda_max", original)
+            assert np.float64(out).tobytes() == np.float64(want).tobytes()
+            assert threads == [before] * -(-(n + 1) // B)
+            states = sampled_states(2.0, n, 7)
+            assert np.concatenate(blocks).tobytes() == states.tobytes()
 
     def test_concurrent_callers(self, monkeypatch):
         # more callers than CPUs, each with its helper, switching threads
