@@ -16,7 +16,7 @@ from .network import (BranchParams, NetworkConfig, OscillatorDeath,
                       SynchronizedSteady, ZeroImpedanceError, branch_currents,
                       k_sh, particular_radius, pcc_voltage,
                       synchronized_steady, total_admittance)
-from .oscillator import InverterParams, chi, jacobian_h, sym_lambda_max
+from .oscillator import InverterParams, jacobian_h, sym_lambda_max
 from .scenarios import (MetricsReport, build_case, build_metrics,
                         fit_decay_rate, sync_error, sync_time)
 
@@ -28,7 +28,7 @@ __all__ = [
     "NotContractingError", "OscillatorDeath", "Scenario",
     "SimulationDiverged", "SynchronizedSteady", "Trajectory",
     "ZeroImpedanceError", "branch_currents", "build_case", "build_metrics",
-    "certificate_margin", "chi", "envelope_check", "error_ball_radius",
+    "certificate_margin", "envelope_check", "error_ball_radius",
     "fit_decay_rate", "init_random", "jacobian_h", "k_sh",
     "particular_radius", "pcc_voltage", "rk4_increment",
     "sampled_lambda_check", "simulate", "sym_lambda_max", "sync_error",

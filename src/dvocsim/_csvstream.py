@@ -1,10 +1,13 @@
-"""The processes that format one time series into its file while the run
-goes on; ``cli.write_timeseries`` and ``cli._stream`` start them.  Every
-series is written this way, on one CPU by this process alone.
+"""The time series, ``timeseries.csv``: its columns, the chunks of rows
+that one kernel call formats, and the processes that format them into its
+file while the run goes on.  ``cli.write_timeseries`` and
+``cli._cmd_simulate`` start them.  Every series is written this way, on one
+CPU by this process alone.
 
-Imported on first use, as the CSV kernel is, so that importing the package
-does not compile it.  The formatter, the header and the chunk size are the
-CLI's, looked up on ``cli`` when they are used.
+A row holds t, the states (pu), the bus voltage (V) and the currents (A,
+alpha/beta and three-phase through the inverse Clarke transform), each with
+17 significant digits.  Imported on first use, and importing the CSV
+kernel itself, so that importing the package compiles neither.
 """
 
 from __future__ import annotations
@@ -12,16 +15,103 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import functools
+import math
+import mmap
 import os
 import struct
 import tempfile
+import threading
 from pathlib import Path
-from typing import IO, Iterator, NoReturn, Optional
+from typing import IO, Iterable, Iterator, NoReturn, Optional
 
-from . import cli
-from .engine import Trajectory
+import numpy as np
+
+from ._csvtext import Workspace, csv_lines
+from .engine import Scenario, Trajectory
 
 _WORDS = struct.Struct("<4q")
+# values per call of the CSV kernel (at least one row): each call has
+# ~0.1 ms of fixed cost (105 us for 3 values, 9 of them the distinct-column
+# gate), which more values per call spread thinner, but
+# each formatting process holds ~290 bytes a value of buffers (4.7 MB here),
+# and touches each of their pages once a write; over the 1,001 rows at
+# N = 100 a pass took 106, 95, 90, 87 and 85 ms at 8192, 12288, 16384, 24576
+# and 32768 values, and in the benchmark's wide-n100 24576 ran no faster
+# than 16384 (wall_rel 1.178 against 1.167, 4 pairs)
+_CSV_CHUNK_VALUES = 16384
+
+SQRT3_OVER_2 = math.sqrt(3.0) / 2.0     # inverse Clarke transform
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _rows_per_call(n: int) -> int:
+    """Rows per CSV kernel call for n inverters: 7n + 3 values a row."""
+    return max(1, _CSV_CHUNK_VALUES // (7 * n + 3))
+
+
+def _format_rows(traj: Trajectory, chunks: Iterable[tuple[int, int]]
+                 ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(start, stop, text)`` for each chunk ``(start, stop)`` that
+    ``chunks`` yields: the CSV text of rows ``start:stop``, formatted by one
+    kernel call with the bus voltage and currents of those rows computed
+    there.  The block and the kernel's buffers are allocated once, for the
+    first chunk, which no later one outgrows; each text is a view of them,
+    valid until the next chunk is drawn."""
+    n = traj.n
+    # the block holds each distinct column once: i_a_k is i_alpha_k, so the
+    # kernel formats it once and gathers its text twice
+    i = 2 * n + 3
+    order = np.arange(7 * n + 3)
+    order[i + 2 * n::3] = np.arange(i, i + 2 * n, 2)
+    order[i + 2 * n + 1::3] = np.arange(i + 2 * n, i + 4 * n, 2)
+    order[i + 2 * n + 2::3] = np.arange(i + 2 * n + 1, i + 4 * n, 2)
+    w = None
+    for first, stop in chunks:
+        if w is None:
+            w = Workspace(stop - first, 6 * n + 3, order)
+            products = np.empty((stop - first, n))
+        rows = slice(first, stop)
+        x, (v_o, currents) = traj.x[rows], traj.bus_and_currents(rows)
+        re, im = currents.real, currents.imag
+        block, product = w.block[:len(x)], products[:len(x)]
+        block[:, 0] = traj.t[rows]
+        block[:, 1:i - 2:2] = x.real
+        block[:, 2:i - 2:2] = x.imag
+        block[:, i - 2] = v_o.real
+        block[:, i - 1] = v_o.imag
+        block[:, i:i + 2 * n:2] = re
+        block[:, i + 1:i + 2 * n:2] = im
+        # -0.5*re + SQRT3_OVER_2*im and -0.5*re - SQRT3_OVER_2*im
+        np.multiply(im, SQRT3_OVER_2, out=product)
+        np.multiply(re, -0.5, out=block[:, i + 2 * n::2])
+        block[:, i + 2 * n::2] += product
+        np.multiply(re, -0.5, out=block[:, i + 2 * n + 1::2])
+        block[:, i + 2 * n + 1::2] -= product
+        yield first, stop, csv_lines(w, len(x))
+
+
+def _header(n: int) -> bytes:
+    """The time series' header line for ``n`` inverters."""
+    header = ["t"]
+    header += [f"x_{ax}_{k}" for k in range(1, n + 1) for ax in ("alpha", "beta")]
+    header += ["v_o_alpha", "v_o_beta"]
+    header += [f"i_{ax}_{k}" for k in range(1, n + 1) for ax in ("alpha", "beta")]
+    header += [f"i_{ph}_{k}" for k in range(1, n + 1) for ph in ("a", "b", "c")]
+    return (",".join(header) + "\n").encode()
+
+
+def _partial(path: Path) -> Path:
+    """A new name beside ``path`` under which its contents are written, to
+    be renamed to ``path`` once complete: a run killed before that leaves
+    no ``path`` of its own, and an earlier file there as it was."""
+    return path.with_name(f".{path.name}.{os.urandom(8).hex()}.part")
 
 
 class Stream:
@@ -48,33 +138,46 @@ class Stream:
     and exits when no chunk is left.  The kernel releases the locks of a
     process that dies, so a child that wakes to an unchanged count while
     the run has not ended knows the run process is gone, and exits too.
-    This process formats chunks once the run has ended (``finish``); with
-    no children, ``cli._formatters`` forking none, it formats every chunk
-    and places each in turn, and its affinity mask is left alone.  The
-    series is written under a ``cli._partial`` name and renamed to its path
-    once complete.  The other temporary files are unlinked, in the output's
-    directory, and vanish with their holders.
+    The processes number one per CPU this process may run on or one per
+    chunk, whichever is fewer, this one among them; with other threads
+    running this one alone (``fork`` is unsafe then).  This process
+    formats chunks once the run has ended (``finish``); with no children
+    it formats every chunk and places each in turn, and its affinity mask
+    is left alone.  The series is written under a ``_partial`` name and
+    renamed to its path once complete.  The other temporary files are
+    unlinked, in the output's directory, and vanish with their holders.
     """
 
     def __init__(self, traj: Trajectory, path: str | Path):
         self.traj, self.path = traj, Path(path)  # simulate records into traj
-        self.step = cli._rows_per_call(traj.n)
+        self.step = _rows_per_call(traj.n)
         self.complete = False
         self.pids: list[int] = []
         self.failed: list[int] = []     # the children's nonzero exit codes
         self.temps: list[IO[bytes]] = []
         self.board: Optional[IO[bytes]] = None
-        self.temp = cli._partial(self.path)     # the series until complete
+        self.temp = _partial(self.path)     # the series until complete
         self.out: Optional[int] = None
         self.mask: set[int] = set()
         try:
-            self._start(cli._formatters(len(traj.t), traj.n))
+            self._start()
         except BaseException:
             self.close()
             raise
 
-    def _start(self, children: int) -> None:
-        header = cli._header(self.traj.n)
+    @classmethod
+    def recording(cls, scenario: Scenario, path: str | Path) -> Stream:
+        """The processes for the series of a run of ``scenario`` about to
+        start, forked before it with the trajectory it records into
+        (``traj``) over an anonymous shared mmap, so that they format its
+        rows while it runs."""
+        rows, n = scenario.n_steps + 1, scenario.n
+        x = np.frombuffer(mmap.mmap(-1, 16 * rows * n), complex).reshape(rows, n)
+        return cls(Trajectory(np.arange(rows) * scenario.dt, x, scenario),
+                   path)
+
+    def _start(self) -> None:
+        header = _header(self.traj.n)
         self.out = os.open(self.temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
                            0o666)
         self._write(self.out, header, 0)
@@ -85,6 +188,8 @@ class Stream:
         self._write(self.board.fileno(),
                     struct.pack("<5q", 0, -1, 0, 0, len(header)), 0)
         fcntl.lockf(self.board, fcntl.LOCK_EX, 0, 1)    # every row's byte
+        children = (0 if threading.active_count() > 1
+                    else min(_usable_cpus(), chunks) - 1)
         self.temps = [temp() for _ in range(children + 1)]
         # each process on a CPU of its own, round robin over this process's
         # mask: left to the scheduler, two forked processes may share one
@@ -162,7 +267,7 @@ class Stream:
         """Format the chunks that process ``k`` (0 is this one) claims, and
         place or park each."""
         temp, parked = self.temps[k].fileno(), 0
-        for first, stop, text in cli._format_rows(self.traj, self._claims()):
+        for first, stop, text in _format_rows(self.traj, self._claims()):
             at = self._place(first, stop, len(text))
             if at < 0:
                 self._write(temp, text, parked)

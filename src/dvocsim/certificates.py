@@ -106,10 +106,6 @@ def sampled_lambda_check(params: InverterParams, radius: float,
                          f"inclusive, got {n_samples:,}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    # a helper left to the scheduler may share this thread's CPU, and then
-    # runs nothing alongside it: without CPU affinity there is none
-    cpus = (sorted(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else [])
     angles = np.random.Generator(np.random.PCG64(seed))
     radii = np.random.Generator(np.random.PCG64(seed).advance(n_samples))
     # group k holds states max(edges[k], 0) up to edges[k] + step: block 0,
@@ -137,8 +133,9 @@ def sampled_lambda_check(params: InverterParams, radius: float,
         return states, drawn, theta
 
     peak = -np.inf
-    with _polar_on(cpus if n_samples >= _SAMPLE_BLOCK else []) as (
-            submit, wait):
+    with _polar_on(n_samples >= _SAMPLE_BLOCK
+                   and hasattr(os, "sched_getaffinity")
+                   and len(os.sched_getaffinity(0)) > 1) as (submit, wait):
         group = draw(0)
         for k in range(len(edges)):
             states, drawn, theta = group
@@ -168,16 +165,15 @@ def _polar(drawn: np.ndarray, theta: np.ndarray) -> None:
 
 
 @contextlib.contextmanager
-def _polar_on(cpus: list[int]) -> Iterator[tuple[Callable, Callable]]:
+def _polar_on(helper: bool) -> Iterator[tuple[Callable, Callable]]:
     """``(submit, wait)``: ``submit((drawn, theta))`` asks for
     ``_polar(drawn, theta)`` and ``wait()`` returns once the oldest one
-    asked for has run: on this thread with fewer than two ``cpus``, else
-    on a helper thread pinned to ``cpus[1]``, this one pinned to
-    ``cpus[0]``, and ``wait`` raises what the helper raised.  On leaving,
-    the helper is stopped and joined and the caller's affinity mask
-    restored: no thread outlives it.
+    asked for has run: on a helper thread if ``helper``, else on this one,
+    and ``wait`` raises what the helper raised.  On leaving, the helper is
+    stopped and joined: no thread outlives it.  No thread's CPU affinity is
+    set.
     """
-    if len(cpus) < 2:
+    if not helper:
         asked: list = []
         yield asked.append, lambda: _polar(*asked.pop(0))
         return
@@ -186,7 +182,6 @@ def _polar_on(cpus: list[int]) -> Iterator[tuple[Callable, Callable]]:
 
     def work() -> None:
         try:
-            os.sched_setaffinity(0, {cpus[1]})
             while (job := todo.get()) is not None:
                 _polar(*job)
                 done.put(None)
@@ -197,16 +192,13 @@ def _polar_on(cpus: list[int]) -> Iterator[tuple[Callable, Callable]]:
         if (err := done.get()) is not None:
             raise err
 
-    mask = os.sched_getaffinity(0)
-    helper = threading.Thread(target=work, name="sampler", daemon=True)
-    helper.start()
+    thread = threading.Thread(target=work, name="sampler", daemon=True)
+    thread.start()
     try:
-        os.sched_setaffinity(0, {cpus[0]})
         yield todo.put, wait
     finally:
         todo.put(None)
-        helper.join()
-        os.sched_setaffinity(0, mask)
+        thread.join()
 
 
 def error_ball_radius(d_bar: float, c: float) -> float:

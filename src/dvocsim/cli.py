@@ -1,4 +1,5 @@
-"""Command-line entry point, scenario files and report/time-series output.
+"""Command-line entry point, scenario files and the report; the time
+series, ``timeseries.csv``, is ``_csvstream``'s.
 
 Scenario files are strict JSON: unknown keys are rejected so a typo in a
 physics parameter cannot silently fall back to a default.  Two forms exist:
@@ -26,9 +27,8 @@ import json
 import math
 import os
 import sys
-import threading
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NoReturn, Optional, Sequence
+from typing import Any, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -292,145 +292,16 @@ def apply_overrides(raw: dict, sets: Sequence[str]) -> dict:
 # outputs
 
 
-# values per call of the CSV kernel (at least one row): each call has
-# ~0.1 ms of fixed cost (105 us for 3 values, 9 of them the distinct-column
-# gate), which more values per call spread thinner, but
-# each formatting process holds ~290 bytes a value of buffers (4.7 MB here),
-# and touches each of their pages once a write; over the 1,001 rows at
-# N = 100 a pass took 106, 95, 90, 87 and 85 ms at 8192, 12288, 16384, 24576
-# and 32768 values, and in the benchmark's wide-n100 24576 ran no faster
-# than 16384 (wall_rel 1.178 against 1.167, 4 pairs)
-_CSV_CHUNK_VALUES = 16384
-
-SQRT3_OVER_2 = math.sqrt(3.0) / 2.0     # inverse Clarke transform
-
-
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _rows_per_call(n: int) -> int:
-    """Rows per CSV kernel call for n inverters: 7n + 3 values a row."""
-    return max(1, _CSV_CHUNK_VALUES // (7 * n + 3))
-
-
-def _format_rows(traj: Trajectory, chunks: Iterable[tuple[int, int]]
-                 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """``(start, stop, text)`` for each chunk ``(start, stop)`` that
-    ``chunks`` yields: the CSV text of rows ``start:stop``, at most
-    ``_rows_per_call`` of them, formatted by one kernel call with the bus
-    voltage and currents of those rows computed there.  The block and the
-    kernel's buffers are allocated once, here, for every chunk; each text is
-    a view of them, valid until the next chunk is drawn."""
-    # imported here: only the writer needs the kernel, so importing the
-    # package does not build its tables (or compile it, without a .pyc)
-    from ._csvtext import Workspace, csv_lines
-    n = traj.n
-    columns = 7 * n + 3
-    # the block holds each distinct column once: i_a_k is i_alpha_k, so the
-    # kernel formats it once and gathers its text twice
-    i = 2 * n + 3
-    order = np.arange(columns)
-    order[i + 2 * n::3] = np.arange(i, i + 2 * n, 2)
-    order[i + 2 * n + 1::3] = np.arange(i + 2 * n, i + 4 * n, 2)
-    order[i + 2 * n + 2::3] = np.arange(i + 2 * n + 1, i + 4 * n, 2)
-    step = min(_rows_per_call(n), len(traj.t))
-    w = Workspace(step, 6 * n + 3, order)
-    products = np.empty((step, n))
-    for first, stop in chunks:
-        rows = slice(first, stop)
-        x, (v_o, currents) = traj.x[rows], traj.bus_and_currents(rows)
-        re, im = currents.real, currents.imag
-        block, product = w.block[:len(x)], products[:len(x)]
-        block[:, 0] = traj.t[rows]
-        block[:, 1:i - 2:2] = x.real
-        block[:, 2:i - 2:2] = x.imag
-        block[:, i - 2] = v_o.real
-        block[:, i - 1] = v_o.imag
-        block[:, i:i + 2 * n:2] = re
-        block[:, i + 1:i + 2 * n:2] = im
-        # -0.5*re + SQRT3_OVER_2*im and -0.5*re - SQRT3_OVER_2*im
-        np.multiply(im, SQRT3_OVER_2, out=product)
-        np.multiply(re, -0.5, out=block[:, i + 2 * n::2])
-        block[:, i + 2 * n::2] += product
-        np.multiply(re, -0.5, out=block[:, i + 2 * n + 1::2])
-        block[:, i + 2 * n + 1::2] -= product
-        yield first, stop, csv_lines(w, len(x))
-
-
-def _formatters(rows: int, n: int) -> int:
-    """Processes to fork to format ``rows`` rows of ``n`` inverters: one per
-    CPU this process may run on and one per kernel call, each but the
-    first, which this process takes; none with other threads running
-    (``fork`` is unsafe then)."""
-    if threading.active_count() > 1:
-        return 0
-    return min(_usable_cpus(), -(-rows // _rows_per_call(n))) - 1
-
-
-def _header(n: int) -> bytes:
-    """The time series' header line for ``n`` inverters."""
-    header = ["t"]
-    header += [f"x_{ax}_{k}" for k in range(1, n + 1) for ax in ("alpha", "beta")]
-    header += ["v_o_alpha", "v_o_beta"]
-    header += [f"i_{ax}_{k}" for k in range(1, n + 1) for ax in ("alpha", "beta")]
-    header += [f"i_{ph}_{k}" for k in range(1, n + 1) for ph in ("a", "b", "c")]
-    return (",".join(header) + "\n").encode()
-
-
-def _partial(path: Path) -> Path:
-    """A new name beside ``path`` under which its contents are written, to
-    be renamed to ``path`` once complete: a run killed before that leaves
-    no ``path`` of its own, and an earlier file there as it was."""
-    return path.with_name(f".{path.name}.{os.urandom(8).hex()}.part")
-
-
-def _stream(scenario: Scenario, path: Path):
-    """The processes that format the series of a run of ``scenario`` about
-    to start (a ``_csvstream.Stream``), forked before it with the
-    trajectory it records into (``traj``) over an anonymous shared mmap, so
-    that they format its rows while it runs; with none forked, this process
-    formats them all once the run has ended."""
-    rows, n = scenario.n_steps + 1, scenario.n
-    import mmap
-    from ._csvstream import Stream
-    x = np.frombuffer(mmap.mmap(-1, 16 * rows * n), complex).reshape(rows, n)
-    return Stream(Trajectory(np.arange(rows) * scenario.dt, x, scenario),
-                  path)
-
-
 def write_timeseries(traj: Trajectory, path: str | Path,
                      stream=None) -> None:
-    """CSV time series: states (pu), bus voltage (V), currents (A, alpha/beta
-    and three-phase via the inverse Clarke transform), 17 significant digits.
-
-    The rows are formatted in chunks of one kernel call (``_rows_per_call``
-    rows) by this process and by ``_formatters`` forked children, which
-    claim chunks as they become free: ``stream`` holds the children that
-    followed the run ``traj`` while it was recorded into ``stream.traj`` and
-    formatted what they could, or else a stream is started here, every row
-    of ``traj`` final (see ``_csvstream``).  The chunks are written in row
-    order after the header, so the bytes do not depend on the number of
-    processes.  Each process formats into buffers it allocates once, so
-    memory is O(columns + _CSV_CHUNK_VALUES) whatever the number of steps;
-    a chunk formatted before the rows ahead of it waits in a temporary
-    file in the output directory.
-
-    The file is written under a ``_partial`` name and renamed to ``path``
-    once complete, replacing any file there; until then a file at ``path``
-    is left as it was.  Raises OSError naming ``path`` when a child fails;
-    a file that was not written in full is removed.  Every child has been
-    reaped, and this process's affinity mask restored, when this returns or
-    raises.
-    """
+    """The CSV time series of ``traj`` at ``path``, formatted by ``stream``,
+    the processes that followed the run as it was recorded, or else by
+    processes started here (see ``_csvstream``); raises OSError naming
+    ``path`` when they fail, and leaves no process and no partial file."""
     if stream is None:
         from ._csvstream import Stream
         stream = Stream(traj, path)
@@ -485,15 +356,20 @@ def _oscillator_for(config: argparse.Namespace) -> InverterParams:
 
 def _write_json(path: Path, payload: dict) -> None:
     """``payload`` as strict JSON with an indent of 2, encoded into the file
-    piece by piece rather than as one string; a payload that cannot be
-    encoded (a NaN, say) leaves no file."""
-    fh = path.open("w")
+    piece by piece rather than as one string, under a partial name renamed
+    to ``path`` once complete.  An earlier file at ``path`` is removed
+    first, so a payload that cannot be encoded (a NaN, say) or a process
+    killed meanwhile leaves no file there."""
+    from ._csvstream import _partial
+    path.unlink(missing_ok=True)
+    temp = _partial(path)
     try:
-        with fh:
+        with temp.open("x") as fh:
             json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
+        os.replace(temp, path)
     except BaseException:
-        path.unlink()
+        temp.unlink(missing_ok=True)
         raise
 
 
@@ -541,7 +417,8 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
     # the series is formatted while the run goes on, and report.json is
     # written after it, so that a run whose series fails writes neither
     # (an earlier run's files stay as they were)
-    stream = _stream(scenario, out / "timeseries.csv")
+    from ._csvstream import Stream
+    stream = Stream.recording(scenario, out / "timeseries.csv")
     try:
         try:
             traj = simulate(scenario, sink=stream)

@@ -74,15 +74,6 @@ class InverterParams:
         return self.kappa * self.beta
 
 
-def chi(x: complex | np.ndarray, params: InverterParams) -> float | np.ndarray:
-    """Amplitude-regulating scalar xi*(2*Xnom^2 - |x|^2).
-
-    ``x`` is a complex state alpha + j*beta, scalar or array; the result has
-    its shape.
-    """
-    return params.xi * (params.x_nom_sq2 - (x.real ** 2 + x.imag ** 2))
-
-
 def _jacobian_entries(x: np.ndarray, params: InverterParams, p: np.ndarray,
                       j01: np.ndarray, j10: np.ndarray, r: np.ndarray) -> None:
     """Write the entries [[p, j01], [j10, r]] of ``jacobian_h`` at the

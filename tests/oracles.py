@@ -43,17 +43,22 @@ def logistic_radius(r0, t, xi=10.0, amp_sq=1.0):
     return math.sqrt(u)
 
 
+def chi(x, params):
+    """Amplitude-regulating scalar xi*(2*Xnom^2 - |x|^2), with |x|^2 written
+    out as x.real**2 + x.imag**2; ``x`` is a complex state, scalar or
+    array, and the result has its shape."""
+    return params.xi * (params.x_nom_sq2 - (x.real ** 2 + x.imag ** 2))
+
+
 def local_map(x, params):
-    """Local map h(x) = (xi*(2*Xnom^2 - |x|^2) - kappa*beta + j*omega0)*x of
-    one inverter, allocating, with |x|^2 written out as x.real**2 +
-    x.imag**2.
+    """Local map h(x) = (chi(x) - kappa*beta + j*omega0)*x of one inverter,
+    allocating.
 
     The coupled field of every inverter is h(x_k) plus the common bus term
     kappa*v_o.  ``x`` is a complex state, scalar or array; the result has its
     shape.
     """
-    amp = params.xi * (params.x_nom_sq2 - (x.real ** 2 + x.imag ** 2))
-    return (amp + complex(-params.kappa_beta, params.omega0)) * x
+    return (chi(x, params) + complex(-params.kappa_beta, params.omega0)) * x
 
 
 def local_increment(x, params, h):

@@ -22,10 +22,10 @@ from hypothesis.extra.numpy import arrays
 
 import dvocsim
 from dvocsim import _csvstream, _csvtext, cli, engine
-from dvocsim.cli import (SQRT3_OVER_2, ScenarioError, apply_overrides,
-                         build_parser, build_report, main, run,
-                         scenario_from_dict, scenario_to_dict,
-                         write_timeseries)
+from dvocsim._csvstream import SQRT3_OVER_2
+from dvocsim.cli import (ScenarioError, apply_overrides, build_parser,
+                         build_report, main, run, scenario_from_dict,
+                         scenario_to_dict, write_timeseries)
 from dvocsim.certificates import certificate_margin
 from dvocsim.engine import (DisturbanceSpec, InitSpec, SimulationDiverged,
                             Trajectory, simulate)
@@ -123,7 +123,7 @@ def _per_value_csv(name):
 def count_forks(monkeypatch, cpus):
     """Make the writer see ``cpus`` usable CPUs; returns the pids of the
     children it forks, a list that grows as it forks."""
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_csvstream, "_usable_cpus", lambda: cpus)
     forks = []
     real_fork = os.fork
 
@@ -136,7 +136,7 @@ def count_forks(monkeypatch, cpus):
     return forks
 
 
-_FORMAT_ROWS = cli._format_rows
+_FORMAT_ROWS = _csvstream._format_rows
 
 
 def fail_rows(monkeypatch, where, children=()):
@@ -163,7 +163,7 @@ def fail_rows(monkeypatch, where, children=()):
                 yield from ()
             args = (claim_and_fail(),)
         return _FORMAT_ROWS(traj, *args)
-    monkeypatch.setattr(cli, "_format_rows", format_rows)
+    monkeypatch.setattr(_csvstream, "_format_rows", format_rows)
 
 
 def interrupt_run(monkeypatch, error):
@@ -457,10 +457,10 @@ class TestWriteTimeseries:
         traj = _trajectory(name)
         forks = count_forks(monkeypatch, cpus)
         if chunk is not None:
-            monkeypatch.setattr(cli, "_CSV_CHUNK_VALUES", chunk)
+            monkeypatch.setattr(_csvstream, "_CSV_CHUNK_VALUES", chunk)
         path = tmp_path / "ts.csv"
         write_timeseries(traj, path)
-        calls = -(-len(traj.t) // cli._rows_per_call(traj.n))
+        calls = -(-len(traj.t) // _csvstream._rows_per_call(traj.n))
         assert len(forks) == min(cpus, calls) - 1
         assert path.read_bytes() == _per_value_csv(name)
 
@@ -495,12 +495,12 @@ class TestWriteTimeseries:
                     raise
         else:
             scenario = _scenario(name)
-            stream = cli._stream(scenario, path)
+            stream = _csvstream.Stream.recording(scenario, path)
             traj = _run(scenario, sink=stream)
         write_timeseries(traj, path, stream)
         assert path.read_bytes() == _per_value_csv(name)
         rows = _scenario(name).n_steps + 1
-        assert len(forks) == min(cpus, -(-rows // cli._rows_per_call(
+        assert len(forks) == min(cpus, -(-rows // _csvstream._rows_per_call(
             traj.n))) - 1
         assert_no_children()
 
@@ -513,15 +513,15 @@ class TestWriteTimeseries:
         # final, for the bus voltage of row b - 1 is computed with row b
         name = "case2_partial_block"
         traj = _trajectory(name)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_csvstream, "_usable_cpus", lambda: 2)
         parent = os.getpid()
 
         def format_rows(*args):
             if os.getpid() != parent:
                 time.sleep(late)
             return _FORMAT_ROWS(*args)
-        monkeypatch.setattr(cli, "_format_rows", format_rows)
-        b = cli._rows_per_call(traj.n)
+        monkeypatch.setattr(_csvstream, "_format_rows", format_rows)
+        b = _csvstream._rows_per_call(traj.n)
         x = np.frombuffer(mmap.mmap(-1, traj.x.nbytes),
                           complex).reshape(traj.x.shape)
         path = tmp_path / "ts.csv"
@@ -550,7 +550,7 @@ class TestWriteTimeseries:
     def test_failed_fork_leaves_nothing(self, tmp_path, monkeypatch):
         # the second fork fails: the first child, waiting for rows, is let
         # go and reaped, and the series' partial file is removed
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(_csvstream, "_usable_cpus", lambda: 3)
         mask = _affinity()
         forks = []
         real_fork = os.fork
@@ -565,8 +565,8 @@ class TestWriteTimeseries:
             return pid
         monkeypatch.setattr(os, "fork", fork)
         with pytest.raises(OSError, match="no second child"):
-            cli._stream(build_case("II", 4, seed=0, t_end=0.5),
-                        tmp_path / "ts.csv")
+            _csvstream.Stream.recording(
+                build_case("II", 4, seed=0, t_end=0.5), tmp_path / "ts.csv")
         assert len(forks) == 1
         assert_no_children()
         assert list(tmp_path.iterdir()) == []
@@ -582,7 +582,7 @@ class TestWriteTimeseries:
         path = tmp_path / "ts.csv"
         before = sorted(os.listdir("/proc/self/fd"))
         if run == "streamed":
-            stream = cli._stream(scenario, path)
+            stream = _csvstream.Stream.recording(scenario, path)
             write_timeseries(_run(scenario, sink=stream), path, stream)
         elif run == "child_fails":
             fail_rows(monkeypatch, "child")
@@ -617,7 +617,7 @@ class TestWriteTimeseries:
                 os.read(released[0], 1)
                 yield held
                 yield from texts
-        monkeypatch.setattr(cli, "_format_rows", format_rows)
+        monkeypatch.setattr(_csvstream, "_format_rows", format_rows)
         path = tmp_path / "ts.csv"
         try:
             write_timeseries(_trajectory("case2_partial_block"), path)
@@ -752,8 +752,8 @@ class TestWriteTimeseries:
         # (reaped or not).  The rows formatted so far are under a partial
         # name: no timeseries.csv is left
         code = ("import sys\n"
-                "from dvocsim import cli\n"
-                "cli._usable_cpus = lambda: 2\n"
+                "from dvocsim import _csvstream, cli\n"
+                "_csvstream._usable_cpus = lambda: 2\n"
                 "real = cli.simulate\n"
                 "def simulate(scenario, sink=None):\n"
                 "    print(len(sink.pids), flush=True)\n"
@@ -1201,6 +1201,33 @@ class TestCommands:
         assert err.startswith("error: ") and "JSON compliant" in err
         assert sorted(p.name for p in out.iterdir()) == ["timeseries.csv"]
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="no SIGKILL")
+    def test_killed_report_leaves_no_file(self, tmp_path):
+        # killed while report.json is encoded: the part written is under a
+        # partial name, and an earlier run's report is gone, for the new
+        # timeseries.csv is not its series
+        code = ("import json, os, signal, sys\n"
+                "from dvocsim import cli\n"
+                "def dump(obj, fh, **kwargs):\n"
+                "    fh.write('{\"scenario\": ')\n"
+                "    fh.flush()\n"
+                "    os.kill(os.getpid(), signal.SIGKILL)\n"
+                "json.dump = dump\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = Path(dvocsim.__file__).resolve().parents[1]
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "report.json").write_text("{}\n")
+        got = subprocess.run(
+            [sys.executable, "-c", code, "case2", "--set", "t_end=0.05",
+             "--out", str(out)], capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert got.returncode == -signal.SIGKILL
+        left = sorted(p.name for p in out.iterdir())
+        assert "report.json" not in left
+        assert len(left) == 2 and left[1] == "timeseries.csv"
+        assert left[0].startswith(".report.json.")
+
     def test_report_without_current_is_strict_json(self, tmp_path, capsys):
         # every state starts at the origin and stays there: no current flows
         path = write(tmp_path, {"case": "II", "n": 4, "seed": 1, "t_end": 0.1,
@@ -1450,7 +1477,8 @@ class TestCommands:
         # only a written series needs the streamed writer's modules
         src = Path(dvocsim.__file__).resolve().parents[1]
         code = ("import sys, dvocsim, dvocsim.cli; print(sorted(m for m in "
-                "('multiprocessing', 'concurrent.futures', 'mmap', 'fcntl') "
+                "('multiprocessing', 'concurrent.futures', 'mmap', 'fcntl', "
+                "'dvocsim._csvstream', 'dvocsim._csvtext') "
                 "if m in sys.modules))")
         got = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True, timeout=60,

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (flat_star_rk4, flat_two_inverter_field, local_increment,
                      logistic_radius)
 from dvocsim import engine, scenarios
-from dvocsim.cli import _rows_per_call
+from dvocsim._csvstream import _rows_per_call
 from dvocsim.engine import (DisturbanceSpec, InitSpec, Scenario,
                             SimulationDiverged, init_random, rk4_increment,
                             simulate)
