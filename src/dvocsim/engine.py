@@ -22,21 +22,30 @@ sequential, but distinct scenarios share no mutable state and can be
 simulated concurrently.
 
 The step loop is bound by interpreter overhead, not arithmetic: an N = 4
-state is four complex numbers.  So ``simulate`` builds one set of RK4
-buffers per run (``_Workspace``) and one field per admittance segment
-(``_bind_field``), and every step writes into their buffers with ``out=``
-ufunc calls, allocating no array and casting no operand.  The field writes
-the half-step increment (dt/2)*dx/dt, its constants scaled by dt/2 once per
-segment, so each RK4 stage state is one add and a step makes 38 numpy calls
-(34 ufunc calls and 4 dots).  The scalar operands are 0-d arrays of the
-operand's own dtype: under numpy's scalar promotion rules (NEP 50) a Python
-float or complex is converted afresh on every call, and a 0-d array goes
-through the same stride-0 loop.  The bus term g . x goes into a 0-d
-buffer.  Each field is a closure over its segment's operands, the step that
-starts at t_z switches to the second one, and the kernels call ufuncs
-through module-level aliases, which cuts the name lookups around each call.
-``_bind_field`` and ``rk4_increment`` state the identities by which their
-in-place arithmetic keeps the bits of the allocating form.
+state is four complex numbers.  So a step is one Python call,
+``rk4_increment``, with the coupled field fused into it: the four field
+evaluations run inline, and there is no field function to call.
+``simulate`` builds one set of RK4 buffers per run (``_Workspace``: the six
+RK4 stages as the rows of one (6, N) block, the views a step reads and the
+0-d scratch) and one tuple of field operands per admittance segment
+(``_bind_field``); the step that starts at t_z switches to the second
+tuple.  A step unpacks both tuples once and writes into the buffers with
+``out=`` ufunc calls, allocating no array and casting no operand.  Each
+evaluation writes the half-step increment (dt/2)*dx/dt, its constants scaled
+by dt/2 once per segment, so each RK4 stage state is one add, and one
+multiply doubles a2 and a3 together: a step makes 37 numpy calls (33 ufunc
+calls and 4 dots).  The scalar operands are 0-d arrays of the operand's own
+dtype: under numpy's scalar promotion rules (NEP 50) a Python float or
+complex is converted afresh on every call, and a 0-d array goes through the
+same stride-0 loop.  The bus term g . x goes into a 0-d buffer, and the
+step calls ufuncs through module-level aliases, which cuts the name lookups
+around each call.  ``rk4_increment`` states the identities by which its
+in-place arithmetic keeps the bits of the allocating form; the test oracle
+``tests/oracles.py`` keeps the callable-field kernel and field that it
+fuses, and the step must give their bits.  On a 2-vCPU AVX-512 Xeon
+(Python 3.11.7, numpy 2.4.6) a traced case II step with N = 4 took
+12.2 µs against 13.0 µs with a closure field called four times a step
+(medians of 12 alternated benchmark pairs, ``BENCH_fused_step.json``).
 """
 
 from __future__ import annotations
@@ -276,91 +285,81 @@ _add, _multiply = np.add, np.multiply
 
 
 class _Workspace:
-    """One run's RK4 buffers, which every step of ``simulate`` writes into:
-    the half-step increments a1..a4, the stage state and the accumulator,
-    and the 0-d weights 2 and 1/3.  It belongs to one run, never to the
-    module, so distinct runs can go on concurrently.  A plain class: a
-    dataclass would add ~1 ms to ``import dvocsim``.
+    """One run's RK4 buffers, which every step of ``simulate`` writes into,
+    built for the run's state ``y``: the half-step increments a1..a4, the
+    stage state and the accumulator as the rows of one (6, N) block, the
+    view of a2 and a3 that doubles both in one call, the float views of
+    ``y`` and of the stage state, the |x|^2 scratch with its even and odd
+    elements, the 0-d bus buffer and the 0-d weights 2 and 1/3, all in
+    ``parts``.  It belongs to one run, never to the module, so distinct runs
+    can go on concurrently.  A plain class: a dataclass would add ~1 ms to
+    ``import dvocsim``.
     """
 
-    __slots__ = ("stages", "weights")
+    __slots__ = ("parts",)
 
-    def __init__(self, n: int):
-        self.stages = tuple(np.empty(n, dtype=complex) for _ in range(6))
+    def __init__(self, y: np.ndarray):
+        n = len(y)
+        block = np.empty((6, n), dtype=complex)
+        # a view costs about as much as a ufunc call, so every view a step
+        # reads is built here
+        sq = np.empty(2 * n)
         # a Python float operand takes on the state's dtype (NEP 50)
-        self.weights = tuple(np.array(w, dtype=complex) for w in (2.0, 1 / 3))
+        two, third = (np.array(w, dtype=complex) for w in (2.0, 1 / 3))
+        self.parts = (*block, block[1:3], y.view(np.float64),
+                      block[4].view(np.float64), sq, sq[0::2], sq[1::2],
+                      np.empty((), dtype=complex), two, third)
 
 
-def _bind_field(p: InverterParams, y: np.ndarray, ys: np.ndarray,
-                g: np.ndarray, d: Optional[DisturbanceSpec], h: float):
-    """The half-step increment h*F of the coupled field F(x_k) = (chi(x_k)
-    - kappa*beta + j*omega0)*x_k + kappa*v_o (+ disturbance on one
-    inverter), with h = dt/2, as ``field(t, x, out)`` writing into ``out``.
+def _bind_field(p: InverterParams, g: np.ndarray,
+                d: Optional[DisturbanceSpec], h: float) -> tuple:
+    """The operands of the half-step increment h*F of the coupled field
+    F(x_k) = (chi(x_k) - kappa*beta + j*omega0)*x_k + kappa*v_o (+
+    disturbance on one inverter), with h = dt/2, for one admittance segment.
 
-    The field is a closure over its operands, bound once per admittance
-    segment with its constants scaled by h, so that an evaluation loads them
-    from its cells.  ``y`` and ``ys`` are the run's state and RK4 stage
-    state, whose float views are built here; any other contiguous complex
-    ``x`` gets its view per call.  ``g`` is the coupling vector
-    kappa*beta*Y/Y_sigma, so g . x = kappa*v_o.  ``InverterParams`` keeps
-    xi*x_nom_sq2 and kappa*beta finite, so c0 = h*(xi*x_nom_sq2 -
-    kappa*beta) is.  The result has the bits of the allocating
+    ``g`` is the coupling vector kappa*beta*Y/Y_sigma, so g . x = kappa*v_o.
+    The operands are the gain buffer, whose imaginary part holds h*omega0,
+    and the view of its real part; the 0-d -h*xi and c0 = h*(xi*x_nom_sq2 -
+    kappa*beta), which ``InverterParams`` keeps finite; the bound
+    ``(h*g).dot``; the disturbance (None for none), h and omega0.  Bound
+    once per segment, so that ``rk4_increment`` unpacks them as one tuple.
+    """
+    gain = np.full(len(g), complex(0.0, h * p.omega0))
+    return (gain, gain.real, np.array(-h * p.xi),
+            np.array(h * (p.xi * p.x_nom_sq2 - p.kappa_beta)), (h * g).dot,
+            d, h, p.omega0)
+
+
+def rk4_increment(field: tuple, t: float, y: np.ndarray, dt: float,
+                  w: _Workspace) -> np.ndarray:
+    """One classical 4th-order Runge-Kutta step of the coupled field from
+    ``y`` at time ``t``, written into ``y`` and returned.
+
+    Every simulation step in the package goes through this kernel.
+    ``field`` holds the operands ``_bind_field`` returns, with h = dt/2,
+    and ``w`` is the workspace built for ``y``, ``_Workspace(y)``.  Each of
+    the four evaluations writes the half-step increment a_i = h*F(x) at its
+    stage state x with the bits of the allocating
     ((-h*xi)*|x|^2 + c0 + j*(h*omega0))*x + np.dot(h*g, x) (+ h*d(t)) by
     three identities:
 
-    * |x|^2 is one multiply of ``x.view(np.float64)`` by itself and one add
-      of its even and odd elements, term by term ``x.real**2 + x.imag**2``.
-      Not ``(x*x.conj()).real``: numpy's complex multiply uses fused
-      multiply-adds where the CPU has them (AVX-512, say), which changes the
-      trajectory.
-    * the real gain is a float multiply and add into the real part of
-      ``gain``, whose imaginary part holds h*omega0: the allocating form
+    * |x|^2 is one multiply of x's float view by itself and one add of its
+      even and odd elements, term by term ``x.real**2 + x.imag**2``.  Not
+      ``(x*x.conj()).real``: numpy's complex multiply uses fused
+      multiply-adds where the CPU has them (AVX-512, say), which changes
+      the trajectory.
+    * the real gain is a float multiply and add into the real part of the
+      gain buffer, whose imaginary part holds h*omega0: the allocating form
       adds c0 + j*h*omega0 to a float array cast to complex, and 0.0 +
       h*omega0 is h*omega0.
-    * ``g_h.dot(x, bus)`` runs the routine of ``np.dot(g_h, x)`` without its
-      ``__array_function__`` dispatch.
-    """
-    # a view costs about as much as a ufunc call, so the states have
-    # theirs built once
-    yv, ysv = y.view(np.float64), ys.view(np.float64)
-    sq = np.empty(2 * len(y))
-    sq_re, sq_im = sq[0::2], sq[1::2]
-    gain = np.full(len(y), complex(0.0, h * p.omega0))
-    gain_re = gain.real
-    neg_hxi = np.array(-h * p.xi)
-    c0 = np.array(h * (p.xi * p.x_nom_sq2 - p.kappa_beta))
-    g_h = h * g
-    bus = np.empty((), dtype=complex)
-    omega0 = p.omega0
+    * ``(h*g).dot(x, bus)`` runs the routine of ``np.dot(h*g, x)`` without
+      its ``__array_function__`` dispatch.
 
-    def field(t: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        xv = yv if x is y else ysv if x is ys else x.view(np.float64)
-        _multiply(xv, xv, sq)
-        _add(sq_re, sq_im, gain_re)
-        _multiply(neg_hxi, gain_re, gain_re)
-        _add(gain_re, c0, gain_re)
-        _multiply(gain, x, out)
-        g_h.dot(x, bus)
-        _add(out, bus, out)
-        if d is not None:
-            out[d.inverter] += h * _disturbance_at(d, omega0, t)
-        return out
-
-    return field
-
-
-def rk4_increment(f, t: float, y: np.ndarray, dt: float,
-                  w: _Workspace) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step of dy/dt = F(t, y).
-
-    Every simulation step in the package goes through this kernel.  ``w`` is
-    a workspace built for ``len(y)``, ``f(t, x, out)`` writes the half-step
-    increment (dt/2)*F(t, x) into ``out``, and the step is written into
-    ``y`` and returned.  With a_i = (dt/2)*k_i the classical step y +
-    dt/6*(k1 + 2*k2 + 2*k3 + k4) is y + (a1 + 2*a2 + 2*a3 + a4)/3, and the
-    stage states y + dt/2*k1, y + dt/2*k2 and y + dt*k3 are y + a1, y + a2
-    and y + 2*a3.  a3 is doubled in place, exactly for a finite a3, so the
-    step is
+    The classical step y + dt/6*(k1 + 2*k2 + 2*k3 + k4) is y + (a1 + 2*a2 +
+    2*a3 + a4)/3, and the stage states y + dt/2*k1, y + dt/2*k2 and y +
+    dt*k3 are y + a1, y + a2 and y + 2*a3.  Once a3 is written, a2 and a3
+    are doubled in place with one multiply, exactly for finite values, so
+    the step is
 
         y + (1/3)*((a1 + 2*a2) + 2*a3 + a4)
 
@@ -368,16 +367,50 @@ def rk4_increment(f, t: float, y: np.ndarray, dt: float,
     takes on y's dtype (NEP 50) as the 0-d weights do, so the bits are
     those of the same expression with Python floats.
     """
-    two, third = w.weights
-    a1, a2, a3, a4, ys, acc = w.stages
-    f(t, y, a1)
+    gain, gain_re, neg_hxi, c0, dot, d, h, omega0 = field
+    (a1, a2, a3, a4, ys, acc, a23, yv, ysv, sq, sq_re, sq_im, bus, two,
+     third) = w.parts
+    _multiply(yv, yv, sq)
+    _add(sq_re, sq_im, gain_re)
+    _multiply(neg_hxi, gain_re, gain_re)
+    _add(gain_re, c0, gain_re)
+    _multiply(gain, y, a1)
+    dot(y, bus)
+    _add(a1, bus, a1)
+    if d is not None:
+        a1[d.inverter] += h * _disturbance_at(d, omega0, t)
     _add(y, a1, ys)
-    f(t + 0.5 * dt, ys, a2)
+    _multiply(ysv, ysv, sq)
+    _add(sq_re, sq_im, gain_re)
+    _multiply(neg_hxi, gain_re, gain_re)
+    _add(gain_re, c0, gain_re)
+    _multiply(gain, ys, a2)
+    dot(ys, bus)
+    _add(a2, bus, a2)
+    if d is not None:
+        a2[d.inverter] += h * _disturbance_at(d, omega0, t + 0.5 * dt)
     _add(y, a2, ys)
-    f(t + 0.5 * dt, ys, a3)
-    _add(y, _multiply(two, a3, a3), ys)
-    f(t + dt, ys, a4)
-    _add(a1, _multiply(two, a2, acc), acc)
+    _multiply(ysv, ysv, sq)
+    _add(sq_re, sq_im, gain_re)
+    _multiply(neg_hxi, gain_re, gain_re)
+    _add(gain_re, c0, gain_re)
+    _multiply(gain, ys, a3)
+    dot(ys, bus)
+    _add(a3, bus, a3)
+    if d is not None:
+        a3[d.inverter] += h * _disturbance_at(d, omega0, t + 0.5 * dt)
+    _multiply(two, a23, a23)
+    _add(y, a3, ys)
+    _multiply(ysv, ysv, sq)
+    _add(sq_re, sq_im, gain_re)
+    _multiply(neg_hxi, gain_re, gain_re)
+    _add(gain_re, c0, gain_re)
+    _multiply(gain, ys, a4)
+    dot(ys, bus)
+    _add(a4, bus, a4)
+    if d is not None:
+        a4[d.inverter] += h * _disturbance_at(d, omega0, t + dt)
+    _add(a1, a2, acc)
     _add(acc, a3, acc)
     _add(acc, a4, acc)
     return _add(y, _multiply(third, acc, acc), y)
@@ -436,10 +469,9 @@ def simulate(scenario: Scenario, x0: Optional[np.ndarray] = None,
     d = scenario.disturbance
     if d is not None and d.amplitude == 0.0:
         d = None
-    w = _Workspace(n)
+    w = _Workspace(x)
     field, field_post = (
-        _bind_field(p, x, w.stages[4], p.kappa_beta * y / y_sigma, d,
-                    0.5 * dt)
+        _bind_field(p, p.kappa_beta * y / y_sigma, d, 0.5 * dt)
         for _, y, y_sigma in traj.segments)
 
     # the loop records states only and checks them once per block of rows;

@@ -4,6 +4,9 @@ Everything here deliberately avoids the library's own code paths: the network
 oracle is a dense linear solve instead of the closed-form admittance average,
 the amplitude oracle is the closed-form logistic solution of the radial ODE,
 the local increment is the allocating form of the engine's in-place field,
+the callable-field RK4 kernel and the in-place coupled field it runs are
+the engine's fused step taken apart, with ``np.add`` and ``np.multiply`` in
+its order,
 the Jacobian entries and the top eigenvalue of its symmetric part are the
 allocating forms of the in-place ones, the sampled states are one draw of all
 of them at once, the two-inverter field oracle and the star-network
@@ -73,6 +76,79 @@ def local_increment(x, params, h):
     c0 = h * (params.xi * params.x_nom_sq2 - params.kappa_beta)
     amp = (-h * params.xi) * (x.real ** 2 + x.imag ** 2)
     return (amp + complex(c0, h * params.omega0)) * x
+
+
+def rk4_workspace(n):
+    """Buffers of ``rk4_kernel`` for an n-element complex state: the stages
+    a1..a4, the stage state and the accumulator, and the 0-d complex
+    weights 2 and 1/3."""
+    stages = tuple(np.empty(n, dtype=complex) for _ in range(6))
+    return stages, tuple(np.array(w, dtype=complex) for w in (2.0, 1 / 3))
+
+
+def rk4_kernel(f, t, y, dt, w):
+    """One classical RK4 step of dy/dt = F(t, y) from any field, in place.
+
+    ``w`` is ``rk4_workspace(len(y))`` and ``f(t, x, out)`` writes the
+    half-step increment (dt/2)*F(t, x) into ``out``; the step is written
+    into ``y`` and returned.  With a_i = (dt/2)*k_i it is
+    y + (1/3)*((a1 + 2*a2) + 2*a3 + a4), a3 doubled in place before it
+    makes the last stage state y + 2*a3, each weight a 0-d complex array:
+    the engine's fused step must give its bits running ``coupled_field``.
+    """
+    stages, (two, third) = w
+    a1, a2, a3, a4, ys, acc = stages
+    f(t, y, a1)
+    np.add(y, a1, ys)
+    f(t + 0.5 * dt, ys, a2)
+    np.add(y, a2, ys)
+    f(t + 0.5 * dt, ys, a3)
+    np.add(y, np.multiply(two, a3, a3), ys)
+    f(t + dt, ys, a4)
+    np.add(a1, np.multiply(two, a2, acc), acc)
+    np.add(acc, a3, acc)
+    np.add(acc, a4, acc)
+    return np.add(y, np.multiply(third, acc, acc), y)
+
+
+def coupled_field(p, y, ys, g, d, h):
+    """The half-step increment h*F of the coupled field F(x_k) = (chi(x_k)
+    - kappa*beta + j*omega0)*x_k + g . x (+ disturbance ``d`` on one
+    inverter), in place, as ``field(t, x, out)`` for ``rk4_kernel``.
+
+    A closure over the operands scaled by h once: the gain buffer with
+    h*omega0 in its imaginary part, the 0-d -h*xi and c0 = h*(xi*x_nom_sq2
+    - kappa*beta), and h*g.  ``y`` and ``ys`` are the state and the stage
+    state, whose float views are built here; any other contiguous complex
+    ``x`` gets its view per call.  It must give the bits of the allocating
+    ``local_increment(x, p, h) + np.dot(h*g, x)`` (+ h*d(t)).
+    """
+    yv, ysv = y.view(np.float64), ys.view(np.float64)
+    sq = np.empty(2 * len(y))
+    sq_re, sq_im = sq[0::2], sq[1::2]
+    gain = np.full(len(y), complex(0.0, h * p.omega0))
+    gain_re = gain.real
+    neg_hxi = np.array(-h * p.xi)
+    c0 = np.array(h * (p.xi * p.x_nom_sq2 - p.kappa_beta))
+    g_h = h * g
+    bus = np.empty((), dtype=complex)
+
+    def field(t, x, out):
+        xv = yv if x is y else ysv if x is ys else x.view(np.float64)
+        np.multiply(xv, xv, sq)
+        np.add(sq_re, sq_im, gain_re)
+        np.multiply(neg_hxi, gain_re, gain_re)
+        np.add(gain_re, c0, gain_re)
+        np.multiply(gain, x, out)
+        g_h.dot(x, bus)
+        np.add(out, bus, out)
+        if d is not None:
+            out[d.inverter] += h * (
+                complex(d.amplitude) if d.waveform == "constant"
+                else d.amplitude * np.exp(1j * p.omega0 * t))
+        return out
+
+    return field
 
 
 def jacobian_entries(x, params):

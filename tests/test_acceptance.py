@@ -11,13 +11,11 @@ import numpy as np
 import pytest
 
 from oracles import (central_difference_jacobian, dense_star_solve,
-                     local_map, logistic_radius)
-from dvocsim import engine
+                     local_map, logistic_radius, rk4_kernel, rk4_workspace)
 from dvocsim.certificates import (certificate_margin, envelope_check,
                                   error_ball_radius)
 from dvocsim.cli import main
-from dvocsim.engine import (DisturbanceSpec, InitSpec, Scenario,
-                            rk4_increment, simulate)
+from dvocsim.engine import DisturbanceSpec, InitSpec, Scenario, simulate
 from dvocsim.network import (BranchParams, NetworkConfig, OscillatorDeath,
                              branch_currents, k_sh, particular_radius,
                              pcc_voltage, total_admittance)
@@ -171,19 +169,20 @@ def test_criterion_7_error_ball_linearity(acceptance_log):
 
 
 def test_criterion_8_numerics(acceptance_log):
-    # 4th-order convergence of the production RK4 kernel on the radial ODE,
-    # stepped in place as simulate steps: the radius is a 1-element complex
-    # state in a run workspace, and the field writes the half-step increment
-    # (dt/2)*dr/dt
+    # 4th-order convergence on the radial ODE of the callable-field RK4
+    # kernel whose arithmetic the engine's fused step keeps bit for bit
+    # (tests/test_engine.py::TestFusedStep), stepped in place: the radius is
+    # a 1-element complex state, and the field writes the half-step
+    # increment (dt/2)*dr/dt
     errors = []
     for dt in (4e-3, 2e-3, 1e-3):
         def radial(t, x, out, h=0.5 * dt):
             r = x.real
             out[:] = h * (P.xi * (P.x_nom_sq2 - r * r) * r)
 
-        y, w = np.array([0.1 + 0j]), engine._Workspace(1)
+        y, w = np.array([0.1 + 0j]), rk4_workspace(1)
         for i in range(round(0.4 / dt)):
-            rk4_increment(radial, i * dt, y, dt, w)
+            rk4_kernel(radial, i * dt, y, dt, w)
         errors.append(abs(y[0].real - logistic_radius(0.1, 0.4)))
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]
     order_ok = all(abs(r - 16.0) <= 3.0 for r in ratios)

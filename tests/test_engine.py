@@ -9,8 +9,9 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import (flat_star_rk4, flat_two_inverter_field, local_increment,
-                     logistic_radius)
+from oracles import (coupled_field, flat_star_rk4, flat_two_inverter_field,
+                     local_increment, logistic_radius, rk4_kernel,
+                     rk4_workspace)
 from dvocsim import engine, scenarios
 from dvocsim._csvstream import _rows_per_call
 from dvocsim.engine import (DisturbanceSpec, InitSpec, Scenario,
@@ -40,14 +41,16 @@ def make_scenario(n=2, z_net=50.0 + 0j, t_end=0.2, dt=1e-4, seed=1,
 
 
 def field_at(sc, x, t=0.0):
-    """The engine's coupled field at time t, with that step's coupling vector
-    kappa*beta*Y/Y_sigma: its increment for h = 1, which is the derivative."""
+    """The coupled field at time t, with that step's coupling vector
+    kappa*beta*Y/Y_sigma: the increment of the oracle field, whose bits the
+    engine's fused step reproduces (``TestFusedStep``), for h = 1, which is
+    the derivative."""
     p = sc.params[0]
     y = sc.network.admittances(p.omega0, t)
     y_sigma = total_admittance(sc.network, p.omega0, t)
     x = np.array(x, dtype=complex)
-    field = engine._bind_field(p, x, np.empty_like(x),
-                               p.kappa_beta * y / y_sigma, sc.disturbance, 1.0)
+    field = coupled_field(p, x, np.empty_like(x),
+                          p.kappa_beta * y / y_sigma, sc.disturbance, 1.0)
     return field(t, x, np.empty_like(x))
 
 
@@ -200,14 +203,15 @@ def half_step(f, dt):
 
 
 def rk4_run(f, y0, dt, steps):
-    """``steps`` in-place RK4 steps of dy/dt = f from y0 through the kernel
-    simulate uses: a workspace built for the complex state, and the
-    derivative ``f(t, x, out)`` scaled to the half-step increment."""
+    """``steps`` in-place RK4 steps of dy/dt = f from y0 through the
+    callable-field kernel whose arithmetic the engine's fused step keeps: a
+    workspace built for the complex state, and the derivative
+    ``f(t, x, out)`` scaled to the half-step increment."""
     y = np.array(y0, dtype=complex, ndmin=1)
-    w = engine._Workspace(len(y))
+    w = rk4_workspace(len(y))
     field = half_step(f, dt)
     for i in range(steps):
-        assert rk4_increment(field, i * dt, y, dt, w) is y
+        assert rk4_kernel(field, i * dt, y, dt, w) is y
     return y
 
 
@@ -259,11 +263,59 @@ class TestRk4Kernel:
             def field(t, x, out):
                 out[:] = (0.5 * dt) * f(t, x)
 
-            w = engine._Workspace(len(y))
+            w = rk4_workspace(len(y))
             with np.errstate(invalid="ignore"):    # 0 * inf in the products
-                got = rk4_increment(field, 0.01, y.copy(), dt, w)
+                got = rk4_kernel(field, 0.01, y.copy(), dt, w)
                 want = reference(0.01, y, dt)
             assert got.tobytes() == want.tobytes()     # same bits
+
+
+class TestFusedStep:
+    """``rk4_increment`` is the oracle's callable-field kernel running the
+    oracle's coupled field with that field fused in: the same ufunc calls
+    and dots on the same operands in the same order, with a2 and a3 doubled
+    in one call once a3 is written.  So a step from any state gives the
+    oracle's bits, in either admittance segment and with any disturbance,
+    zero-amplitude included (``simulate`` drops that one)."""
+
+    POOLS = {
+        "plain": np.concatenate([np.linspace(-0.9, 0.9, 37), [0.0, -0.0]]),
+        "finite": np.concatenate([np.linspace(-2.0, 2.0, 40),
+                                  [0.0, -0.0, 1e-300, -1e300]]),
+        "non-finite": np.concatenate([np.linspace(-2.0, 2.0, 40),
+                                      [0.0, -0.0, 1e-300, -1e300, math.inf,
+                                       -math.inf, math.nan]]),
+    }
+
+    @pytest.mark.parametrize("pool", list(POOLS))
+    @pytest.mark.parametrize("d", [
+        None, DisturbanceSpec(0, 5.0, "constant"),
+        DisturbanceSpec(0, 5.0, "rotating"),
+        DisturbanceSpec(0, 0.0, "rotating")],
+        ids=["none", "constant", "rotating", "zero"])
+    @pytest.mark.parametrize("t_seg", [0.0, math.inf],
+                             ids=["before-t_z", "after-t_z"])
+    @pytest.mark.parametrize("n", [1, 2, 4, 100])
+    def test_same_bits_as_oracle_kernel(self, n, t_seg, d, pool):
+        rng = np.random.default_rng(n)
+        sc = make_scenario(n=n, z_extras=list(
+            rng.normal(0.0, 1.0, n) + 1j * rng.uniform(0.5, 2.0, n)))
+        p = sc.params[0]
+        g = (p.kappa_beta * sc.network.admittances(p.omega0, t_seg)
+             / total_admittance(sc.network, p.omega0, t_seg))
+        y = np.empty(n, dtype=complex)
+        y.real, y.imag = (rng.choice(self.POOLS[pool], n) for _ in range(2))
+        want, dt = y.copy(), 1e-4
+        w, ow = engine._Workspace(y), rk4_workspace(n)
+        field = engine._bind_field(p, g, d, 0.5 * dt)
+        oracle = coupled_field(p, want, ow[0][4], g, d, 0.5 * dt)
+        with np.errstate(all="ignore"):
+            for s in range(200):
+                t = 0.0123 + s * dt
+                assert rk4_increment(field, t, y, dt, w) is y
+                rk4_kernel(oracle, t, want, dt, ow)
+                if s in (0, 199):
+                    assert y.tobytes() == want.tobytes(), f"step {s}"
 
 
 class TestRk4Step:
@@ -602,25 +654,34 @@ class TestPythonScalarReference:
 
 class TestStepCalls:
     def test_ufunc_calls_per_step(self, monkeypatch):
-        # the field and the kernel call ufuncs through module-level aliases,
-        # which they look up as globals: a step is 10 calls in the kernel and
-        # 6 in each of its 4 field evaluations, besides the 4 dots
+        # the step calls ufuncs through module-level aliases, which it looks
+        # up as globals: 6 in each of its 4 field evaluations and 9 around
+        # them, a2 and a3 doubled in one call, besides the 4 dots, which
+        # are counted through the bound dot of each segment's operands
         calls = []
 
-        def counted(ufunc):
-            def call(*args, **kwargs):
-                calls.append(ufunc)
-                return ufunc(*args, **kwargs)
-            return call
+        def counted(kind, call):
+            def counting(*args, **kwargs):
+                calls.append(kind)
+                return call(*args, **kwargs)
+            return counting
 
         aliases = {name: value for name, value in vars(engine).items()
                    if isinstance(value, np.ufunc)}
         assert {"_add", "_multiply"} <= set(aliases)
         for name, value in aliases.items():
-            monkeypatch.setattr(engine, name, counted(value))
-        sc = scenarios.build_case("II", 4, 1, t_end=0.01)
+            monkeypatch.setattr(engine, name, counted("ufunc", value))
+        bind = engine._bind_field
+
+        def bind_counted(*args):
+            return tuple(counted("dot", op)
+                         if getattr(op, "__name__", None) == "dot" else op
+                         for op in bind(*args))
+        monkeypatch.setattr(engine, "_bind_field", bind_counted)
+        sc = scenarios.build_case("II", 4, 1, t_end=0.01, t_z=0.005)
         simulate(sc)
-        assert len(calls) == 34 * sc.n_steps
+        assert (calls.count("ufunc"), calls.count("dot")) == (
+            33 * sc.n_steps, 4 * sc.n_steps)
 
 
 # grows towards the circle |x| = sqrt(2e4) ~ 141 > DIVERGENCE_NORM: the norm
@@ -643,9 +704,8 @@ def per_step_divergence(sc, x0):
     y = sc.network.admittances(p.omega0, math.inf)
     g = p.kappa_beta * y / total_admittance(sc.network, p.omega0, math.inf)
     x = np.array(x0, dtype=complex)
-    w = engine._Workspace(len(x))
-    field = engine._bind_field(p, x, w.stages[4], g, sc.disturbance,
-                               0.5 * sc.dt)
+    w = engine._Workspace(x)
+    field = engine._bind_field(p, g, sc.disturbance, 0.5 * sc.dt)
     for s in range(sc.n_steps):
         rk4_increment(field, s * sc.dt, x, sc.dt, w)
         bad = ~(np.abs(x) <= engine.DIVERGENCE_NORM)

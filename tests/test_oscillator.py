@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 import oracles
 from oracles import central_difference_jacobian, local_increment, local_map
-from dvocsim.engine import _bind_field
 from dvocsim.network import BranchParams
 from dvocsim.oscillator import InverterParams, jacobian_h, sym_lambda_max
 
@@ -97,9 +96,11 @@ def closure_cell(f, name):
 
 
 class TestInPlaceForm:
-    """The engine's in-place field writes the bits of the allocating
-    ``local_increment(x, h) + np.dot(h*g, x)``, for finite and non-finite
-    states, given the run's state, its stage state or any other array."""
+    """The oracle in-place field, whose bits the engine's fused step
+    reproduces (``test_engine.TestFusedStep``), writes the bits of the
+    allocating ``local_increment(x, h) + np.dot(h*g, x)``, for finite and
+    non-finite states, given the run's state, its stage state or any other
+    array."""
 
     @pytest.mark.parametrize("where", ["state", "stage", "other"])
     def test_same_bits(self, where):
@@ -115,7 +116,7 @@ class TestInPlaceForm:
             x.real, x.imag = rng.choice(pool, 64), rng.choice(pool, 64)
             # only ``at`` holds x, so reading another array's view fails
             y, ys = np.zeros(64, dtype=complex), np.zeros(64, dtype=complex)
-            field = _bind_field(params, y, ys, g, None, h)
+            field = oracles.coupled_field(params, y, ys, g, None, h)
             at = {"state": y, "stage": ys, "other": x.copy()}[where]
             at[:] = x
             out = np.empty(64, dtype=complex)
